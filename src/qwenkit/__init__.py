@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     FormatError,
     InputError,
+    NumericError,
     ParameterError,
     QwenKitError,
     StateError,
@@ -32,6 +33,7 @@ from .layers import (
     RopeParams,
     SwigluWeights,
     apply_rope,
+    cached_attention,
     decode_step,
     gqa_attention,
     rms_norm,

@@ -27,3 +27,7 @@ class FormatError(QwenKitError):
 
 class InputError(QwenKitError):
     """Runtime input (token ids, documents) outside the valid domain."""
+
+
+class NumericError(QwenKitError):
+    """A computation produced a non-finite value, e.g. from NaN or inf weights."""

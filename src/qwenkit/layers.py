@@ -2,7 +2,9 @@
 
 RMSNorm, the SwiGLU feed-forward, rotary position embedding, grouped-query
 attention with additive QKV bias handled at the projection site, and the
-append-only KV cache for incremental decoding.
+KV cache for incremental decoding: a preallocated per-layer buffer of
+rotated keys and values, and one cached attention that attends any number
+of new rows (a prompt chunk or one decoded token) against it.
 """
 
 from __future__ import annotations
@@ -240,44 +242,136 @@ def gqa_attention(
 
 
 class KvCache:
-    """Append-only per-layer store of past keys and values.
+    """Per-layer store of past keys and values in one preallocated buffer.
 
     Keys are stored already rotated at their absolute positions; values are
-    stored as projected. One decoding session owns one cache; positions are
-    contiguous from 0 and key/value entries always have equal length.
+    stored as projected. Both live in one float32 buffer
+    ``[2, n_layers, n_kv_heads, capacity, head_dim]`` (K at index 0, V at
+    index 1) that the first append allocates, taking the head layout from
+    its entries. An append past the capacity doubles it and keeps what is
+    held. One decoding session owns one cache; positions are contiguous
+    from 0, and each layer keeps its own length.
     """
 
-    def __init__(self, n_layers: int = 1):
+    def __init__(self, n_layers: int = 1, capacity: int = 16):
         if n_layers < 1:
             raise ParameterError(f"n_layers must be >= 1, got {n_layers}")
+        if capacity < 1:
+            raise ParameterError(f"capacity must be >= 1, got {capacity}")
         self.n_layers = n_layers
-        self._keys: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-        self._values: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+        self.capacity = capacity
+        self._kv: np.ndarray | None = None
+        self._lengths = [0] * n_layers
+
+    def _check_layer(self, layer: int) -> None:
+        if not 0 <= layer < self.n_layers:
+            raise ParameterError(f"layer {layer} outside [0, {self.n_layers})")
 
     def length(self, layer: int = 0) -> int:
-        return len(self._keys[layer])
+        self._check_layer(layer)
+        return self._lengths[layer]
 
     def append(self, k_rotated, v, layer: int = 0) -> None:
+        """Store [n_kv_heads, rows, head_dim] keys and values after the
+        layer's last position."""
+        self._check_layer(layer)
         k_rotated = as_f32(k_rotated)
         v = as_f32(v)
-        if k_rotated.shape != v.shape or k_rotated.ndim != 2:
+        if k_rotated.shape != v.shape or k_rotated.ndim != 3:
             raise DimensionError(
-                f"cache entries must be matching [n_kv_heads, head_dim] pairs, "
+                f"cache entries must be matching [n_kv_heads, rows, head_dim] blocks, "
                 f"got {k_rotated.shape} and {v.shape}"
             )
-        self._keys[layer].append(k_rotated)
-        self._values[layer].append(v)
+        heads, rows, head_dim = k_rotated.shape
+        start = self._lengths[layer]
+        end = start + rows
+        if self._kv is None:
+            self.capacity = max(self.capacity, end)
+            self._kv = np.empty((2, self.n_layers, heads, self.capacity, head_dim), np.float32)
+        elif (heads, head_dim) != (self._kv.shape[2], self._kv.shape[4]):
+            raise DimensionError(
+                f"cache holds {self._kv.shape[2]} heads of width {self._kv.shape[4]}, "
+                f"got entries {k_rotated.shape}"
+            )
+        elif end > self.capacity:
+            held = self._kv
+            self.capacity = max(end, 2 * self.capacity)
+            self._kv = np.empty(held.shape[:3] + (self.capacity, head_dim), np.float32)
+            self._kv[:, :, :, : held.shape[3]] = held
+        self._kv[0, layer, :, start:end] = k_rotated
+        self._kv[1, layer, :, start:end] = v
+        self._lengths[layer] = end
+
+    def _held(self, which: int, layer: int) -> np.ndarray:
+        length = self.length(layer)
+        if length == 0:
+            raise StateError(f"cache layer {layer} is empty")
+        view = self._kv[which, layer, :, :length]
+        view.flags.writeable = False
+        return view
 
     def keys(self, layer: int = 0) -> np.ndarray:
-        """Stacked rotated keys, [n_kv_heads, length, head_dim]."""
-        if not self._keys[layer]:
-            raise StateError(f"cache layer {layer} is empty")
-        return np.stack(self._keys[layer], axis=1)
+        """Rotated keys, [n_kv_heads, length, head_dim]: a read-only view of
+        the buffer that does not see later appends."""
+        return self._held(0, layer)
 
     def values(self, layer: int = 0) -> np.ndarray:
-        if not self._values[layer]:
-            raise StateError(f"cache layer {layer} is empty")
-        return np.stack(self._values[layer], axis=1)
+        """Values, [n_kv_heads, length, head_dim]; a view like :meth:`keys`."""
+        return self._held(1, layer)
+
+
+def cached_attention(
+    cache: KvCache,
+    q,
+    k,
+    v,
+    params: AttentionParams,
+    rope: RopeParams,
+    *,
+    position: int,
+    layer: int = 0,
+    scale_mult: float = 1.0,
+    inv_freq=None,
+) -> np.ndarray:
+    """Causal grouped-query attention of new positions against one cached layer.
+
+    q is [n_q_heads, rows, head_dim]; k and v are [n_kv_heads, rows, head_dim]
+    for positions ``position`` .. ``position + rows - 1``, and ``position``
+    must equal the layer's cache length (contiguous decoding). Rotates q and
+    k, appends the rotated keys and the values to the cache, and attends
+    each new query to the cached keys up to its own position. Returns
+    [rows, n_q_heads * head_dim]: the matching rows of :func:`gqa_attention`
+    over the whole sequence.
+    """
+    q = as_f32(q)
+    k = as_f32(k)
+    v = as_f32(v)
+    _check_qkv_shapes(q, k, v, params)
+    expected = cache.length(layer)
+    if position != expected:
+        raise StateError(
+            f"non-contiguous decode: cache layer {layer} holds {expected} positions "
+            f"but got position {position}"
+        )
+    if inv_freq is None:
+        inv_freq = rope_freqs(rope)
+    rows = q.shape[1]
+    length = position + rows
+    positions = range(position, length)
+    cache.append(apply_rope(k, positions, inv_freq), v, layer)
+    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
+    # Query head h reads KV head h // g, so the g query heads of one group
+    # stack into g * rows rows against their shared KV head, with no copy of
+    # K or V per query head.
+    qg = apply_rope(q, positions, inv_freq).reshape(n_kv, g * rows, d)
+    scale = np.float32(scale_mult / math.sqrt(d))
+    logits = np.matmul(qg, cache.keys(layer).transpose(0, 2, 1)) * scale
+    # New row r sits at position + r and sees keys 0 .. position + r.
+    future = np.arange(length) > np.arange(position, length)[:, None]
+    logits.reshape(n_kv, g, rows, length)[:, :, future] = MASK_SENTINEL
+    out = np.matmul(masked_softmax_heads(logits), cache.values(layer))
+    out = out.reshape(params.n_q_heads, rows, d).transpose(1, 0, 2)
+    return out.reshape(rows, params.n_q_heads * d)
 
 
 def decode_step(
@@ -295,10 +389,11 @@ def decode_step(
 ) -> tuple[np.ndarray, KvCache]:
     """Attend one new token against the cached history of one layer.
 
-    new_q is [n_q_heads, head_dim]; new_k and new_v are
-    [n_kv_heads, head_dim]. ``position`` must equal the current cache length
-    (contiguous decoding). Appends the rotated key and the value, then returns
-    the attention output for the new position, [n_q_heads * head_dim].
+    The one-row form of :func:`cached_attention`: new_q is
+    [n_q_heads, head_dim]; new_k and new_v are [n_kv_heads, head_dim].
+    ``position`` must equal the current cache length. Appends the rotated
+    key and the value, then returns the attention output for the new
+    position, [n_q_heads * head_dim], and the cache.
     """
     new_q = as_f32(new_q)
     new_k = as_f32(new_k)
@@ -313,22 +408,7 @@ def decode_step(
             f"new_k/new_v shapes {new_k.shape}/{new_v.shape} do not match "
             f"({params.n_kv_heads}, {params.head_dim})"
         )
-    expected = cache.length(layer)
-    if position != expected:
-        raise StateError(
-            f"non-contiguous decode: cache layer {layer} holds {expected} positions "
-            f"but got position {position}"
-        )
-    if inv_freq is None:
-        inv_freq = rope_freqs(rope)
-    qr = apply_rope(new_q[:, None, :], [position], inv_freq)[:, 0, :]
-    kr = apply_rope(new_k[:, None, :], [position], inv_freq)[:, 0, :]
-    cache.append(kr, new_v, layer)
-    g = params.group_size
-    k_full = expand_kv(cache.keys(layer), g)  # [n_q, L, head_dim]
-    v_full = expand_kv(cache.values(layer), g)
-    scale = np.float32(scale_mult / math.sqrt(params.head_dim))
-    logits = np.matmul(qr[:, None, :], k_full.transpose(0, 2, 1))[:, 0, :] * scale
-    probs = softmax_rows(logits)  # [n_q, L]
-    out = np.matmul(probs[:, None, :], v_full)[:, 0, :]  # [n_q, head_dim]
-    return out.reshape(params.n_q_heads * params.head_dim), cache
+    out = cached_attention(cache, new_q[:, None], new_k[:, None], new_v[:, None], params,
+                           rope, position=position, layer=layer, scale_mult=scale_mult,
+                           inv_freq=inv_freq)
+    return out[0], cache

@@ -2,6 +2,8 @@
 
 Blocks are pre-normalized residuals: x += Attn(RMSNorm(x)) then
 x += FFN(RMSNorm(x)), with a final RMSNorm before the output projection.
+The forward pass and cached decoding run the same block loop; only the
+attention call differs.
 When embeddings are tied the output projection *is* the embedding matrix
 (same array object, no copy).
 """
@@ -14,11 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericError
 from .layers import (
     KvCache,
     SwigluWeights,
-    decode_step,
+    cached_attention,
     gqa_attention,
     rms_norm,
     rope_freqs,
@@ -29,6 +31,9 @@ from .moe import ExpertBank, MoeConfig, moe_forward, upcycle_from_dense
 from .ops import Rng, sample_normal
 
 INIT_STD = 0.02
+# Prompt rows fed to the cache per batched call: long prompts go in chunks
+# so the attention scores of one call stay small.
+PREFILL_CHUNK = 128
 
 
 @dataclass
@@ -185,23 +190,34 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
     return x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2)
 
 
-def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -> np.ndarray:
-    """Logits for every position, [seq, vocab_size]."""
-    ids = _validate_ids(cfg, token_ids)
-    if not ids:
-        raise InputError("token_ids must be nonempty")
-    if len(ids) > cfg.max_ctx:
-        raise InputError(f"sequence length {len(ids)} exceeds max_ctx {cfg.max_ctx}")
-    params = cfg.attention_params()
+def _rotary(cfg: ModelConfig) -> tuple[np.ndarray, float]:
+    """Rotary frequencies and attention-logit multiplier, YaRN-adjusted if set."""
     rope = cfg.rope_params()
     if cfg.yarn is not None:
-        inv_freq, scale_mult = yarn_adjust(rope, cfg.yarn)
-    else:
-        inv_freq, scale_mult = rope_freqs(rope), 1.0
-    seq = len(ids)
-    positions = list(range(seq))
+        return yarn_adjust(rope, cfg.yarn)
+    return rope_freqs(rope), 1.0
+
+
+def _blocks(
+    weights: ModelWeights,
+    cfg: ModelConfig,
+    ids: list[int],
+    position: int,
+    cache: KvCache | None,
+    inv_freq: np.ndarray,
+    scale_mult: float,
+) -> np.ndarray:
+    """Hidden states [rows, hidden] of ``ids`` after every decoder block.
+
+    Without a cache the rows are the whole sequence from position 0. With a
+    cache they continue it at ``position``, attend to the cached history,
+    and are appended to it.
+    """
+    params = cfg.attention_params()
+    rope = cfg.rope_params()
+    rows = len(ids)
     x = weights.embedding[ids]
-    for lw in weights.layers:
+    for li, lw in enumerate(weights.layers):
         h = rms_norm(x, lw.attn_gamma, cfg.rms_eps)
         q = h @ lw.wq.T
         k = h @ lw.wk.T
@@ -211,10 +227,13 @@ def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -
         q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
         k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
-        if cfg.dca is not None:
+        if cache is not None:
+            attn = cached_attention(cache, q3, k3, v3, params, rope, position=position,
+                                    layer=li, scale_mult=scale_mult, inv_freq=inv_freq)
+        elif cfg.dca is not None:
             attn = dca_attention(q3, k3, v3, params, cfg.dca, rope, cfg.yarn)
         else:
-            attn = gqa_attention(q3, k3, v3, params, positions, rope,
+            attn = gqa_attention(q3, k3, v3, params, list(range(rows)), rope,
                                  scale_mult=scale_mult, inv_freq=inv_freq)
         x = x + attn @ lw.wo.T
         h2 = rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
@@ -222,9 +241,39 @@ def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -
             x = x + swiglu_ffn(h2, *lw.ffn)
         else:
             x = x + np.stack([moe_forward(h2[t], cfg.moe, lw.moe_bank)
-                              for t in range(seq)])
+                              for t in range(rows)])
+    return x
+
+
+def _logits(weights: ModelWeights, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     h = rms_norm(x, weights.final_gamma, cfg.rms_eps)
     return h @ weights.output_matrix().T
+
+
+def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -> np.ndarray:
+    """Logits for every position, [seq, vocab_size]."""
+    ids = _validate_ids(cfg, token_ids)
+    if not ids:
+        raise InputError("token_ids must be nonempty")
+    if len(ids) > cfg.max_ctx:
+        raise InputError(f"sequence length {len(ids)} exceeds max_ctx {cfg.max_ctx}")
+    inv_freq, scale_mult = _rotary(cfg)
+    return _logits(weights, cfg, _blocks(weights, cfg, ids, 0, None, inv_freq, scale_mult))
+
+
+def _cached_logits(
+    weights: ModelWeights,
+    cfg: ModelConfig,
+    ids: list[int],
+    position: int,
+    cache: KvCache,
+    inv_freq: np.ndarray,
+    scale_mult: float,
+) -> np.ndarray:
+    """Feed ``ids`` at ``position`` through all layers via the cache; return
+    the logits of the last one."""
+    x = _blocks(weights, cfg, ids, position, cache, inv_freq, scale_mult)
+    return _logits(weights, cfg, x[-1])
 
 
 def _decode_token(
@@ -237,29 +286,7 @@ def _decode_token(
     scale_mult: float,
 ) -> np.ndarray:
     """Feed one token through all layers via the cache; return its logits."""
-    params = cfg.attention_params()
-    rope = cfg.rope_params()
-    x = weights.embedding[token]
-    for li, lw in enumerate(weights.layers):
-        h = rms_norm(x, lw.attn_gamma, cfg.rms_eps)
-        q = lw.wq @ h
-        k = lw.wk @ h
-        v = lw.wv @ h
-        if lw.bq is not None:
-            q, k, v = q + lw.bq, k + lw.bk, v + lw.bv
-        q2 = q.reshape(cfg.n_q_heads, cfg.head_dim)
-        k2 = k.reshape(cfg.n_kv_heads, cfg.head_dim)
-        v2 = v.reshape(cfg.n_kv_heads, cfg.head_dim)
-        out, _ = decode_step(cache, q2, k2, v2, params, rope, position=position,
-                             layer=li, scale_mult=scale_mult, inv_freq=inv_freq)
-        x = x + lw.wo @ out
-        h2 = rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
-        if lw.ffn is not None:
-            x = x + swiglu_ffn(h2, *lw.ffn)
-        else:
-            x = x + moe_forward(h2, cfg.moe, lw.moe_bank)
-    h = rms_norm(x, weights.final_gamma, cfg.rms_eps)
-    return weights.output_matrix() @ h
+    return _cached_logits(weights, cfg, [token], position, cache, inv_freq, scale_mult)
 
 
 def greedy_decode(
@@ -267,10 +294,14 @@ def greedy_decode(
 ) -> list[int]:
     """Extend ``prompt`` by up to ``max_new`` argmax tokens using the KV cache.
 
-    Deterministic; argmax ties resolve to the lower token id. Generation
-    stops early after emitting the configured end-of-text id. Incremental
-    decoding supports the vanilla attention path only (no dual-chunk
-    remapping).
+    The cache is preallocated for the prompt and ``max_new`` tokens. The
+    prompt is fed in chunks of :data:`PREFILL_CHUNK` rows, each one batched
+    call through the blocks, then every new token is fed as one row; only
+    the last row of each call is projected to logits. Deterministic; argmax
+    ties resolve to the lower token id. Generation stops early after
+    emitting the configured end-of-text id. Non-finite logits raise
+    :class:`NumericError`. Incremental decoding supports the vanilla
+    attention path only (no dual-chunk remapping).
     """
     ids = _validate_ids(cfg, prompt)
     if not ids:
@@ -279,28 +310,28 @@ def greedy_decode(
         raise InputError(f"max_new must be >= 0, got {max_new}")
     if cfg.dca is not None:
         raise ConfigError("greedy_decode does not support dual-chunk attention configs")
-    if max_new == 0:
-        return ids
     if len(ids) + max_new > cfg.max_ctx:
         raise InputError(
             f"prompt length {len(ids)} + max_new {max_new} exceeds max_ctx {cfg.max_ctx}"
         )
-    rope = cfg.rope_params()
-    if cfg.yarn is not None:
-        inv_freq, scale_mult = yarn_adjust(rope, cfg.yarn)
-    else:
-        inv_freq, scale_mult = rope_freqs(rope), 1.0
-    cache = KvCache(cfg.n_layers)
-    logits = None
-    for pos, token in enumerate(ids):
-        logits = _decode_token(weights, cfg, token, pos, cache, inv_freq, scale_mult)
+    if max_new == 0:
+        return ids
+    inv_freq, scale_mult = _rotary(cfg)
+    cache = KvCache(cfg.n_layers, capacity=len(ids) + max_new)
+    for start in range(0, len(ids), PREFILL_CHUNK):
+        logits = _cached_logits(weights, cfg, ids[start:start + PREFILL_CHUNK], start,
+                                cache, inv_freq, scale_mult)
     out = list(ids)
-    for _ in range(max_new):
+    while True:
         nxt = int(np.argmax(logits))
+        # argmax returns the first NaN if there is one, else +inf if there is
+        # one, so checking the chosen logit catches both.
+        if not np.isfinite(logits[nxt]):
+            raise NumericError(
+                f"non-finite logit {logits[nxt]} at position {len(out)}; "
+                f"are the weights finite?"
+            )
         out.append(nxt)
-        if nxt == cfg.effective_eot_id:
-            break
-        if len(out) == len(ids) + max_new:
-            break
+        if nxt == cfg.effective_eot_id or len(out) == len(ids) + max_new:
+            return out
         logits = _decode_token(weights, cfg, nxt, len(out) - 1, cache, inv_freq, scale_mult)
-    return out

@@ -12,6 +12,7 @@ from qwenkit.layers import (
     KvCache,
     RopeParams,
     apply_rope,
+    cached_attention,
     decode_step,
     gqa_attention,
     rms_norm,
@@ -274,6 +275,40 @@ class TestKvCache:
                                position=0, layer=0)
         assert cache.length(0) == 1
         assert cache.length(1) == 0
+
+    @pytest.mark.parametrize("bounds", [(0, 32), (0, 1, 32), (0, 5, 6, 19, 32), (0, 31, 32)])
+    def test_chunked_equals_full(self, bounds):
+        params, rope, q, k, v = self._setup(seq=32, nq=6, nkv=2)
+        full = gqa_attention(q, k, v, params, list(range(32)), rope)
+        cache = KvCache(1)
+        for a, b in zip(bounds, bounds[1:]):
+            out = cached_attention(cache, q[:, a:b], k[:, a:b], v[:, a:b], params, rope,
+                                   position=a)
+            assert max_abs_diff(out, full[a:b]) <= 1e-5
+        assert cache.length() == 32
+
+    def test_growth_keeps_contents(self):
+        rng = Rng(21)
+        blocks = [rand_f32(rng, 2, rows, 8) for rows in (3, 1, 6)]
+        cache = KvCache(2, capacity=2)
+        for t in blocks:
+            cache.append(t, -t, layer=1)
+        assert cache.capacity == 12  # 2 -> 3 (first block) -> 6 -> 12
+        held = np.concatenate(blocks, axis=1)
+        assert cache.keys(1).shape == (2, 10, 8)
+        assert np.array_equal(cache.keys(1), held)
+        assert np.array_equal(cache.values(1), -held)
+        assert cache.length(0) == 0
+        assert not cache.keys(1).flags.writeable
+
+    @pytest.mark.parametrize("layer", [3, 1, -1])
+    def test_out_of_range_layer_rejected(self, layer):
+        params, rope, q, k, v = self._setup()
+        cache = KvCache(1)
+        with pytest.raises(ParameterError):
+            decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope, position=0,
+                        layer=layer)
+        assert cache.length(0) == 0
 
 
 @given(st.integers(0, 500), st.integers(2, 64))

@@ -1,12 +1,23 @@
+import functools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import max_abs_diff
 from qwenkit.config import ModelConfig, format_config, parse_config, preset, preset_names
-from qwenkit.errors import ConfigError, FormatError, InputError
-from qwenkit.model import LayerWeights, build_model, forward, greedy_decode
+from qwenkit.errors import ConfigError, FormatError, InputError, NumericError
+from qwenkit.layers import KvCache, rope_freqs
+from qwenkit.model import (
+    PREFILL_CHUNK,
+    LayerWeights,
+    _cached_logits,
+    build_model,
+    forward,
+    greedy_decode,
+)
 from qwenkit.moe import ExpertBank, MoeConfig
 from qwenkit.ops import Rng, sample_normal
 
@@ -261,3 +272,63 @@ class TestGreedyDecode:
             if ids[-1] == cfg.effective_eot_id:
                 break
         assert got == ids
+
+    def test_prompt_longer_than_a_chunk_matches_forward_loop(self):
+        w, cfg = _small_model("dense")
+        prompt = [int(t) % cfg.regular_tokens for t in Rng(7).uint64s(PREFILL_CHUNK + 70)]
+        got = greedy_decode(w, cfg, prompt, max_new=5)
+        ids = list(prompt)
+        for _ in range(5):
+            ids.append(int(np.argmax(forward(w, cfg, ids)[-1])))
+            if ids[-1] == cfg.effective_eot_id:
+                break
+        assert got == ids
+
+    def test_overlong_prompt_rejected_without_new_tokens(self):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        with pytest.raises(InputError):
+            greedy_decode(w, cfg, [1] * (cfg.max_ctx + 5), 0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        w.layers[0].wq[0, 0] = bad
+        with pytest.raises(NumericError):
+            greedy_decode(w, cfg, [1, 2], 3)
+
+
+@functools.cache
+def _small_model(variant: str):
+    """A small dense or MoE model with room for prompts of several chunks,
+    and unit norm gains so logits are large enough for a 1e-5 comparison
+    to see a wrong mask or position. Callers must not modify it."""
+    moe = MoeConfig(n_routed=4, k_active=2, n_shared=1, expert_dim=32, hidden=64)
+    cfg = ModelConfig(hidden=64, n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=16,
+                      ffn_intermediate=32 if variant == "moe" else 96, vocab_size=256,
+                      regular_tokens=253, rope_base=10_000.0, max_ctx=400,
+                      moe=moe if variant == "moe" else None)
+    w = build_model(cfg, 11)
+    for lw in w.layers:
+        lw.attn_gamma[:] = 1.0
+        lw.ffn_gamma[:] = 1.0
+    w.final_gamma[:] = 1.0
+    return w, cfg
+
+
+@given(st.data(), st.sampled_from(["dense", "moe"]))
+@settings(max_examples=30, deadline=None)
+def test_any_prompt_chunking_matches_forward_property(data, variant):
+    w, cfg = _small_model(variant)
+    n = data.draw(st.integers(1, cfg.max_ctx))
+    ids = [int(t) % cfg.vocab_size for t in Rng(data.draw(st.integers(0, 2**32))).uint64s(n)]
+    cuts = data.draw(st.sets(st.integers(1, len(ids)), max_size=6))
+    bounds = [0, *sorted(cuts - {len(ids)}), len(ids)]
+    full = forward(w, cfg, ids)
+    cache = KvCache(cfg.n_layers)
+    inv = rope_freqs(cfg.rope_params())
+    for a, b in zip(bounds, bounds[1:]):
+        got = _cached_logits(w, cfg, ids[a:b], a, cache, inv, 1.0)
+        assert max_abs_diff(got, full[b - 1]) <= 1e-5
