@@ -240,8 +240,7 @@ def _blocks(
         if lw.ffn is not None:
             x = x + swiglu_ffn(h2, *lw.ffn)
         else:
-            x = x + np.stack([moe_forward(h2[t], cfg.moe, lw.moe_bank)
-                              for t in range(rows)])
+            x = x + moe_forward(h2, cfg.moe, lw.moe_bank)
     return x
 
 

@@ -3,9 +3,11 @@
 A router scores every expert per token; the top-k experts run and their
 outputs are combined weighted by the raw softmax probabilities (no
 renormalization over the selected k). Shared experts run unconditionally and
-their outputs are summed in unweighted. Expert banks can be initialized from
-a dense FFN by replication, per-copy channel shuffling, slicing, and partial
-reinitialization ("upcycling").
+their outputs are summed in unweighted. A batch of rows is routed at once:
+one router matmul scores every row, and each routed expert runs once over
+the block of rows that chose it (dropless, no capacity limit). Expert banks
+can be initialized from a dense FFN by replication, per-copy channel
+shuffling, slicing, and partial reinitialization ("upcycling").
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ def gate_probs(x, router) -> np.ndarray:
     return softmax_rows((router @ x)[None, :])[0]
 
 
+def _topk_rows(p: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``p``, the indices of its k largest entries [rows, k];
+    a stable sort keeps the lower index on ties."""
+    return np.argsort(-p, axis=1, kind="stable")[:, :k]
+
+
 def topk_select(p, k: int) -> list[int]:
     """Indices of the k largest probabilities, ascending; ties keep the lower index."""
     p = np.asarray(p)
@@ -111,8 +119,7 @@ def topk_select(p, k: int) -> list[int]:
         raise DimensionError(f"expected a probability vector, got shape {p.shape}")
     if not 1 <= k <= p.shape[0]:
         raise ParameterError(f"k must be in [1, {p.shape[0]}], got {k}")
-    order = np.argsort(-p, kind="stable")
-    return sorted(int(i) for i in order[:k])
+    return sorted(int(i) for i in _topk_rows(p[None, :], k)[0])
 
 
 def moe_forward(x, cfg: MoeConfig, bank: ExpertBank) -> np.ndarray:
@@ -121,18 +128,37 @@ def moe_forward(x, cfg: MoeConfig, bank: ExpertBank) -> np.ndarray:
     y = sum_shared E_s(x) + sum_{i in topk(p)} p_i * E_i(x), where p is the
     raw router softmax (selected weights are not renormalized) and every
     expert is a SwiGLU FFN.
+
+    ``x`` is one token [hidden] or a batch of rows [rows, hidden]; the
+    result has the same shape. Every row is routed on its own, but each
+    expert runs once over all the rows that chose it, and each row adds its
+    terms in the same order: shared experts, then its experts ascending.
     """
     x = as_f32(x)
     validate_bank(cfg, bank)
-    if x.shape != (cfg.hidden,):
-        raise DimensionError(f"input shape {x.shape} does not match ({cfg.hidden},)")
-    p = gate_probs(x, bank.router)
-    out = np.zeros(cfg.hidden, dtype=np.float32)
+    if x.ndim not in (1, 2) or x.shape[-1] != cfg.hidden:
+        raise DimensionError(
+            f"input shape {x.shape} does not match ({cfg.hidden},) or (rows, {cfg.hidden})"
+        )
+    rows = x.reshape(-1, cfg.hidden)
+    p = softmax_rows(rows @ bank.router.T)
+    top = _topk_rows(p, cfg.k_active)
+    # Row indices grouped by expert, ascending within each group (stable sort
+    # of the flattened [rows, k] choices), and the size of each group.
+    by_expert = np.argsort(top, axis=None, kind="stable") // cfg.k_active
+    counts = np.bincount(top.ravel(), minlength=cfg.n_routed).tolist()
+    out = np.zeros_like(rows)
     for triple in bank.shared:
-        out = out + swiglu_ffn(x, *triple)
-    for i in topk_select(p, cfg.k_active):
-        out = out + p[i] * swiglu_ffn(x, *bank.routed[i])
-    return out
+        out += swiglu_ffn(rows, *triple)
+    end = 0
+    for e, n in enumerate(counts):
+        if n == len(rows):  # every row chose e, as always in one-token decoding
+            out += p[:, e, None] * swiglu_ffn(rows, *bank.routed[e])
+        elif n:
+            hit = by_expert[end:end + n]
+            out[hit] += p[hit, e, None] * swiglu_ffn(rows[hit], *bank.routed[e])
+        end += n
+    return out.reshape(x.shape)
 
 
 def replication_count(n_routed: int, expert_dim: int, h_ffn: int) -> int:

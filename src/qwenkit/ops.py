@@ -77,14 +77,16 @@ class Rng:
         """Fisher-Yates permutation of range(n); one raw draw per swap."""
         if n < 0:
             raise ParameterError(f"permutation size must be >= 0, got {n}")
-        perm = np.arange(n, dtype=np.int64)
         if n < 2:
-            return perm
-        raw = self.uint64s(n - 1)
+            return np.arange(n, dtype=np.int64)
+        # Swapping in a Python list is several times faster than indexing
+        # numpy scalars; the draws and swaps are the same.
+        raw = self.uint64s(n - 1).tolist()
+        perm = list(range(n))
         for step, i in enumerate(range(n - 1, 0, -1)):
-            j = int(raw[step] % np.uint64(i + 1))
+            j = raw[step] % (i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
 
 def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, format_config, parse_config
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .layers import SwigluWeights
 from .model import LayerWeights, ModelWeights
 from .moe import ExpertBank
@@ -107,7 +107,11 @@ def _collect_tensors(weights: ModelWeights, cfg: ModelConfig) -> dict[str, np.nd
 
 
 def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
-    """Write model weights and config; tensors are sorted by name."""
+    """Write model weights and config; tensors are sorted by name.
+
+    A tensor holding NaN or inf raises :class:`NumericError` before the
+    file is opened.
+    """
     cfg.validate()
     expected = _expected_tensors(cfg)
     tensors = _collect_tensors(weights, cfg)
@@ -124,6 +128,8 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
             raise FormatError(
                 f"tensor {name} has shape {arr.shape}, expected {expected[name]}"
             )
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor {name} holds non-finite values; not saved")
         dims = "x".join(str(d) for d in arr.shape)
         manifest.append(f"{name} {dims} {offset}")
         blob = arr.tobytes(order="C")
@@ -171,7 +177,11 @@ def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, 
 
 
 def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
-    """Read a weight container back; bit-exact inverse of :func:`save_weights`."""
+    """Read a weight container back; bit-exact inverse of :func:`save_weights`.
+
+    Any violation of the format, a tensor holding NaN or inf included,
+    raises :class:`FormatError`.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 16:
         raise FormatError(f"file truncated at offset {len(blob)}: too short for the fixed fields")
@@ -234,6 +244,8 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
             .reshape(shape)
             .astype(np.float32, copy=True)
         )
+        if not np.isfinite(arrays[name]).all():
+            raise FormatError(f"tensor {name} holds non-finite values")
     return _assemble(arrays, cfg), cfg
 
 

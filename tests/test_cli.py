@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import plant_in_container
 from qwenkit.cli import build_parser, main
 from qwenkit.config import parse_config, preset, preset_names
 from qwenkit.model import build_model
@@ -204,6 +205,20 @@ class TestMoeUpcycle:
         assert main(["moe", "upcycle", "--in", str(path), "--out",
                      str(tmp_path / "x.qw2t"), "--experts", "2",
                      "--expert-dim", "16"]) == 1
+
+
+    def test_upcycling_non_finite_input_fails(self, tmp_path, capsys):
+        cfg = preset("nano")
+        path = tmp_path / "dense.qw2t"
+        save_weights(build_model(cfg, 0), cfg, path)
+        plant_in_container(path, "layers.0.wq", float("nan"))
+        out_path = tmp_path / "moe.qw2t"
+        assert main(["moe", "upcycle", "--in", str(path), "--out", str(out_path),
+                     "--experts", "4", "--expert-dim", "32"]) == 1
+        err = capsys.readouterr().err
+        assert "layers.0.wq" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
 
 class TestDecontamScan:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from helpers import max_abs_diff
 from qwenkit.config import ModelConfig, format_config, parse_config, preset, preset_names
 from qwenkit.errors import ConfigError, FormatError, InputError, NumericError
-from qwenkit.layers import KvCache, rope_freqs
+from qwenkit import model
+from qwenkit.layers import KvCache, rope_freqs, swiglu_ffn
 from qwenkit.model import (
     PREFILL_CHUNK,
     LayerWeights,
@@ -18,7 +19,7 @@ from qwenkit.model import (
     forward,
     greedy_decode,
 )
-from qwenkit.moe import ExpertBank, MoeConfig
+from qwenkit.moe import ExpertBank, MoeConfig, gate_probs, topk_select
 from qwenkit.ops import Rng, sample_normal
 
 # Published architecture table, kept separate from the preset registry on
@@ -200,6 +201,14 @@ class TestForward:
         assert max_abs_diff(forward(dense, dense_cfg, ids),
                             forward(moe_weights, moe_cfg, ids)) <= 1e-5
 
+    def test_moe_batched_dispatch_matches_per_row_loop(self, monkeypatch):
+        w, cfg = _small_model("moe")
+        ids = [int(t) % cfg.vocab_size for t in Rng(21).uint64s(150)]
+        got = forward(w, cfg, ids)
+        monkeypatch.setattr(model, "moe_forward", _per_row_moe)
+        want = forward(w, cfg, ids)
+        assert max_abs_diff(got, want) <= 1e-5
+
     def test_build_is_deterministic(self):
         cfg = preset("nano")
         a = build_model(cfg, 42)
@@ -284,6 +293,17 @@ class TestGreedyDecode:
                 break
         assert got == ids
 
+    def test_moe_prompt_longer_than_a_chunk_matches_forward_loop(self):
+        w, cfg = _small_model("moe")
+        prompt = [int(t) % cfg.regular_tokens for t in Rng(8).uint64s(PREFILL_CHUNK + 45)]
+        got = greedy_decode(w, cfg, prompt, max_new=5)
+        ids = list(prompt)
+        for _ in range(5):
+            ids.append(int(np.argmax(forward(w, cfg, ids)[-1])))
+            if ids[-1] == cfg.effective_eot_id:
+                break
+        assert got == ids
+
     def test_overlong_prompt_rejected_without_new_tokens(self):
         cfg = preset("nano")
         w = build_model(cfg, 0)
@@ -298,6 +318,19 @@ class TestGreedyDecode:
         w.layers[0].wq[0, 0] = bad
         with pytest.raises(NumericError):
             greedy_decode(w, cfg, [1, 2], 3)
+
+
+def _per_row_moe(x, moe, bank):
+    """Reference MoE FFN: route and combine one row at a time with the
+    public one-token helpers, as the model did before batched dispatch."""
+    out = np.zeros_like(x)
+    for t, row in enumerate(x):
+        p = gate_probs(row, bank.router)
+        for triple in bank.shared:
+            out[t] += swiglu_ffn(row, *triple)
+        for i in topk_select(p, moe.k_active):
+            out[t] += p[i] * swiglu_ffn(row, *bank.routed[i])
+    return out
 
 
 @functools.cache

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import max_abs_diff, rand_f32
 from qwenkit.errors import ConfigError, DimensionError, ParameterError
@@ -164,6 +167,49 @@ class TestMoeForward:
         assert cfg.active_expert_params == (8 + 8) * 3 * 2560 * 3584
 
 
+class TestBatchedDispatch:
+    @given(rows=st.integers(1, 40), n_routed=st.integers(1, 8), k_frac=st.floats(0, 1),
+           n_shared=st.integers(0, 2), hidden=st.sampled_from([4, 8]),
+           expert_dim=st.sampled_from([4, 8]), seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_every_row_matches_oracle(self, rows, n_routed, k_frac, n_shared, hidden,
+                                      expert_dim, seed):
+        k = 1 + min(n_routed - 1, int(k_frac * n_routed))
+        cfg = MoeConfig(n_routed=n_routed, k_active=k, n_shared=n_shared,
+                        expert_dim=expert_dim, hidden=hidden)
+        rng = Rng(seed)
+        bank = _random_bank(rng, cfg)
+        x = rand_f32(rng, rows, hidden)
+        got = moe_forward(x, cfg, bank)
+        assert got.shape == (rows, hidden)
+        for t in range(rows):
+            assert max_abs_diff(got[t], oracle_moe(x[t], cfg, bank)) <= 1e-5
+
+    def test_zero_router_ties_pick_lowest_experts(self):
+        # With a zero router every probability is 1/n, so each row must take
+        # experts 0..k-1. The other experts hold NaN: touching one would show.
+        rng = Rng(14)
+        cfg = MoeConfig(n_routed=6, k_active=2, n_shared=1, expert_dim=8, hidden=8)
+        bank = _random_bank(rng, cfg)
+        bank.router = np.zeros((6, 8), dtype=np.float32)
+        nan = np.full((8, 8), np.nan, dtype=np.float32)
+        for e in range(2, 6):
+            bank.routed[e] = SwigluWeights(nan, nan, nan)
+        x = rand_f32(rng, 9, 8)
+        want = swiglu_ffn(x, *bank.shared[0])
+        for e in range(2):
+            want = want + np.float32(1 / 6) * swiglu_ffn(x, *bank.routed[e])
+        assert max_abs_diff(moe_forward(x, cfg, bank), want) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8), (5, 7), (7,), ()])
+    def test_bad_input_shape_rejected(self, shape):
+        rng = Rng(16)
+        cfg = MoeConfig(n_routed=4, k_active=2, n_shared=0, expert_dim=4, hidden=8)
+        bank = _random_bank(rng, cfg)
+        with pytest.raises(DimensionError):
+            moe_forward(np.zeros(shape, dtype=np.float32), cfg, bank)
+
+
 class TestUpcycle:
     def test_replication_count_published_sizes(self):
         assert replication_count(64, 2560, 18_944) == 9
@@ -262,6 +308,24 @@ class TestUpcycle:
         out = moe_forward(rand_f32(rng_w, 8), cfg, bank)
         assert out.shape == (8,)
         assert np.isfinite(out).all()
+
+    def test_upcycled_bank_is_pinned(self):
+        # Digest recorded before the permutation loop was rewritten: seeded
+        # upcycling must keep reproducing the same bank byte for byte.
+        rng = Rng(5)
+        w_gate = rng.normals(24 * 16).astype(np.float32).reshape(24, 16)
+        w_up = rng.normals(24 * 16).astype(np.float32).reshape(24, 16)
+        w_down = rng.normals(16 * 24).astype(np.float32).reshape(16, 24)
+        cfg = MoeConfig(n_routed=5, k_active=2, n_shared=1, expert_dim=12, hidden=16)
+        bank = upcycle_from_dense(w_gate, w_up, w_down, cfg, Rng(31))
+        digest = hashlib.sha256()
+        for triple in bank.routed + bank.shared:
+            for arr in triple:
+                digest.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        digest.update(np.ascontiguousarray(bank.router, dtype="<f4").tobytes())
+        assert digest.hexdigest() == (
+            "24fed0dd184f5b607f4edc1a25a6f73d9d29920ce96924f78d82de87ce6dfdd4"
+        )
 
     def test_hidden_mismatch_rejected(self):
         cfg = MoeConfig(n_routed=2, k_active=1, n_shared=0, expert_dim=4, hidden=5)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -115,6 +116,25 @@ class TestRng:
         perm = Rng(11).permutation(50)
         assert sorted(perm.tolist()) == list(range(50))
         assert np.array_equal(perm, Rng(11).permutation(50))
+
+    @pytest.mark.parametrize("n, want", [(0, []), (1, [0]), (2, [0, 1]), (3, [2, 0, 1])])
+    def test_permutation_pinned_small(self, n, want):
+        perm = Rng(2024).permutation(n)
+        assert perm.dtype == np.int64
+        assert perm.tolist() == want
+
+    def test_permutation_pinned_stream(self):
+        # The draw order is part of the seeding contract: this digest was
+        # recorded from the original numpy-scalar Fisher-Yates loop.
+        rng = Rng(2024)
+        perm = rng.permutation(513)
+        assert perm.dtype == np.int64
+        assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest() == (
+            "fb4549f9673c7a2ebbde8ad9719a0f6567f6e4552bac9eba9ed4c675f06fcfb4"
+        )
+        after = Rng(2024)
+        after.uint64s(512)  # one raw draw per swap
+        assert rng.next_uint64() == after.next_uint64()
 
     def test_uniforms_in_unit_interval(self):
         u = Rng(2).uniforms(1000)

@@ -4,8 +4,9 @@ import zlib
 import numpy as np
 import pytest
 
+from helpers import plant_in_container
 from qwenkit.config import preset
-from qwenkit.errors import FormatError
+from qwenkit.errors import FormatError, NumericError
 from qwenkit.model import build_model
 from qwenkit.serialize import MAGIC, VERSION, load_weights, save_weights
 
@@ -148,3 +149,24 @@ class TestRejection:
             pass
         else:
             pytest.fail("expected FormatError")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_not_saved(tmp_path, bad):
+    cfg = preset("nano")
+    w = build_model(cfg, 0)
+    w.layers[0].wq[3, 5] = bad
+    path = tmp_path / "m.qw2t"
+    with pytest.raises(NumericError, match="layers.0.wq"):
+        save_weights(w, cfg, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tensor_rejected_on_load(tmp_path, bad):
+    cfg = preset("nano-moe")
+    path = tmp_path / "m.qw2t"
+    save_weights(build_model(cfg, 0), cfg, path)
+    plant_in_container(path, "layers.1.moe.routed.2.w_up", bad)
+    with pytest.raises(FormatError, match="layers.1.moe.routed.2.w_up"):
+        load_weights(path)
