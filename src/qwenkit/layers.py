@@ -4,7 +4,9 @@ RMSNorm, the SwiGLU feed-forward, rotary position embedding, grouped-query
 attention with additive QKV bias handled at the projection site, and the
 KV cache for incremental decoding: a preallocated per-layer buffer of
 rotated keys and values, and one cached attention that attends any number
-of new rows (a prompt chunk or one decoded token) against it.
+of new rows (a prompt chunk or one decoded token) against it. Full-sequence
+and cached attention share one causal kernel that works on a block of
+query rows against the keys up to the block's end.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .ops import as_f32, silu, softmax_rows
 # Causal mask sentinel: large-negative float32 whose exp underflows to exactly 0,
 # so masked positions can never leak into earlier rows.
 MASK_SENTINEL = np.float32(-3.4e38)
+
+# Most query rows one attention block scores at a time. A block's scores are
+# [n_kv_heads, group_size * ATTN_BLOCK, keys up to the block's last row].
+ATTN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -129,19 +135,11 @@ def rope_freqs(params: RopeParams) -> np.ndarray:
     return (params.base ** exponents).astype(np.float32)
 
 
-def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
-    """Rotate adjacent feature pairs of x by position-proportional angles.
-
-    ``x`` has shape [heads, seq, head_dim]; pair (x[..., 2i], x[..., 2i+1])
-    is rotated by angle positions[s] * inv_freq[i]. Norm-preserving.
-    """
-    x = as_f32(x)
+def _rope_table(positions, inv_freq, seq: int, head_dim: int):
+    """cos and sin, each [seq, head_dim / 2], of the angles
+    positions[s] * inv_freq[i]: one table rotates every tensor at those
+    positions."""
     inv_freq = as_f32(inv_freq)
-    if x.ndim != 3:
-        raise DimensionError(f"apply_rope expects [heads, seq, head_dim], got {x.shape}")
-    heads, seq, head_dim = x.shape
-    if head_dim % 2 != 0:
-        raise ParameterError(f"head_dim must be even, got {head_dim}")
     if inv_freq.shape != (head_dim // 2,):
         raise DimensionError(
             f"inv_freq shape {inv_freq.shape} does not match head_dim {head_dim}"
@@ -155,14 +153,32 @@ def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
         raise ParameterError("positions must be non-negative")
     # Angles in float64 to keep large positions accurate, rotation in float32.
     angles = pos[:, None].astype(np.float64) * inv_freq.astype(np.float64)[None, :]
-    cos = np.cos(angles).astype(np.float32)
-    sin = np.sin(angles).astype(np.float32)
+    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the feature pairs of [heads, seq, head_dim] x by a rope table."""
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
+
+
+def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
+    """Rotate adjacent feature pairs of x by position-proportional angles.
+
+    ``x`` has shape [heads, seq, head_dim]; pair (x[..., 2i], x[..., 2i+1])
+    is rotated by angle positions[s] * inv_freq[i]. Norm-preserving.
+    """
+    x = as_f32(x)
+    if x.ndim != 3:
+        raise DimensionError(f"apply_rope expects [heads, seq, head_dim], got {x.shape}")
+    heads, seq, head_dim = x.shape
+    if head_dim % 2 != 0:
+        raise ParameterError(f"head_dim must be even, got {head_dim}")
+    return _rotate(x, *_rope_table(positions, inv_freq, seq, head_dim))
 
 
 def _check_qkv_shapes(q, k, v, params: AttentionParams):
@@ -185,18 +201,40 @@ def _check_qkv_shapes(q, k, v, params: AttentionParams):
         raise DimensionError(
             f"sequence lengths disagree: q {q.shape}, k {k.shape}, v {v.shape}"
         )
+    if q.shape[1] == 0:
+        raise DimensionError(f"q/k/v hold an empty sequence, q shape {q.shape}")
 
 
-def expand_kv(t: np.ndarray, group_size: int) -> np.ndarray:
-    """Repeat each KV head group_size times to align with query heads."""
-    return np.repeat(t, group_size, axis=0)
+def _group_queries(q: np.ndarray, n_kv: int) -> np.ndarray:
+    """[n_q_heads, rows, d] queries as [n_kv, g * rows, d].
+
+    Query head h reads KV head h // g, so the g query heads of one group
+    stack into g * rows rows against their shared KV head, with no copy of
+    K or V per query head.
+    """
+    heads, rows, d = q.shape
+    return q.reshape(n_kv, heads // n_kv * rows, d)
 
 
-def masked_softmax_heads(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of [heads, rows, cols] logits."""
-    heads, rows, cols = logits.shape
-    flat = softmax_rows(logits.reshape(heads * rows, cols))
-    return flat.reshape(heads, rows, cols)
+def _attend_causal(logits: np.ndarray, values: np.ndarray, g: int, scale) -> np.ndarray:
+    """Causal softmax attention of one query block, from its q.k logits.
+
+    ``logits`` is [n_kv, g * rows, end]: query rows grouped per KV head as
+    by :func:`_group_queries`, at positions end - rows .. end - 1, against
+    keys 0 .. end - 1. In place, the logits are multiplied by ``scale`` and
+    keys after a row's own position are masked with :data:`MASK_SENTINEL`;
+    one softmax per row then weighs ``values[:, :end]``, giving
+    [n_kv, g * rows, d].
+    """
+    n_kv, group_rows, end = logits.shape
+    rows = group_rows // g
+    logits *= scale
+    # Only the last ``rows`` keys, the block's own diagonal, hold a future key.
+    diagonal = logits.reshape(n_kv, g, rows, end)[..., end - rows:]
+    r = np.arange(rows)
+    diagonal[:, :, r > r[:, None]] = MASK_SENTINEL
+    probs = softmax_rows(logits.reshape(n_kv * group_rows, end))
+    return np.matmul(probs.reshape(logits.shape), values[:, :end])
 
 
 def gqa_attention(
@@ -212,9 +250,13 @@ def gqa_attention(
     """Causal grouped-query attention over a full sequence.
 
     q is [n_q_heads, seq, head_dim]; k and v are [n_kv_heads, seq, head_dim].
-    RoPE is applied to q and k at ``positions`` before the logits
-    ``scale_mult * q.k / sqrt(head_dim)``; entries above the diagonal are
-    masked with :data:`MASK_SENTINEL` and one softmax per row feeds the value
+    RoPE is applied to q and k at ``positions`` (one cos/sin table for
+    both) before the logits ``scale_mult * q.k / sqrt(head_dim)``. Queries
+    go in blocks of at most :data:`ATTN_BLOCK` rows, and a block scores only
+    the keys up to its last row, so the causal upper triangle beyond the
+    block is never computed and score memory is O(block * seq). Within the
+    block, keys after a row are masked with :data:`MASK_SENTINEL`, and one
+    exact softmax per row over its causal prefix feeds the value
     aggregation. Returns [seq, n_q_heads * head_dim] with heads concatenated.
 
     ``inv_freq`` overrides the frequencies derived from ``rope`` (used by
@@ -227,18 +269,18 @@ def gqa_attention(
     if inv_freq is None:
         inv_freq = rope_freqs(rope)
     seq = q.shape[1]
-    qr = apply_rope(q, positions, inv_freq)
-    kr = apply_rope(k, positions, inv_freq)
-    g = params.group_size
-    k_full = expand_kv(kr, g)
-    v_full = expand_kv(v, g)
-    scale = np.float32(scale_mult / math.sqrt(params.head_dim))
-    logits = np.matmul(qr, k_full.transpose(0, 2, 1)) * scale
-    upper = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    logits[:, upper] = MASK_SENTINEL
-    probs = masked_softmax_heads(logits)
-    out = np.matmul(probs, v_full)  # [n_q, seq, head_dim]
-    return out.transpose(1, 0, 2).reshape(seq, params.n_q_heads * params.head_dim)
+    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
+    cos, sin = _rope_table(positions, inv_freq, seq, d)
+    qr = _rotate(q, cos, sin)
+    keys_t = _rotate(k, cos, sin).transpose(0, 2, 1)
+    scale = np.float32(scale_mult / math.sqrt(d))
+    out = np.empty((seq, params.n_q_heads, d), dtype=np.float32)
+    for start in range(0, seq, ATTN_BLOCK):
+        end = min(start + ATTN_BLOCK, seq)
+        logits = np.matmul(_group_queries(qr[:, start:end], n_kv), keys_t[:, :, :end])
+        block = _attend_causal(logits, v, g, scale)
+        out[start:end] = block.reshape(params.n_q_heads, end - start, d).transpose(1, 0, 2)
+    return out.reshape(seq, params.n_q_heads * d)
 
 
 class KvCache:
@@ -338,8 +380,11 @@ def cached_attention(
     q is [n_q_heads, rows, head_dim]; k and v are [n_kv_heads, rows, head_dim]
     for positions ``position`` .. ``position + rows - 1``, and ``position``
     must equal the layer's cache length (contiguous decoding). Rotates q and
-    k, appends the rotated keys and the values to the cache, and attends
-    each new query to the cached keys up to its own position. Returns
+    k with one cos/sin table, appends the rotated keys and the values to the
+    cache, and runs the new rows as one query block of the causal kernel
+    :func:`gqa_attention` uses, against every cached key: each new query
+    attends the keys up to its own position. ``rows`` is not capped at
+    :data:`ATTN_BLOCK`; callers choose the chunk. Returns
     [rows, n_q_heads * head_dim]: the matching rows of :func:`gqa_attention`
     over the whole sequence.
     """
@@ -356,20 +401,13 @@ def cached_attention(
     if inv_freq is None:
         inv_freq = rope_freqs(rope)
     rows = q.shape[1]
-    length = position + rows
-    positions = range(position, length)
-    cache.append(apply_rope(k, positions, inv_freq), v, layer)
-    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
-    # Query head h reads KV head h // g, so the g query heads of one group
-    # stack into g * rows rows against their shared KV head, with no copy of
-    # K or V per query head.
-    qg = apply_rope(q, positions, inv_freq).reshape(n_kv, g * rows, d)
+    d = params.head_dim
+    cos, sin = _rope_table(range(position, position + rows), inv_freq, rows, d)
+    cache.append(_rotate(k, cos, sin), v, layer)
+    qg = _group_queries(_rotate(q, cos, sin), params.n_kv_heads)
+    logits = np.matmul(qg, cache.keys(layer).transpose(0, 2, 1))
     scale = np.float32(scale_mult / math.sqrt(d))
-    logits = np.matmul(qg, cache.keys(layer).transpose(0, 2, 1)) * scale
-    # New row r sits at position + r and sees keys 0 .. position + r.
-    future = np.arange(length) > np.arange(position, length)[:, None]
-    logits.reshape(n_kv, g, rows, length)[:, :, future] = MASK_SENTINEL
-    out = np.matmul(masked_softmax_heads(logits), cache.values(layer))
+    out = _attend_causal(logits, cache.values(layer), params.group_size, scale)
     out = out.reshape(params.n_q_heads, rows, d).transpose(1, 0, 2)
     return out.reshape(rows, params.n_q_heads * d)
 

@@ -19,16 +19,17 @@ import numpy as np
 
 from .errors import ParameterError
 from .layers import (
-    MASK_SENTINEL,
+    ATTN_BLOCK,
     AttentionParams,
     RopeParams,
-    apply_rope,
     as_f32,
-    expand_kv,
     gqa_attention,
-    masked_softmax_heads,
     rope_freqs,
+    _attend_causal,
     _check_qkv_shapes,
+    _group_queries,
+    _rope_table,
+    _rotate,
 )
 
 
@@ -146,9 +147,16 @@ def dca_attention(
     Keys are rotated once at positions j mod chunk_size. Queries are rotated
     three ways, at (i mod chunk_size), (i mod chunk_size) + chunk_size, and
     chunk_size - 1, realizing :func:`dca_relpos` for the intra-chunk,
-    successive-chunk, and inter-chunk branches. Branch masks select one score
-    per (i, j) pair, then a single causal softmax feeds the value
-    aggregation, so each query row still carries a proper distribution.
+    successive-chunk, and inter-chunk branches; one cos/sin table over the
+    2 * chunk_size remapped positions serves all of them. Queries go in
+    blocks of at most :data:`~qwenkit.layers.ATTN_BLOCK` rows that never
+    straddle a chunk, and a block scores each key range with the one variant
+    it needs: keys of its own chunk intra (causally masked), keys of the
+    previous chunk successive within ``local_window`` of the query and
+    inter beyond it (the only element-wise choice), and all earlier keys
+    inter. Keys after the block are never scored. A single softmax per row
+    over its causal prefix then feeds the value aggregation, so each query
+    row still carries a proper distribution.
 
     Sequences no longer than one chunk reduce exactly to
     :func:`gqa_attention`. When ``yarn`` is given, its rescaled frequencies
@@ -179,28 +187,45 @@ def dca_attention(
             scale_mult=scale_mult, inv_freq=inv_freq,
         )
 
-    pos = np.arange(seq, dtype=np.int64)
-    pos_mod = pos % s_c
-    k_rot = apply_rope(k, pos_mod, inv_freq)
-    q_intra = apply_rope(q, pos_mod, inv_freq)
-    q_succ = apply_rope(q, pos_mod + s_c, inv_freq)
-    q_inter = apply_rope(q, np.full(seq, s_c - 1, dtype=np.int64), inv_freq)
+    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
+    cos, sin = _rope_table(range(2 * s_c), inv_freq, 2 * s_c, d)
+    pos_mod = np.arange(seq) % s_c
+    keys_t = _rotate(k, cos[pos_mod], sin[pos_mod]).transpose(0, 2, 1)
+    scale = np.float32(scale_mult / math.sqrt(d))
+    window = dca.local_window
+    out = np.empty((seq, params.n_q_heads, d), dtype=np.float32)
+    for a, b, cs in _chunk_blocks(seq, s_c):
+        rows = b - a
+        q_blk = q[:, a:b]
+        blk_mod = pos_mod[a:b]
+        logits = np.empty((n_kv, g * rows, b), dtype=np.float32)
+        # Keys of the block's own chunk: intra, causally masked by the kernel.
+        q_intra = _group_queries(_rotate(q_blk, cos[blk_mod], sin[blk_mod]), n_kv)
+        np.matmul(q_intra, keys_t[:, :, cs:b], out=logits[:, :, cs:])
+        if cs:
+            # Keys of earlier chunks: inter, ...
+            q_inter = _group_queries(_rotate(q_blk, cos[s_c - 1], sin[s_c - 1]), n_kv)
+            np.matmul(q_inter, keys_t[:, :, :cs], out=logits[:, :, :cs])
+            # ... except keys lo .. cs - 1 of the previous chunk, each within
+            # local_window of some row, which take the successive score for
+            # the rows they are within local_window of.
+            lo = min(cs, a - window)
+            if lo < cs:
+                succ_mod = blk_mod + s_c
+                q_succ = _group_queries(_rotate(q_blk, cos[succ_mod], sin[succ_mod]), n_kv)
+                succ = np.matmul(q_succ, keys_t[:, :, lo:cs])
+                near = np.arange(a, b)[:, None] - np.arange(lo, cs) <= window
+                np.copyto(logits.reshape(n_kv, g, rows, b)[..., lo:cs],
+                          succ.reshape(n_kv, g, rows, cs - lo), where=near)
+        block = _attend_causal(logits, v, g, scale)
+        out[a:b] = block.reshape(params.n_q_heads, rows, d).transpose(1, 0, 2)
+    return out.reshape(seq, params.n_q_heads * d)
 
-    g = params.group_size
-    k_full = expand_kv(k_rot, g).transpose(0, 2, 1)
-    v_full = expand_kv(v, g)
-    scale = np.float32(scale_mult / math.sqrt(params.head_dim))
-    scores_intra = np.matmul(q_intra, k_full) * scale
-    scores_succ = np.matmul(q_succ, k_full) * scale
-    scores_inter = np.matmul(q_inter, k_full) * scale
 
-    chunk_q = pos[:, None] // s_c
-    chunk_k = pos[None, :] // s_c
-    dist = pos[:, None] - pos[None, :]
-    intra = chunk_q == chunk_k
-    succ = (chunk_q == chunk_k + 1) & (dist <= dca.local_window)
-    logits = np.where(intra, scores_intra, np.where(succ, scores_succ, scores_inter))
-    logits[:, dist < 0] = MASK_SENTINEL
-    probs = masked_softmax_heads(logits)
-    out = np.matmul(probs, v_full)
-    return out.transpose(1, 0, 2).reshape(seq, params.n_q_heads * params.head_dim)
+def _chunk_blocks(seq: int, chunk_size: int):
+    """(start, end, chunk start) of query blocks of at most ATTN_BLOCK rows
+    that never straddle a chunk."""
+    for cs in range(0, seq, chunk_size):
+        ce = min(cs + chunk_size, seq)
+        for a in range(cs, ce, ATTN_BLOCK):
+            yield a, min(a + ATTN_BLOCK, ce), cs

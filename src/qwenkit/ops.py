@@ -121,9 +121,11 @@ def softmax_rows(x) -> np.ndarray:
         raise DimensionError(f"softmax_rows expects a 2-D matrix, got shape {x.shape}")
     if x.shape[1] == 0:
         raise DimensionError(f"softmax_rows got empty rows, shape {x.shape}")
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # One fresh buffer holds the shift, the exponentials and the result.
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def silu(x) -> np.ndarray:
