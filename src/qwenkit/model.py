@@ -71,25 +71,99 @@ def _draw(rng: Rng, *shape: int) -> np.ndarray:
     return sample_normal(rng, n, 0.0, INIT_STD).reshape(shape)
 
 
-def _fresh_bank(rng: Rng, moe: MoeConfig) -> ExpertBank:
-    router = _draw(rng, moe.n_routed, moe.hidden)
-    routed = [
-        SwigluWeights(
-            _draw(rng, moe.expert_dim, moe.hidden),
-            _draw(rng, moe.expert_dim, moe.hidden),
-            _draw(rng, moe.hidden, moe.expert_dim),
-        )
-        for _ in range(moe.n_routed)
-    ]
-    shared = [
-        SwigluWeights(
-            _draw(rng, moe.expert_dim, moe.hidden),
-            _draw(rng, moe.expert_dim, moe.hidden),
-            _draw(rng, moe.hidden, moe.expert_dim),
-        )
-        for _ in range(moe.n_shared)
-    ]
-    return ExpertBank(routed=routed, shared=shared, router=router)
+# LayerWeights arrays in draw order; container names are ``layers.{i}.{field}``.
+_LAYER_ARRAYS = ("attn_gamma", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "ffn_gamma")
+
+
+def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every weight-container tensor name with its shape, in draw order.
+
+    This is the one statement of the weight layout: :func:`build_model`
+    draws these tensors in this order, and the container stores exactly
+    these names.
+    """
+    q_width = cfg.n_q_heads * cfg.head_dim
+    kv_width = cfg.n_kv_heads * cfg.head_dim
+    shapes: dict[str, tuple[int, ...]] = {"embedding": (cfg.vocab_size, cfg.hidden)}
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        shapes[p + "attn_gamma"] = (cfg.hidden,)
+        for x, width in (("q", q_width), ("k", kv_width), ("v", kv_width)):
+            shapes[f"{p}w{x}"] = (width, cfg.hidden)
+            if cfg.use_qkv_bias:
+                shapes[f"{p}b{x}"] = (width,)
+        shapes[p + "wo"] = (cfg.hidden, q_width)
+        shapes[p + "ffn_gamma"] = (cfg.hidden,)
+        if cfg.moe is None:
+            triples, inner = [p + "ffn."], cfg.ffn_intermediate
+        else:
+            shapes[p + "moe.router"] = (cfg.moe.n_routed, cfg.hidden)
+            triples = _expert_prefixes(p, cfg.moe.n_routed, cfg.moe.n_shared)
+            inner = cfg.moe.expert_dim
+        for t in triples:
+            shapes[t + "w_gate"] = (inner, cfg.hidden)
+            shapes[t + "w_up"] = (inner, cfg.hidden)
+            shapes[t + "w_down"] = (cfg.hidden, inner)
+    shapes["final_norm.gamma"] = (cfg.hidden,)
+    if not cfg.tie_embeddings:
+        shapes["lm_head"] = (cfg.vocab_size, cfg.hidden)
+    return shapes
+
+
+def _expert_prefixes(layer: str, n_routed: int, n_shared: int) -> list[str]:
+    return ([f"{layer}moe.routed.{e}." for e in range(n_routed)]
+            + [f"{layer}moe.shared.{s}." for s in range(n_shared)])
+
+
+def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
+    """Every tensor ``weights`` holds, keyed by container name.
+
+    Read from the object, not from a config, so a tensor the config does
+    not expect (an untied ``lm_head``, q/k/v biases) still shows up.
+    """
+    out = {"embedding": weights.embedding}
+    for i, lw in enumerate(weights.layers):
+        p = f"layers.{i}."
+        out.update((p + name, getattr(lw, name)) for name in _LAYER_ARRAYS
+                   if getattr(lw, name) is not None)
+        bank = lw.moe_bank
+        if bank is None:
+            triples = [(p + "ffn.", lw.ffn)]
+        else:
+            out[p + "moe.router"] = bank.router
+            triples = zip(_expert_prefixes(p, len(bank.routed), len(bank.shared)),
+                          bank.routed + bank.shared)
+        for prefix, triple in triples:
+            out.update((prefix + part, arr) for part, arr in zip(SwigluWeights._fields, triple))
+    out["final_norm.gamma"] = weights.final_gamma
+    if weights.lm_head is not None:
+        out["lm_head"] = weights.lm_head
+    return out
+
+
+def _from_tensors(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> ModelWeights:
+    """The :class:`ModelWeights` whose :func:`_tensors` are ``arrays``, which
+    must hold the names of :func:`_tensor_shapes` for ``cfg``."""
+
+    def triple(prefix: str) -> SwigluWeights:
+        return SwigluWeights(*(arrays[prefix + part] for part in SwigluWeights._fields))
+
+    layers = []
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        if cfg.moe is None:
+            ffn, bank = triple(p + "ffn."), None
+        else:
+            experts = [triple(t) for t in _expert_prefixes(p, cfg.moe.n_routed,
+                                                            cfg.moe.n_shared)]
+            ffn = None
+            bank = ExpertBank(routed=experts[:cfg.moe.n_routed],
+                              shared=experts[cfg.moe.n_routed:],
+                              router=arrays[p + "moe.router"])
+        layers.append(LayerWeights(*(arrays.get(p + name) for name in _LAYER_ARRAYS),
+                                   ffn=ffn, moe_bank=bank))
+    return ModelWeights(arrays["embedding"], layers, arrays["final_norm.gamma"],
+                        arrays.get("lm_head"))
 
 
 def build_model(
@@ -100,44 +174,18 @@ def build_model(
     With ``dense_source`` set (requires a MoE config), attention, norm, and
     embedding weights are taken from the source model and every FFN is
     replaced by an upcycled expert bank; only the upcycling draws consume the
-    seed. Otherwise the draw order is: embedding, then per layer the
-    attention norm, q/k/v projections with biases, output projection, FFN
-    norm, and the FFN (dense triple, or router then routed then shared
-    experts), then the final norm and the untied output projection.
+    seed. Otherwise every tensor of the weight layout is drawn in its order:
+    embedding, then per layer the attention norm, q/k/v projections with
+    biases, output projection, FFN norm, and the FFN (dense triple, or
+    router then routed then shared experts), then the final norm and the
+    untied output projection.
     """
     cfg.validate()
     if dense_source is not None:
         return _upcycled_model(cfg, seed, dense_source)
     rng = Rng(seed)
-    q_width = cfg.n_q_heads * cfg.head_dim
-    kv_width = cfg.n_kv_heads * cfg.head_dim
-    embedding = _draw(rng, cfg.vocab_size, cfg.hidden)
-    layers = []
-    for _ in range(cfg.n_layers):
-        attn_gamma = _draw(rng, cfg.hidden)
-        wq = _draw(rng, q_width, cfg.hidden)
-        bq = _draw(rng, q_width) if cfg.use_qkv_bias else None
-        wk = _draw(rng, kv_width, cfg.hidden)
-        bk = _draw(rng, kv_width) if cfg.use_qkv_bias else None
-        wv = _draw(rng, kv_width, cfg.hidden)
-        bv = _draw(rng, kv_width) if cfg.use_qkv_bias else None
-        wo = _draw(rng, cfg.hidden, q_width)
-        ffn_gamma = _draw(rng, cfg.hidden)
-        if cfg.moe is None:
-            ffn = SwigluWeights(
-                _draw(rng, cfg.ffn_intermediate, cfg.hidden),
-                _draw(rng, cfg.ffn_intermediate, cfg.hidden),
-                _draw(rng, cfg.hidden, cfg.ffn_intermediate),
-            )
-            layers.append(LayerWeights(attn_gamma, wq, bq, wk, bk, wv, bv, wo,
-                                       ffn_gamma, ffn=ffn))
-        else:
-            bank = _fresh_bank(rng, cfg.moe)
-            layers.append(LayerWeights(attn_gamma, wq, bq, wk, bk, wv, bv, wo,
-                                       ffn_gamma, moe_bank=bank))
-    final_gamma = _draw(rng, cfg.hidden)
-    lm_head = None if cfg.tie_embeddings else _draw(rng, cfg.vocab_size, cfg.hidden)
-    return ModelWeights(embedding, layers, final_gamma, lm_head)
+    return _from_tensors({name: _draw(rng, *shape)
+                          for name, shape in _tensor_shapes(cfg).items()}, cfg)
 
 
 def _upcycled_model(cfg: ModelConfig, seed: int, source: ModelWeights) -> ModelWeights:
@@ -178,10 +226,14 @@ def upcycle_model(
 
 
 def _validate_ids(cfg: ModelConfig, token_ids: Sequence[int]) -> list[int]:
-    ids = [int(t) for t in token_ids]
-    for t in ids:
+    ids = []
+    for t in token_ids:
+        # int() would turn "7" into 7 and 1.9 into 1; bool is an int subclass.
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise InputError(f"token id {t!r} is not an integer")
         if not 0 <= t < cfg.vocab_size:
             raise InputError(f"token id {t} outside vocabulary of {cfg.vocab_size}")
+        ids.append(int(t))
     return ids
 
 
@@ -246,11 +298,19 @@ def _blocks(
 
 def _logits(weights: ModelWeights, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     h = rms_norm(x, weights.final_gamma, cfg.rms_eps)
-    return h @ weights.output_matrix().T
+    logits = h @ weights.output_matrix().T
+    if not np.isfinite(logits).all():
+        raise NumericError("logits hold non-finite values; are the weights finite?")
+    return logits
 
 
 def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -> np.ndarray:
-    """Logits for every position, [seq, vocab_size]."""
+    """Logits for every position, [seq, vocab_size].
+
+    Token ids must be Python or numpy integers (not bool) inside the
+    vocabulary, else :class:`InputError`. Non-finite logits raise
+    :class:`NumericError`.
+    """
     ids = _validate_ids(cfg, token_ids)
     if not ids:
         raise InputError("token_ids must be nonempty")
@@ -298,9 +358,10 @@ def greedy_decode(
     call through the blocks, then every new token is fed as one row; only
     the last row of each call is projected to logits. Deterministic; argmax
     ties resolve to the lower token id. Generation stops early after
-    emitting the configured end-of-text id. Non-finite logits raise
-    :class:`NumericError`. Incremental decoding supports the vanilla
-    attention path only (no dual-chunk remapping).
+    emitting the configured end-of-text id. Token ids are checked as in
+    :func:`forward`, and non-finite logits raise :class:`NumericError`.
+    Incremental decoding supports the vanilla attention path only (no
+    dual-chunk remapping).
     """
     ids = _validate_ids(cfg, prompt)
     if not ids:
@@ -323,13 +384,6 @@ def greedy_decode(
     out = list(ids)
     while True:
         nxt = int(np.argmax(logits))
-        # argmax returns the first NaN if there is one, else +inf if there is
-        # one, so checking the chosen logit catches both.
-        if not np.isfinite(logits[nxt]):
-            raise NumericError(
-                f"non-finite logit {logits[nxt]} at position {len(out)}; "
-                f"are the weights finite?"
-            )
         out.append(nxt)
         if nxt == cfg.effective_eot_id or len(out) == len(ids) + max_new:
             return out

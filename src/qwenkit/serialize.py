@@ -8,7 +8,9 @@ payload.
 The header holds a ``[config]`` section in the key = value config format and
 a ``[tensors]`` section with one ``name dim0xdim1 offset`` line per tensor,
 sorted by name; offsets are relative to the payload start and contiguous.
-Tied models store no ``lm_head`` tensor: the embedding is the projection.
+The tensor names and shapes are the model's weight layout
+(``model._tensor_shapes``); tied models store no ``lm_head`` tensor: the
+embedding is the projection.
 """
 
 from __future__ import annotations
@@ -20,107 +22,31 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, format_config, parse_config
-from .errors import FormatError, NumericError
-from .layers import SwigluWeights
-from .model import LayerWeights, ModelWeights
-from .moe import ExpertBank
+from .errors import ConfigError, FormatError, NumericError, ParameterError
+from .model import ModelWeights, _from_tensors, _tensor_shapes, _tensors
 
 MAGIC = b"QW2T"
 VERSION = 1
 
 
-def _expected_tensors(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    q_width = cfg.n_q_heads * cfg.head_dim
-    kv_width = cfg.n_kv_heads * cfg.head_dim
-    names: dict[str, tuple[int, ...]] = {
-        "embedding": (cfg.vocab_size, cfg.hidden),
-        "final_norm.gamma": (cfg.hidden,),
-    }
-    if not cfg.tie_embeddings:
-        names["lm_head"] = (cfg.vocab_size, cfg.hidden)
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        names[f"{p}.attn_gamma"] = (cfg.hidden,)
-        names[f"{p}.wq"] = (q_width, cfg.hidden)
-        names[f"{p}.wk"] = (kv_width, cfg.hidden)
-        names[f"{p}.wv"] = (kv_width, cfg.hidden)
-        names[f"{p}.wo"] = (cfg.hidden, q_width)
-        if cfg.use_qkv_bias:
-            names[f"{p}.bq"] = (q_width,)
-            names[f"{p}.bk"] = (kv_width,)
-            names[f"{p}.bv"] = (kv_width,)
-        names[f"{p}.ffn_gamma"] = (cfg.hidden,)
-        if cfg.moe is None:
-            for part, shape in _triple_shapes(cfg.ffn_intermediate, cfg.hidden).items():
-                names[f"{p}.ffn.{part}"] = shape
-        else:
-            names[f"{p}.moe.router"] = (cfg.moe.n_routed, cfg.hidden)
-            triple = _triple_shapes(cfg.moe.expert_dim, cfg.hidden)
-            for e in range(cfg.moe.n_routed):
-                for part, shape in triple.items():
-                    names[f"{p}.moe.routed.{e}.{part}"] = shape
-            for s in range(cfg.moe.n_shared):
-                for part, shape in triple.items():
-                    names[f"{p}.moe.shared.{s}.{part}"] = shape
-    return names
-
-
-def _triple_shapes(intermediate: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    return {
-        "w_gate": (intermediate, hidden),
-        "w_up": (intermediate, hidden),
-        "w_down": (hidden, intermediate),
-    }
-
-
-def _collect_tensors(weights: ModelWeights, cfg: ModelConfig) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {
-        "embedding": weights.embedding,
-        "final_norm.gamma": weights.final_gamma,
-    }
-    if not cfg.tie_embeddings:
-        out["lm_head"] = weights.lm_head
-    for i, lw in enumerate(weights.layers):
-        p = f"layers.{i}"
-        out[f"{p}.attn_gamma"] = lw.attn_gamma
-        out[f"{p}.wq"] = lw.wq
-        out[f"{p}.wk"] = lw.wk
-        out[f"{p}.wv"] = lw.wv
-        out[f"{p}.wo"] = lw.wo
-        if cfg.use_qkv_bias:
-            out[f"{p}.bq"] = lw.bq
-            out[f"{p}.bk"] = lw.bk
-            out[f"{p}.bv"] = lw.bv
-        out[f"{p}.ffn_gamma"] = lw.ffn_gamma
-        if lw.ffn is not None:
-            for part, arr in zip(("w_gate", "w_up", "w_down"), lw.ffn):
-                out[f"{p}.ffn.{part}"] = arr
-        else:
-            out[f"{p}.moe.router"] = lw.moe_bank.router
-            for e, triple in enumerate(lw.moe_bank.routed):
-                for part, arr in zip(("w_gate", "w_up", "w_down"), triple):
-                    out[f"{p}.moe.routed.{e}.{part}"] = arr
-            for s, triple in enumerate(lw.moe_bank.shared):
-                for part, arr in zip(("w_gate", "w_up", "w_down"), triple):
-                    out[f"{p}.moe.shared.{s}.{part}"] = arr
-    return out
-
-
 def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     """Write model weights and config; tensors are sorted by name.
 
-    A tensor holding NaN or inf raises :class:`NumericError` before the
-    file is opened.
+    Every tensor ``weights`` holds is written, so a set that differs from
+    the layout ``cfg`` implies (a missing tensor, or an extra one such as
+    an untied ``lm_head`` under a tied config) raises :class:`FormatError`
+    naming the difference, as does a wrong shape. A tensor holding NaN or
+    inf raises :class:`NumericError`. Both happen before the file is opened.
     """
     cfg.validate()
-    expected = _expected_tensors(cfg)
-    tensors = _collect_tensors(weights, cfg)
+    expected = _tensor_shapes(cfg)
+    tensors = _tensors(weights)
     if set(tensors) != set(expected):
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
         raise FormatError(f"tensor set mismatch: missing {missing}, extra {extra}")
     manifest = []
-    blobs = []
+    arrays = []
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(np.asarray(tensors[name], dtype="<f4"))
@@ -132,20 +58,22 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
             raise NumericError(f"tensor {name} holds non-finite values; not saved")
         dims = "x".join(str(d) for d in arr.shape)
         manifest.append(f"{name} {dims} {offset}")
-        blob = arr.tobytes(order="C")
-        blobs.append(blob)
-        offset += len(blob)
+        arrays.append(arr)
+        offset += arr.nbytes
     header = (
         "[config]\n" + format_config(cfg) + "[tensors]\n" + "\n".join(manifest) + "\n"
     ).encode("utf-8")
-    payload = b"".join(blobs)
+    crc = 0
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        # each array straight from its buffer: no payload-sized copy
+        for arr in arrays:
+            fh.write(arr)
+            crc = zlib.crc32(arr, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]]]:
@@ -156,7 +84,10 @@ def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, 
         split = lines.index("[tensors]")
     except ValueError:
         raise FormatError("header is missing the [tensors] section") from None
-    cfg = parse_config("\n".join(lines[1:split]))
+    try:
+        cfg = parse_config("\n".join(lines[1:split]))
+    except (ConfigError, FormatError, ParameterError) as exc:
+        raise FormatError(f"[config] section: {exc}") from None
     manifest = []
     for line in lines[split + 1 :]:
         if not line.strip():
@@ -179,8 +110,10 @@ def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, 
 def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
     """Read a weight container back; bit-exact inverse of :func:`save_weights`.
 
-    Any violation of the format, a tensor holding NaN or inf included,
-    raises :class:`FormatError`.
+    Any violation of the format raises :class:`FormatError`: bad fixed
+    fields, a ``[config]`` section that does not parse or validate, a tensor
+    set or shape other than the layout of that config, a checksum mismatch,
+    or a tensor holding NaN or inf.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 16:
@@ -202,7 +135,7 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
         raise FormatError(f"header at offset 16 is not valid UTF-8: {exc}") from None
     cfg, manifest = _parse_header(header)
 
-    expected = _expected_tensors(cfg)
+    expected = _tensor_shapes(cfg)
     names = [name for name, _, _ in manifest]
     if names != sorted(names):
         raise FormatError("manifest is not sorted by tensor name")
@@ -227,7 +160,7 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
             f"file truncated: payload and checksum need {payload_end + 4} bytes, "
             f"file ends at offset {len(blob)}"
         )
-    payload = blob[payload_start:payload_end]
+    payload = memoryview(blob)[payload_start:payload_end]
     (stored_crc,) = struct.unpack_from("<I", blob, payload_end)
     computed = zlib.crc32(payload) & 0xFFFFFFFF
     if stored_crc != computed:
@@ -246,57 +179,4 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
         )
         if not np.isfinite(arrays[name]).all():
             raise FormatError(f"tensor {name} holds non-finite values")
-    return _assemble(arrays, cfg), cfg
-
-
-def _assemble(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> ModelWeights:
-    layers = []
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        if cfg.moe is None:
-            ffn = SwigluWeights(
-                arrays[f"{p}.ffn.w_gate"], arrays[f"{p}.ffn.w_up"], arrays[f"{p}.ffn.w_down"]
-            )
-            bank = None
-        else:
-            ffn = None
-            bank = ExpertBank(
-                routed=[
-                    SwigluWeights(
-                        arrays[f"{p}.moe.routed.{e}.w_gate"],
-                        arrays[f"{p}.moe.routed.{e}.w_up"],
-                        arrays[f"{p}.moe.routed.{e}.w_down"],
-                    )
-                    for e in range(cfg.moe.n_routed)
-                ],
-                shared=[
-                    SwigluWeights(
-                        arrays[f"{p}.moe.shared.{s}.w_gate"],
-                        arrays[f"{p}.moe.shared.{s}.w_up"],
-                        arrays[f"{p}.moe.shared.{s}.w_down"],
-                    )
-                    for s in range(cfg.moe.n_shared)
-                ],
-                router=arrays[f"{p}.moe.router"],
-            )
-        layers.append(
-            LayerWeights(
-                attn_gamma=arrays[f"{p}.attn_gamma"],
-                wq=arrays[f"{p}.wq"],
-                bq=arrays.get(f"{p}.bq"),
-                wk=arrays[f"{p}.wk"],
-                bk=arrays.get(f"{p}.bk"),
-                wv=arrays[f"{p}.wv"],
-                bv=arrays.get(f"{p}.bv"),
-                wo=arrays[f"{p}.wo"],
-                ffn_gamma=arrays[f"{p}.ffn_gamma"],
-                ffn=ffn,
-                moe_bank=bank,
-            )
-        )
-    return ModelWeights(
-        embedding=arrays["embedding"],
-        layers=layers,
-        final_gamma=arrays["final_norm.gamma"],
-        lm_head=arrays.get("lm_head"),
-    )
+    return _from_tensors(arrays, cfg), cfg

@@ -33,6 +33,16 @@ TABLE = {
 }
 
 
+# int() would take these as ids: "123" as [1, 2, 3], 1.9 as 1, True as 1.
+NON_INTEGER_IDS = [
+    pytest.param("123", id="str"),
+    pytest.param([1.9, 2.2], id="float"),
+    pytest.param([True, False], id="bool"),
+    pytest.param([np.float32(3.0)], id="np-float"),
+    pytest.param([np.bool_(True)], id="np-bool"),
+]
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", list(TABLE))
     def test_published_rows(self, name):
@@ -177,6 +187,24 @@ class TestForward:
         with pytest.raises(InputError):
             forward(w, cfg, [0] * (cfg.max_ctx + 1))
 
+    @pytest.mark.parametrize("bad", NON_INTEGER_IDS)
+    def test_non_integer_ids_rejected(self, bad):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        with pytest.raises(InputError, match="not an integer"):
+            forward(w, cfg, bad)
+        assert np.array_equal(forward(w, cfg, np.array([1, 2, 3], dtype=np.int32)),
+                              forward(w, cfg, [1, 2, 3]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        w.layers[0].wq[0, 0] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            forward(w, cfg, [1, 2])
+
     def test_moe_block_swap_matches_dense(self):
         # A 1-expert MoE layer sharing the dense weights must reproduce the
         # dense model's logits.
@@ -246,6 +274,15 @@ class TestGreedyDecode:
         w = build_model(cfg, 0)
         with pytest.raises(InputError):
             greedy_decode(w, cfg, [], 4)
+
+    @pytest.mark.parametrize("bad", NON_INTEGER_IDS)
+    def test_non_integer_ids_rejected(self, bad):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        with pytest.raises(InputError, match="not an integer"):
+            greedy_decode(w, cfg, bad, 2)
+        assert (greedy_decode(w, cfg, np.array([1, 2], dtype=np.uint16), 2)
+                == greedy_decode(w, cfg, [1, 2], 2))
 
     def test_argmax_tie_breaks_low(self):
         cfg = preset("nano")

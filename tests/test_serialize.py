@@ -1,5 +1,7 @@
+import hashlib
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from helpers import plant_in_container
 from qwenkit.config import preset
 from qwenkit.errors import FormatError, NumericError
-from qwenkit.model import build_model
+from qwenkit.longctx import YarnParams
+from qwenkit.model import _tensor_shapes, _tensors, build_model
 from qwenkit.serialize import MAGIC, VERSION, load_weights, save_weights
 
 
@@ -32,6 +35,47 @@ def _all_tensors(w):
             for s, triple in enumerate(lw.moe_bank.shared):
                 for part, arr in zip(("w_gate", "w_up", "w_down"), triple):
                     yield f"{i}.shared.{s}.{part}", arr
+
+
+def _layouts():
+    nano, moe = preset("nano"), preset("nano-moe")
+    return {
+        "nano": nano,
+        "nano-moe": moe,
+        "nano-untied-nobias": replace(nano, tie_embeddings=False, use_qkv_bias=False),
+        "nano-moe-noshared": replace(moe, moe=replace(moe.moe, n_shared=0)),
+    }
+
+
+# SHA-256 of the container of build_model(cfg, seed=7). They pin the seeded
+# draw order and the .qw2t v1 bytes: a new digest means every seeded model
+# or every saved file has changed.
+CONTAINER_SHA256 = {
+    "nano": "79e559e1ed2f9d822ffc14abf9c8f10afc47c543a73dc1a6e8f5722a81c341cd",
+    "nano-moe": "b25af977e0bf754fc69a0dd96b420771fc4c744eed6a46f1704ed2b74991b1e3",
+    "nano-untied-nobias": "f1a169113531ac3fb4d8328ced09a9f96a7fc681a7c832bb4058196967981a2f",
+    "nano-moe-noshared": "2b8f804354f397de0cc5bb00b3b089301431124b448fd4c2ed316671dd0db5e1",
+}
+
+
+@pytest.mark.parametrize("name", list(CONTAINER_SHA256))
+def test_container_bytes_pinned(tmp_path, name):
+    cfg = _layouts()[name]
+    path = tmp_path / "m.qw2t"
+    save_weights(build_model(cfg, seed=7), cfg, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTAINER_SHA256[name]
+
+
+@pytest.mark.parametrize("name", list(CONTAINER_SHA256))
+def test_tensors_follow_the_schema(name):
+    cfg = _layouts()[name]
+    w = build_model(cfg, seed=7)
+    tensors = _tensors(w)
+    assert {k: v.shape for k, v in tensors.items()} == _tensor_shapes(cfg)
+    # the independent walk sees the same arrays, each once
+    walked = [arr for _, arr in _all_tensors(w)]
+    assert len(walked) == len(tensors)
+    assert {id(a) for a in walked} == {id(a) for a in tensors.values()}
 
 
 @pytest.mark.parametrize("name", ["nano", "nano-moe"])
@@ -169,4 +213,44 @@ def test_non_finite_tensor_rejected_on_load(tmp_path, bad):
     save_weights(build_model(cfg, 0), cfg, path)
     plant_in_container(path, "layers.1.moe.routed.2.w_up", bad)
     with pytest.raises(FormatError, match="layers.1.moe.routed.2.w_up"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("weights_cfg, save_cfg, extra", [
+    (dict(tie_embeddings=False), {}, r"extra \['lm_head'\]"),
+    ({}, dict(use_qkv_bias=False), r"extra \['layers.0.bk', 'layers.0.bq', 'layers.0.bv'"),
+], ids=["untied-lm-head", "qkv-biases"])
+def test_tensor_the_config_does_not_expect_is_not_dropped(tmp_path, weights_cfg, save_cfg,
+                                                         extra):
+    cfg = preset("nano")
+    w = build_model(replace(cfg, **weights_cfg), 0)
+    path = tmp_path / "m.qw2t"
+    with pytest.raises(FormatError, match=extra):
+        save_weights(w, replace(cfg, **save_cfg), path)
+    assert not path.exists()
+
+
+def _rewrite_header(path, old: str, new: str) -> None:
+    """Replace ``old`` by ``new`` in a saved container's header and fix its
+    length field; the checksum covers only the payload."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = blob[16:16 + hlen].decode("utf-8")
+    assert old in header
+    header = header.replace(old, new, 1).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen:])
+
+
+@pytest.mark.parametrize("old, new", [
+    ("n_kv_heads = 2", "n_kv_heads = 3"),  # valid syntax, fails ModelConfig.validate
+    ("max_ctx = 128", "max_ctx = 0"),
+    ("yarn.scale = 2.0", "yarn.scale = 0.5"),  # fails YarnParams
+])
+def test_invalid_config_section_is_a_format_error(tmp_path, old, new):
+    cfg = replace(preset("nano"), yarn=YarnParams(scale=2.0, native_ctx=64))
+    path = tmp_path / "m.qw2t"
+    save_weights(build_model(cfg, 0), cfg, path)
+    load_weights(path)
+    _rewrite_header(path, old, new)
+    with pytest.raises(FormatError, match=r"\[config\] section"):
         load_weights(path)
