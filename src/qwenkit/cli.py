@@ -247,7 +247,8 @@ def _cmd_tok_train(args, run: _Run) -> int:
 def _cmd_tok_encode(args, run: _Run) -> int:
     vocab = tok.load_vocab(args.vocab)
     if args.text is not None:
-        data = args.text.encode("utf-8")
+        # Bytes that were not UTF-8 in argv come back as they were.
+        data = args.text.encode("utf-8", "surrogateescape")
     else:
         data = Path(args.infile).read_bytes()
     ids = tok.encode(vocab, data)

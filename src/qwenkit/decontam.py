@@ -15,12 +15,12 @@ Reports mirror a per-test-set "percent contaminated" table.
 from __future__ import annotations
 
 import hashlib
+import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InputError, ParameterError
+from .errors import FormatError, InputError, ParameterError
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -40,15 +40,17 @@ class TokenSeq:
 
 def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSeq:
     """Lowercase, strip punctuation (P*) and symbol (S*) characters, split
-    on whitespace runs."""
+    on whitespace runs.
+
+    Each distinct character of the text is classified once; one regex pass
+    then deletes the dropped ones.
+    """
     if lowercase:
         text = text.lower()
-    kept = []
-    for ch in text:
-        if unicodedata.category(ch)[0] in ("P", "S"):
-            continue
-        kept.append(ch)
-    return TokenSeq(tuple("".join(kept).split()), source_id)
+    dropped = [ch for ch in set(text) if unicodedata.category(ch)[0] in "PS"]
+    if dropped:
+        text = re.sub("[" + "".join(map(re.escape, dropped)) + "]", "", text)
+    return TokenSeq(tuple(text.split()), source_id)
 
 
 def _tokens(seq) -> tuple[str, ...]:
@@ -58,39 +60,46 @@ def _tokens(seq) -> tuple[str, ...]:
 
 
 def lcs_len(a, b) -> int:
-    """Token-level longest common subsequence length, O(|a| * |b|) DP."""
+    """Token-level longest common subsequence length.
+
+    Bit-parallel over the shorter sequence (Allison & Dix 1986; Hyyrö 2004):
+    bit j of ``v`` is 0 where column j of the DP row steps up, and each token
+    of the longer sequence advances the whole row with one add on a Python
+    int, O(|a| * |b| / word size).
+    """
     ta, tb = _tokens(a), _tokens(b)
     if len(ta) < len(tb):
         ta, tb = tb, ta
     if not tb:
         return 0
-    m = len(tb)
-    prev = [0] * (m + 1)
-    for x in ta:
-        cur = [0] * (m + 1)
-        for j in range(1, m + 1):
-            if x == tb[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return prev[m]
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(tb):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    full = (1 << len(tb)) - 1
+    v = full
+    for tok in ta:
+        m = masks.get(tok)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(tb) - v.bit_count()
 
 
 def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> bool:
     """True iff LCS(train, test) >= min_len and >= min_frac * min(|train|, |test|).
 
-    A shared-multiset prefilter (LCS can never exceed the size of the token
-    multiset intersection) skips the quadratic DP for clearly clean pairs.
+    Two sound bounds skip the LCS for clearly clean pairs: the LCS is at most
+    the shorter length, and at most the number of positions of the shorter
+    sequence whose token occurs anywhere in the longer one.
     """
     ta, tb = _tokens(train), _tokens(test)
-    if not ta or not tb:
+    short, long_ = (ta, tb) if len(ta) <= len(tb) else (tb, ta)
+    if not short or len(short) < min_len:
         return False
-    shared = sum((Counter(ta) & Counter(tb)).values())
-    if shared < min_len:
+    if sum(map(set(long_).__contains__, short)) < min_len:
         return False
     n = lcs_len(ta, tb)
-    return n >= min_len and n >= min_frac * min(len(ta), len(tb))
+    return n >= min_len and n >= min_frac * len(short)
 
 
 def _window_hash(window: tuple[str, ...]) -> int:
@@ -99,10 +108,12 @@ def _window_hash(window: tuple[str, ...]) -> int:
 
 
 class NgramIndex:
-    """All length-n token windows of a training corpus, keyed by 64-bit hash.
+    """All length-n token windows of a training corpus, keyed by 64-bit hash,
+    and every token position keyed by its token.
 
     Hash hits are confirmed against the referenced document so collisions
-    cannot produce false positives.
+    cannot produce false positives. Runs shorter than n are looked up from
+    the positions of their first token.
     """
 
     def __init__(self, docs, n: int = 13):
@@ -111,10 +122,13 @@ class NgramIndex:
         self.n = n
         self._docs = [_tokens(d) for d in docs]
         self._hits: dict[int, list[tuple[int, int]]] = {}
+        self._starts: dict[str, list[tuple[int, int]]] = {}
         for di, toks in enumerate(self._docs):
             for start in range(len(toks) - n + 1):
                 h = _window_hash(toks[start : start + n])
                 self._hits.setdefault(h, []).append((di, start))
+            for start, tok in enumerate(toks):
+                self._starts.setdefault(tok, []).append((di, start))
 
     def contains_window(self, window: tuple[str, ...]) -> bool:
         for di, start in self._hits.get(_window_hash(window), ()):
@@ -127,10 +141,9 @@ class NgramIndex:
         k = len(tokens)
         if k == 0:
             return False
-        for toks in self._docs:
-            for start in range(len(toks) - k + 1):
-                if toks[start : start + k] == tokens:
-                    return True
+        for di, start in self._starts.get(tokens[0], ()):
+            if self._docs[di][start : start + k] == tokens:
+                return True
         return False
 
 
@@ -265,6 +278,13 @@ def format_verdicts(report: ContaminationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
+
+
 def load_docs(path, lowercase: bool = True) -> list[TokenSeq]:
     """Load one document per line from a file, or one per *.txt file in a
     directory. Blank lines are skipped."""
@@ -274,10 +294,10 @@ def load_docs(path, lowercase: bool = True) -> list[TokenSeq]:
         if p.is_dir():
             for child in sorted(p.iterdir()):
                 if child.is_file():
-                    text = child.read_text(encoding="utf-8")
+                    text = _read_text(child)
                     docs.append(normalize(text, source_id=child.name, lowercase=lowercase))
         else:
-            for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+            for lineno, line in enumerate(_read_text(p).splitlines(), 1):
                 if line.strip():
                     docs.append(normalize(line, source_id=f"{p.name}:{lineno}",
                                           lowercase=lowercase))
@@ -297,7 +317,7 @@ def load_test_sets(path, lowercase: bool = True) -> dict[str, list[TokenSeq]]:
             if not child.is_file():
                 continue
             samples = []
-            for lineno, line in enumerate(child.read_text(encoding="utf-8").splitlines(), 1):
+            for lineno, line in enumerate(_read_text(child).splitlines(), 1):
                 if line.strip():
                     samples.append(normalize(line, source_id=f"{child.name}:{lineno}",
                                              lowercase=lowercase))

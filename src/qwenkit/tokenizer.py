@@ -13,13 +13,17 @@ own). Merges never cross word boundaries.
 
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import FormatError, InputError, ParameterError
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# For a bytes pattern \s is exactly the ASCII whitespace " \t\n\r\v\f".
+_WORD = re.compile(rb"\s*\S+|\s+")
 
 
 @dataclass
@@ -29,12 +33,21 @@ class BpeVocab:
     Regular ids are 0..255 for the single bytes followed by one id per merge,
     in training order. Control ids come after all regular ids and decode to
     empty byte strings. Byte strings and regular ids are in bijection.
+    Treat it as read-only: the merge ranks and the encoder's word cache are
+    derived from ``merges`` when it is built.
     """
 
     merges: list[tuple[int, int]]
     token_bytes: list[bytes]
     control_names: tuple[str, ...]
     token_to_id: dict[bytes, int] = field(repr=False)
+    # Merge rank of each pair, and the ids of every word encoded so far.
+    _ranks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _words: dict[bytes, tuple[int, ...]] = field(
+        init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ranks = {pair: k for k, pair in enumerate(self.merges)}
 
     @property
     def n_regular(self) -> int:
@@ -91,23 +104,17 @@ def _as_bytes(text) -> bytes:
 def split_words(data: bytes) -> list[bytes]:
     """Split at non-whitespace to whitespace transitions; whitespace runs attach
     to the following word."""
-    words = []
-    start = 0
-    for i in range(1, len(data)):
-        if data[i] in _WHITESPACE and data[i - 1] not in _WHITESPACE:
-            words.append(data[start:i])
-            start = i
-    if len(data) > start:
-        words.append(data[start:])
-    return words
+    return _WORD.findall(data)
 
 
 def _merge_once(word: tuple[int, ...], pair: tuple[int, int], new_id: int) -> tuple[int, ...]:
+    """Replace every occurrence of ``pair``, scanning left to right."""
+    left, right = pair
     out = []
     i = 0
     n = len(word)
     while i < n:
-        if i + 1 < n and word[i] == pair[0] and word[i + 1] == pair[1]:
+        if word[i] == left and i + 1 < n and word[i + 1] == right:
             out.append(new_id)
             i += 2
         else:
@@ -119,9 +126,14 @@ def _merge_once(word: tuple[int, ...], pair: tuple[int, int], new_id: int) -> tu
 def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -> BpeVocab:
     """Train a vocabulary of up to ``target_vocab`` ids on a list of byte strings.
 
-    Stops early when no adjacent pair occurs at least twice. A candidate pair
-    whose concatenation collides with an existing token's byte string is
-    skipped so byte strings stay unique.
+    Each step merges the pair with the most occurrences inside words, ties
+    broken by the smaller merged byte string, then the smaller left byte
+    string. Stops early when no adjacent pair occurs at least twice. A
+    candidate pair whose concatenation collides with an existing token's byte
+    string is skipped so byte strings stay unique.
+
+    Pair counts are kept across steps: a merge rewrites only the distinct
+    words that contain the merged pair and applies their count changes.
     """
     control_names = tuple(control_names)
     if target_vocab < 256 + len(control_names):
@@ -129,60 +141,86 @@ def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -
             f"target_vocab must be at least 256 + {len(control_names)} control "
             f"tokens, got {target_vocab}"
         )
-    word_counts: dict[tuple[int, ...], int] = {}
+    word_counts: dict[bytes, int] = {}
     for doc in corpus:
         for word in split_words(_as_bytes(doc)):
-            key = tuple(word)
-            word_counts[key] = word_counts.get(key, 0) + 1
+            word_counts[word] = word_counts.get(word, 0) + 1
+    words = [tuple(word) for word in word_counts]
+    counts = list(word_counts.values())
+    pair_counts: defaultdict[tuple[int, int], int] = defaultdict(int)
+    # Indices of the words holding each pair; may also list words that no
+    # longer do, which a rewrite then leaves unchanged.
+    holders: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+    for wi, (word, count) in enumerate(zip(words, counts)):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] += count
+            holders[pair].add(wi)
 
     token_bytes = [bytes([b]) for b in range(256)]
     existing = set(token_bytes)
     merges: list[tuple[int, int]] = []
     while len(token_bytes) + len(control_names) < target_vocab:
-        pair_counts: dict[tuple[int, int], int] = {}
-        for word, count in word_counts.items():
-            for a, b in zip(word, word[1:]):
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + count
-        best = None
-        best_key = None
+        best = best_key = None
+        top = 2  # the best count so far; fewer cannot win
         for pair, count in pair_counts.items():
-            if count < 2:
+            if count < top:
                 continue
-            merged = token_bytes[pair[0]] + token_bytes[pair[1]]
+            left = token_bytes[pair[0]]
+            merged = left + token_bytes[pair[1]]
             if merged in existing:
                 continue
-            key = (-count, merged, token_bytes[pair[0]])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = pair
+            key = (-count, merged, left)
+            if best is None or key < best_key:
+                best, best_key, top = pair, key, count
         if best is None:
             break
         new_id = len(token_bytes)
-        merged = token_bytes[best[0]] + token_bytes[best[1]]
+        merged = best_key[1]
         token_bytes.append(merged)
         existing.add(merged)
         merges.append(best)
-        rewritten: dict[tuple[int, ...], int] = {}
-        for word, count in word_counts.items():
+        for wi in holders.pop(best):
+            word = words[wi]
             new_word = _merge_once(word, best, new_id)
-            rewritten[new_word] = rewritten.get(new_word, 0) + count
-        word_counts = rewritten
+            count = counts[wi]
+            for pair in zip(word, word[1:]):
+                pair_counts[pair] -= count
+            for pair in zip(new_word, new_word[1:]):
+                pair_counts[pair] += count
+                holders[pair].add(wi)
+            words[wi] = new_word
+        del pair_counts[best]
     return _build_vocab(merges, control_names)
 
 
+def _encode_word(vocab: BpeVocab, word: bytes) -> tuple[int, ...]:
+    ranks = vocab._ranks
+    no_merge = len(vocab.merges)
+    ids = tuple(word)
+    while len(ids) > 1:
+        rank = min(map(ranks.get, zip(ids, ids[1:]), repeat(no_merge)))
+        if rank == no_merge:
+            break
+        ids = _merge_once(ids, vocab.merges[rank], 256 + rank)
+    return ids
+
+
 def encode(vocab: BpeVocab, text) -> list[int]:
-    """Token ids for any byte string; merges apply in training order to fixpoint."""
-    data = _as_bytes(text)
+    """Token ids for any byte string, as if the merges applied in training
+    order, each to a fixpoint.
+
+    Each word instead merges all occurrences of its lowest-rank adjacent pair
+    until no pair of it is a merge. The result is the same because merge k
+    only joins ids below 256 + k, so no merge can bring back a pair of lower
+    rank. The ids of each distinct word are cached on the vocabulary, which
+    so grows by one entry per distinct word it has encoded.
+    """
+    cache = vocab._words
     out: list[int] = []
-    for word in split_words(data):
-        ids: tuple[int, ...] = tuple(word)
-        for k, pair in enumerate(vocab.merges):
-            new_id = 256 + k
-            while True:
-                merged = _merge_once(ids, pair, new_id)
-                if merged == ids:
-                    break
-                ids = merged
+    for word in split_words(_as_bytes(text)):
+        ids = cache.get(word)
+        if ids is None:
+            ids = cache[word] = _encode_word(vocab, word)
         out.extend(ids)
     return out
 
@@ -226,8 +264,12 @@ def save_vocab(vocab: BpeVocab, path) -> None:
 
 
 def load_vocab(path) -> BpeVocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
     if not lines or lines[0] != "qwenkit-bpe v1":
         raise FormatError("vocab file must start with 'qwenkit-bpe v1'")
     token_to_id = {bytes([b]): b for b in range(256)}

@@ -75,6 +75,39 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["tok", "encode", "--vocab", "/nonexistent.bpe", "--text", "x"]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["tok", "encode", "--vocab", "{bad}", "--text", "x"],
+        ["tok", "decode", "--vocab", "{bad}", "--ids", "1"],
+        ["tok", "stats", "--vocab", "{bad}", "--corpus", "{good}"],
+        ["decontam", "scan", "--train", "{bad}", "--tests", "{tests}",
+         "--mode", "train-side-lcs"],
+        ["decontam", "scan", "--train", "{good}", "--tests", "{bad_tests}",
+         "--mode", "test-side-13gram"],
+    ])
+    def test_non_utf8_input(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"qwenkit-bpe v1\ncontrol <\xff>\n")
+        good = tmp_path / "good.txt"
+        good.write_text("some words here\n")
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "set.txt").write_text("some words\n")
+        bad_tests = tmp_path / "bad_tests"
+        bad_tests.mkdir()
+        (bad_tests / "set.txt").write_bytes(b"ok\n\xfe\n")
+        paths = dict(bad=bad, good=good, tests=tests, bad_tests=bad_tests)
+        assert main([arg.format(**paths) for arg in command]) == 1
+        err = capsys.readouterr().err
+        assert "invalid UTF-8 at byte" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_text_argument_encodes_its_bytes(self, tmp_path, capsys):
+        # argv bytes that are not UTF-8 reach Python as surrogate escapes.
+        vocab = tmp_path / "v.bpe"
+        vocab.write_text("qwenkit-bpe v1\n")
+        assert main(["tok", "encode", "--vocab", str(vocab), "--text", "a\udcff"]) == 0
+        assert capsys.readouterr().out.split() == ["97", "255"]
+
     def test_success(self, capsys):
         assert main(["config", "show", "--preset", "nano"]) == 0
 
@@ -272,6 +305,19 @@ class TestDecontamScan:
                      "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "test_set" in out and "\t" not in out
+
+    @pytest.mark.parametrize("mode", ["train-side-lcs", "test-side-13gram"])
+    def test_golden_verdicts(self, mode, tmp_path, capsys):
+        # Report and verdict files of a fixed corpus as the straightforward
+        # DP LCS, run scan and per-character normalize wrote them; the fast
+        # paths must reproduce them byte for byte.
+        golden = DATA / "decontam_golden"
+        verdicts = tmp_path / "verdicts.tsv"
+        assert main(["decontam", "scan", "--train", str(golden / "train.txt"),
+                     "--tests", str(golden / "tests"), "--mode", mode,
+                     "--verdicts", str(verdicts)]) == 0
+        assert capsys.readouterr().out == (golden / f"{mode}.report.tsv").read_text()
+        assert verdicts.read_bytes() == (golden / f"{mode}.verdicts.tsv").read_bytes()
 
     def test_scan_deterministic(self, fixture_dir, capsys):
         train, tests_dir, _ = fixture_dir

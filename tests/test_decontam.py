@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decontam_oracles as oracle
 from qwenkit.decontam import (
     MODE_TEST_NGRAM,
     MODE_TRAIN_LCS,
@@ -22,7 +23,7 @@ from qwenkit.decontam import (
     ngram_contaminated,
     normalize,
 )
-from qwenkit.errors import InputError, ParameterError
+from qwenkit.errors import FormatError, InputError, ParameterError
 from qwenkit.ops import Rng
 
 
@@ -123,8 +124,9 @@ class TestLcsContaminated:
         assert lcs_contaminated(TokenSeq(seq), TokenSeq(seq), min_len=5, min_frac=0.6)
 
     def test_prefilter_soundness_with_repeats(self):
-        # 20 copies of one token share a single distinct type; the multiset
-        # bound must still allow the detection.
+        # 20 copies of one token share a single distinct type; the
+        # shared-token bound counts positions, so it must still allow the
+        # detection.
         seq = tuple("x" for _ in range(20))
         assert lcs_contaminated(TokenSeq(seq), TokenSeq(seq))
 
@@ -302,3 +304,69 @@ class TestLoaders:
     def test_missing_test_dir_rejected(self, tmp_path):
         with pytest.raises(InputError):
             load_test_sets(tmp_path / "nope")
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        p = tmp_path / "train.txt"
+        p.write_bytes(b"fine line\nbad \xff line\n")
+        with pytest.raises(FormatError, match=r"train\.txt.*byte 14"):
+            load_docs(p)
+
+    def test_non_utf8_file_in_directory_is_format_error(self, tmp_path):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "a.txt").write_text("alpha beta")
+        (d / "b.txt").write_bytes(b"\xc3(")
+        with pytest.raises(FormatError, match=r"b\.txt.*byte 0"):
+            load_docs(d)
+
+    def test_non_utf8_test_set_is_format_error(self, tmp_path):
+        d = tmp_path / "tests"
+        d.mkdir()
+        (d / "mmlu.txt").write_bytes(b"sample\x80 one\n")
+        with pytest.raises(FormatError, match=r"mmlu\.txt.*byte 6"):
+            load_test_sets(d)
+
+
+# Differential tests: normalize and contains_run against the reference forms
+# in decontam_oracles, the bit-parallel lcs_len against oracle_lcs.
+_tricky = st.sampled_from("]\\^-[ ,.!?$+©…—“”İΣẞ \x1c\xa0")
+
+
+@given(st.text(st.one_of(st.characters(blacklist_categories=()), _tricky), max_size=80),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_normalize_matches_oracle(text, lowercase):
+    assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
+
+
+_tokens = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@given(st.lists(_tokens, min_size=60, max_size=150), st.lists(_tokens, max_size=150))
+@settings(max_examples=60, deadline=None)
+def test_lcs_len_long_sequences_match_oracle(a, b):
+    a, b = tuple(a), tuple(b)
+    assert lcs_len(a, b) == oracle_lcs(a, b)
+    assert lcs_len(b, a) == oracle_lcs(a, b)
+
+
+@given(st.lists(_tokens, max_size=30), st.lists(_tokens, max_size=30),
+       st.integers(0, 8), st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_lcs_contaminated_matches_definition(a, b, min_len, min_frac):
+    a, b = tuple(a), tuple(b)
+    n = oracle_lcs(a, b)
+    expected = bool(a and b) and n >= min_len and n >= min_frac * min(len(a), len(b))
+    assert lcs_contaminated(a, b, min_len, min_frac) == expected
+
+
+@given(st.lists(st.lists(_tokens, max_size=20).map(tuple), max_size=5),
+       st.lists(_tokens, max_size=6).map(tuple), st.data())
+@settings(max_examples=300, deadline=None)
+def test_contains_run_matches_oracle(docs, run, data):
+    if docs and data.draw(st.booleans()):  # also a run cut from a document
+        doc = data.draw(st.sampled_from(docs))
+        start = data.draw(st.integers(0, len(doc)))
+        run = doc[start : start + data.draw(st.integers(0, 6))]
+    index = NgramIndex([TokenSeq(d) for d in docs], 7)
+    assert index.contains_run(run) == oracle.contains_run(docs, run)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokenizer_oracles as oracle
 from qwenkit.errors import FormatError, InputError, ParameterError
 from qwenkit.ops import Rng
 from qwenkit.tokenizer import (
@@ -214,3 +215,90 @@ def test_roundtrip_property(data):
 
 
 _ROUND_VOCAB = bpe_train([b"roundtrip fixture corpus for merges merges", bytes(range(256))], 300)
+
+
+class TestVocabFileEncoding:
+    def test_non_utf8_vocab_is_format_error(self, tmp_path):
+        path = tmp_path / "v.bpe"
+        path.write_bytes(b"qwenkit-bpe v1\ncontrol <x\xff>\n")
+        with pytest.raises(FormatError, match=r"v\.bpe.*byte 25"):
+            load_vocab(path)
+
+
+# Differential tests against the reference trainer and encoder in
+# tokenizer_oracles. Small alphabets make pairs repeat, merged byte strings
+# collide ("ab" + "c" against "a" + "bc") and words recur, so the cache and
+# the incremental counts are exercised.
+_ALPHABET = b"ab c\t\n\xff\xc3"
+_docs = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(_ALPHABET), max_size=40).map(bytes),
+        st.sampled_from([b"aaaa", b"aaaaaaa", b"   ", b" \t\n ", b"\xff\xfe\x80",
+                         b"abcabc abc", b"ab ab ab"]),
+        st.binary(max_size=24),
+    ),
+    max_size=8,
+)
+
+
+@given(_docs, st.integers(259, 320))
+@settings(max_examples=300, deadline=None)
+def test_train_matches_oracle(corpus, target):
+    vocab = bpe_train(corpus, target)
+    expected = oracle.bpe_train(corpus, target)
+    assert vocab.merges == expected.merges
+    assert vocab == expected
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_split_words_matches_oracle(data):
+    assert split_words(data) == oracle.split_words(data)
+
+
+def test_split_words_every_byte_matches_oracle():
+    for b in range(256):
+        data = bytes([b]) + b"x" + bytes([b, b]) + b"y" + bytes([b])
+        assert split_words(data) == oracle.split_words(data)
+
+
+@given(_docs, st.lists(st.one_of(st.lists(st.sampled_from(_ALPHABET), max_size=40).map(bytes),
+                                 st.binary(max_size=40)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_encode_matches_oracle_cold_and_warm(corpus, texts):
+    vocab = bpe_train(corpus, 300)
+    expected = [oracle.encode(vocab, t) for t in texts]
+    assert [encode(vocab, t) for t in texts] == expected  # cold, then filling
+    assert [encode(vocab, t) for t in texts] == expected  # warm
+
+
+@given(_docs, st.lists(st.binary(max_size=40), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_encode_matches_oracle_after_load(tmp_path_factory, corpus, texts):
+    path = tmp_path_factory.mktemp("vocab") / "v.bpe"
+    save_vocab(bpe_train(corpus, 300), path)
+    vocab = load_vocab(path)
+    expected = [oracle.encode(vocab, t) for t in texts]
+    assert [encode(vocab, t) for t in texts] == expected
+    assert [encode(vocab, t) for t in texts] == expected
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_encode_matches_oracle_on_any_valid_merge_list(data):
+    # Merge lists a trainer would never produce (rare pairs first, merges of
+    # merged tokens in any order) still encode as the in-order oracle does.
+    letters = st.sampled_from(list(b"ab \xff"))
+    token_bytes = [bytes([b]) for b in range(256)]
+    merges = []
+    for _ in range(data.draw(st.integers(0, 24))):
+        ids = st.one_of(letters, st.integers(256, len(token_bytes) - 1)) if merges else letters
+        left, right = data.draw(ids), data.draw(ids)
+        merged = token_bytes[left] + token_bytes[right]
+        if merged not in token_bytes:
+            token_bytes.append(merged)
+            merges.append((left, right))
+    vocab = _build_vocab(merges, ())
+    text = bytes(data.draw(st.lists(letters, max_size=48)))
+    assert encode(vocab, text) == oracle.encode(vocab, text)
+    assert encode(vocab, text) == oracle.encode(vocab, text)
