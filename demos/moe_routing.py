@@ -37,16 +37,17 @@ chosen = topk_select(p, cfg.k_active)
 print("gate probabilities :", np.array2string(p, precision=3))
 print("top-2 experts      :", chosen, f"(combined weight {p[chosen].sum():.3f})")
 
+# Experts are stored stacked: index i of each array is expert i's triple.
+n, e, h = cfg.n_routed, cfg.expert_dim, cfg.hidden
 bank = ExpertBank(
-    routed=[SwigluWeights(rand(rng, 16, 12), rand(rng, 16, 12), rand(rng, 12, 16))
-            for _ in range(cfg.n_routed)],
-    shared=[SwigluWeights(rand(rng, 16, 12), rand(rng, 16, 12), rand(rng, 12, 16))],
+    routed=SwigluWeights(rand(rng, n, e, h), rand(rng, n, e, h), rand(rng, n, h, e)),
+    shared=SwigluWeights(rand(rng, 1, e, h), rand(rng, 1, e, h), rand(rng, 1, h, e)),
     router=router,
 )
 y = moe_forward(x, cfg, bank)
-manual = swiglu_ffn(x, *bank.shared[0])
+manual = swiglu_ffn(x, *(w[0] for w in bank.shared))
 for i in chosen:
-    manual = manual + p[i] * swiglu_ffn(x, *bank.routed[i])
+    manual = manual + p[i] * swiglu_ffn(x, *(w[i] for w in bank.routed))
 print(f"forward matches manual sum: {np.max(np.abs(y - manual)):.2e}\n")
 
 # Parameter accounting at the published 57B-A14B shape: 64 routed + 8 shared
@@ -75,8 +76,6 @@ print("expert -> source channels:", [c.tolist() for c in channels])
 bank2 = upcycle_from_dense(dense.w_gate, dense.w_up, dense.w_down, small, Rng(42))
 pre, _ = replicate_and_slice(dense.w_gate, dense.w_up, dense.w_down, small, Rng(42))
 count = small.params_per_expert
-changed = int(np.sum(pre[0].w_gate != bank2.routed[0].w_gate)
-              + np.sum(pre[0].w_up != bank2.routed[0].w_up)
-              + np.sum(pre[0].w_down != bank2.routed[0].w_down))
+changed = sum(int(np.sum(a[0] != b[0])) for a, b in zip(pre, bank2.routed))
 print(f"expert 0: {changed}/{count} scalars redrawn "
       f"(exactly floor(count/2) = {count // 2})")

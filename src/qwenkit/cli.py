@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: model demo/validate, tok train/encode/decode/stats,
-moe upcycle, decontam scan, attn bench, config show. Exit codes: 0 success,
+moe upcycle, decontam scan, config show. Exit codes: 0 success,
 1 validation or runtime failure, 2 usage error. The QWENKIT_VERBOSITY
 environment variable (quiet, info, debug) controls diagnostics on stderr;
 every run prints a header line naming the subcommand and its seed.
@@ -12,20 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from . import decontam as dc
 from . import tokenizer as tok
 from .config import format_config, preset, preset_names
 from .errors import ConfigError, QwenKitError
-from .layers import AttentionParams, RopeParams, gqa_attention
-from .longctx import DcaParams, dca_attention
 from .model import build_model, greedy_decode, upcycle_model
 from .moe import MoeConfig
-from .ops import Rng
 from .serialize import load_weights, save_weights
 
 VERBOSITY_LEVELS = ("quiet", "info", "debug")
@@ -159,18 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--lcs-min-frac", type=float, default=0.6)
     p_scan.set_defaults(func=_cmd_decontam_scan, needs_seed=False)
 
-    p_attn = top.add_parser("attn", help="attention micro-benchmarks")
-    attn_sub = p_attn.add_subparsers(dest="subcommand", required=True, metavar="SUB")
-    p_bench = attn_sub.add_parser("bench", help="vanilla vs dual-chunk wall time and max diff")
-    p_bench.add_argument("--seq", type=int, required=True, help="sequence length")
-    p_bench.add_argument("--chunk", type=int, required=True, help="chunk size")
-    p_bench.add_argument("--q-heads", type=int, default=4)
-    p_bench.add_argument("--kv-heads", type=int, default=2)
-    p_bench.add_argument("--head-dim", type=int, default=16)
-    p_bench.add_argument("--rope-base", type=float, default=10000.0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(func=_cmd_attn_bench, needs_seed=True)
-
     p_cfg = top.add_parser("config", help="configuration inspection")
     cfg_sub = p_cfg.add_subparsers(dest="subcommand", required=True, metavar="SUB")
     p_show = cfg_sub.add_parser("show", help="print a preset in the key = value format")
@@ -302,38 +284,6 @@ def _cmd_decontam_scan(args, run: _Run) -> int:
     if args.verdicts:
         Path(args.verdicts).write_text(dc.format_verdicts(report), encoding="utf-8")
         run.debug(f"wrote {len(report.verdicts)} verdicts to {args.verdicts}")
-    return 0
-
-
-def _cmd_attn_bench(args, run: _Run) -> int:
-    params = AttentionParams(args.q_heads, args.kv_heads, args.head_dim)
-    rope = RopeParams(args.rope_base, args.head_dim)
-    dca = DcaParams(args.chunk)
-    rng = Rng(args.seed)
-    shape_q = (params.n_q_heads, args.seq, params.head_dim)
-    shape_kv = (params.n_kv_heads, args.seq, params.head_dim)
-    q = rng.normals(int(np.prod(shape_q))).astype(np.float32).reshape(shape_q)
-    k = rng.normals(int(np.prod(shape_kv))).astype(np.float32).reshape(shape_kv)
-    v = rng.normals(int(np.prod(shape_kv))).astype(np.float32).reshape(shape_kv)
-    positions = list(range(args.seq))
-
-    def _time(fn):
-        fn()  # warm up
-        best = min(_timed(fn) for _ in range(3))
-        return best
-
-    def _timed(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    vanilla = lambda: gqa_attention(q, k, v, params, positions, rope)  # noqa: E731
-    chunked = lambda: dca_attention(q, k, v, params, dca, rope)  # noqa: E731
-    t_vanilla = _time(vanilla)
-    t_dca = _time(chunked)
-    diff = float(np.max(np.abs(vanilla() - chunked())))
-    print(f"seq={args.seq} chunk={args.chunk} vanilla_ms={t_vanilla * 1e3:.3f} "
-          f"dca_ms={t_dca * 1e3:.3f} max_diff={diff:.3e}")
     return 0
 
 

@@ -14,7 +14,6 @@ Reports mirror a per-test-set "percent contaminated" table.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -102,18 +101,12 @@ def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> b
     return n >= min_len and n >= min_frac * len(short)
 
 
-def _window_hash(window: tuple[str, ...]) -> int:
-    h = hashlib.blake2b("\x1f".join(window).encode("utf-8"), digest_size=8)
-    return int.from_bytes(h.digest(), "little")
-
-
 class NgramIndex:
-    """All length-n token windows of a training corpus, keyed by 64-bit hash,
-    and every token position keyed by its token.
+    """The set of all length-n token windows of a training corpus, and every
+    token position keyed by its token.
 
-    Hash hits are confirmed against the referenced document so collisions
-    cannot produce false positives. Runs shorter than n are looked up from
-    the positions of their first token.
+    A window is looked up as itself, so a hit is exact. Runs shorter than n
+    are looked up from the positions of their first token.
     """
 
     def __init__(self, docs, n: int = 13):
@@ -121,20 +114,15 @@ class NgramIndex:
             raise ParameterError(f"n must be >= 1, got {n}")
         self.n = n
         self._docs = [_tokens(d) for d in docs]
-        self._hits: dict[int, list[tuple[int, int]]] = {}
+        self._windows: set[tuple[str, ...]] = set()
         self._starts: dict[str, list[tuple[int, int]]] = {}
         for di, toks in enumerate(self._docs):
-            for start in range(len(toks) - n + 1):
-                h = _window_hash(toks[start : start + n])
-                self._hits.setdefault(h, []).append((di, start))
+            self._windows.update(toks[start : start + n] for start in range(len(toks) - n + 1))
             for start, tok in enumerate(toks):
                 self._starts.setdefault(tok, []).append((di, start))
 
     def contains_window(self, window: tuple[str, ...]) -> bool:
-        for di, start in self._hits.get(_window_hash(window), ()):
-            if self._docs[di][start : start + self.n] == window:
-                return True
-        return False
+        return window in self._windows
 
     def contains_run(self, tokens: tuple[str, ...]) -> bool:
         """Exact contiguous containment, for sequences shorter than n."""

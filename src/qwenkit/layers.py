@@ -7,6 +7,10 @@ rotated keys and values, and one cached attention that attends any number
 of new rows (a prompt chunk or one decoded token) against it. Full-sequence
 and cached attention share one causal kernel that works on a block of
 query rows against the keys up to the block's end.
+
+Each public function checks its arguments and then calls its private
+kernel (see ``ops``); the attention kernels take a precomputed rotary
+cos/sin table, so a caller can build it once for every layer.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateError
-from .ops import as_f32, silu, softmax_rows
+from .ops import _silu, _softmax_rows, as_f32
 
 # Causal mask sentinel: large-negative float32 whose exp underflows to exactly 0,
 # so masked positions can never leak into earlier rows.
@@ -101,6 +105,10 @@ def rms_norm(x, gamma, eps: float = 1e-6) -> np.ndarray:
         raise DimensionError(
             f"gamma shape {gamma.shape} does not match last dimension of x {x.shape}"
         )
+    return _rms_norm(x, gamma, eps)
+
+
+def _rms_norm(x: np.ndarray, gamma: np.ndarray, eps: float) -> np.ndarray:
     ms = np.mean(np.square(x), axis=-1, keepdims=True)
     return x * gamma / np.sqrt(ms + np.float32(eps))
 
@@ -124,7 +132,11 @@ def swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
         raise DimensionError(
             f"input width {x.shape} does not match hidden size {w_gate.shape[1]}"
         )
-    gated = silu(x @ w_gate.T) * (x @ w_up.T)
+    return _swiglu_ffn(x, w_gate, w_up, w_down)
+
+
+def _swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
+    gated = _silu(x @ w_gate.T) * (x @ w_up.T)
     return gated @ w_down.T
 
 
@@ -233,7 +245,7 @@ def _attend_causal(logits: np.ndarray, values: np.ndarray, g: int, scale) -> np.
     diagonal = logits.reshape(n_kv, g, rows, end)[..., end - rows:]
     r = np.arange(rows)
     diagonal[:, :, r > r[:, None]] = MASK_SENTINEL
-    probs = softmax_rows(logits.reshape(n_kv * group_rows, end))
+    probs = _softmax_rows(logits.reshape(n_kv * group_rows, end))
     return np.matmul(probs.reshape(logits.shape), values[:, :end])
 
 
@@ -268,9 +280,14 @@ def gqa_attention(
     _check_qkv_shapes(q, k, v, params)
     if inv_freq is None:
         inv_freq = rope_freqs(rope)
+    cos, sin = _rope_table(positions, inv_freq, q.shape[1], params.head_dim)
+    return _gqa_attention(q, k, v, params, cos, sin, scale_mult)
+
+
+def _gqa_attention(q, k, v, params: AttentionParams, cos, sin, scale_mult: float):
+    """Kernel of :func:`gqa_attention`; row s is rotated by ``cos[s]``, ``sin[s]``."""
     seq = q.shape[1]
     n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
-    cos, sin = _rope_table(positions, inv_freq, seq, d)
     qr = _rotate(q, cos, sin)
     keys_t = _rotate(k, cos, sin).transpose(0, 2, 1)
     scale = np.float32(scale_mult / math.sqrt(d))
@@ -324,17 +341,23 @@ class KvCache:
                 f"cache entries must be matching [n_kv_heads, rows, head_dim] blocks, "
                 f"got {k_rotated.shape} and {v.shape}"
             )
+        heads, _, head_dim = k_rotated.shape
+        if self._kv is not None and (heads, head_dim) != (self._kv.shape[2], self._kv.shape[4]):
+            raise DimensionError(
+                f"cache holds {self._kv.shape[2]} heads of width {self._kv.shape[4]}, "
+                f"got entries {k_rotated.shape}"
+            )
+        self._append(k_rotated, v, layer)
+
+    def _append(self, k_rotated: np.ndarray, v: np.ndarray, layer: int):
+        """Kernel of :meth:`append`; returns the layer's keys and values,
+        now including the new rows, as writable views."""
         heads, rows, head_dim = k_rotated.shape
         start = self._lengths[layer]
         end = start + rows
         if self._kv is None:
             self.capacity = max(self.capacity, end)
             self._kv = np.empty((2, self.n_layers, heads, self.capacity, head_dim), np.float32)
-        elif (heads, head_dim) != (self._kv.shape[2], self._kv.shape[4]):
-            raise DimensionError(
-                f"cache holds {self._kv.shape[2]} heads of width {self._kv.shape[4]}, "
-                f"got entries {k_rotated.shape}"
-            )
         elif end > self.capacity:
             held = self._kv
             self.capacity = max(end, 2 * self.capacity)
@@ -343,6 +366,7 @@ class KvCache:
         self._kv[0, layer, :, start:end] = k_rotated
         self._kv[1, layer, :, start:end] = v
         self._lengths[layer] = end
+        return self._kv[0, layer, :, :end], self._kv[1, layer, :, :end]
 
     def _held(self, which: int, layer: int) -> np.ndarray:
         length = self.length(layer)
@@ -401,13 +425,21 @@ def cached_attention(
     if inv_freq is None:
         inv_freq = rope_freqs(rope)
     rows = q.shape[1]
+    cos, sin = _rope_table(range(position, position + rows), inv_freq, rows, params.head_dim)
+    return _cached_attention(cache, q, k, v, params, cos, sin, layer, scale_mult)
+
+
+def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin,
+                      layer: int, scale_mult: float) -> np.ndarray:
+    """Kernel of :func:`cached_attention`; new row s is rotated by
+    ``cos[s]``, ``sin[s]``."""
+    rows = q.shape[1]
     d = params.head_dim
-    cos, sin = _rope_table(range(position, position + rows), inv_freq, rows, d)
-    cache.append(_rotate(k, cos, sin), v, layer)
+    keys, values = cache._append(_rotate(k, cos, sin), v, layer)
     qg = _group_queries(_rotate(q, cos, sin), params.n_kv_heads)
-    logits = np.matmul(qg, cache.keys(layer).transpose(0, 2, 1))
+    logits = np.matmul(qg, keys.transpose(0, 2, 1))
     scale = np.float32(scale_mult / math.sqrt(d))
-    out = _attend_causal(logits, cache.values(layer), params.group_size, scale)
+    out = _attend_causal(logits, values, params.group_size, scale)
     out = out.reshape(params.n_q_heads, rows, d).transpose(1, 0, 2)
     return out.reshape(rows, params.n_q_heads * d)
 

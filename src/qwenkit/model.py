@@ -3,7 +3,8 @@
 Blocks are pre-normalized residuals: x += Attn(RMSNorm(x)) then
 x += FFN(RMSNorm(x)), with a final RMSNorm before the output projection.
 The forward pass and cached decoding run the same block loop; only the
-attention call differs.
+attention call differs. Both check the weights against the layout of the
+config once per call, so the loop runs the unchecked kernels.
 When embeddings are tied the output projection *is* the embedding matrix
 (same array object, no copy).
 """
@@ -16,18 +17,19 @@ from typing import Sequence
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, QwenKitError
 from .layers import (
     KvCache,
     SwigluWeights,
-    cached_attention,
-    gqa_attention,
-    rms_norm,
+    _cached_attention,
+    _gqa_attention,
+    _rms_norm,
+    _rope_table,
+    _swiglu_ffn,
     rope_freqs,
-    swiglu_ffn,
 )
 from .longctx import dca_attention, yarn_adjust
-from .moe import ExpertBank, MoeConfig, moe_forward, upcycle_from_dense
+from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
 from .ops import Rng, sample_normal
 
 INIT_STD = 0.02
@@ -79,8 +81,9 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every weight-container tensor name with its shape, in draw order.
 
     This is the one statement of the weight layout: :func:`build_model`
-    draws these tensors in this order, and the container stores exactly
-    these names.
+    draws these tensors in this order, the container stores exactly these
+    names, and :func:`_check_layout` holds weights to it. Expert e of a
+    stacked bank is named ``layers.{i}.moe.routed.{e}.*`` (or ``shared``).
     """
     q_width = cfg.n_q_heads * cfg.head_dim
     kv_width = cfg.n_kv_heads * cfg.head_dim
@@ -115,6 +118,33 @@ def _expert_prefixes(layer: str, n_routed: int, n_shared: int) -> list[str]:
             + [f"{layer}moe.shared.{s}." for s in range(n_shared)])
 
 
+def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
+                  error: type[QwenKitError]) -> None:
+    """Raise ``error`` unless ``shapes`` is :func:`_tensor_shapes` of ``cfg``,
+    naming the first tensor missing, extra or of another shape."""
+    expected = _tensor_shapes(cfg)
+    if shapes.keys() != expected.keys():
+        missing = sorted(expected.keys() - shapes.keys())
+        extra = sorted(shapes.keys() - expected.keys())
+        raise error(f"tensor set mismatch: missing {missing}, extra {extra}")
+    for name, shape in shapes.items():
+        if shape != expected[name]:
+            raise error(f"tensor {name} has shape {shape}, expected {expected[name]}")
+
+
+def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
+    """The entry check of :func:`forward` and :func:`greedy_decode`: a valid
+    config, and weights of its layout held as float32 arrays, else
+    :class:`ConfigError` naming the tensor."""
+    cfg.validate()
+    tensors = _tensors(weights)
+    _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, ConfigError)
+    for name, arr in tensors.items():
+        dtype = getattr(arr, "dtype", None)
+        if dtype != np.float32:
+            raise ConfigError(f"tensor {name} must be a float32 array, got dtype {dtype}")
+
+
 def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
     """Every tensor ``weights`` holds, keyed by container name.
 
@@ -131,8 +161,9 @@ def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
             triples = [(p + "ffn.", lw.ffn)]
         else:
             out[p + "moe.router"] = bank.router
-            triples = zip(_expert_prefixes(p, len(bank.routed), len(bank.shared)),
-                          bank.routed + bank.shared)
+            # zip(*stack) unstacks: one (gate, up, down) view per expert.
+            triples = zip(_expert_prefixes(p, len(bank.routed.w_gate), len(bank.shared.w_gate)),
+                          [*zip(*bank.routed), *zip(*bank.shared)])
         for prefix, triple in triples:
             out.update((prefix + part, arr) for part, arr in zip(SwigluWeights._fields, triple))
     out["final_norm.gamma"] = weights.final_gamma
@@ -148,17 +179,22 @@ def _from_tensors(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> ModelWeigh
     def triple(prefix: str) -> SwigluWeights:
         return SwigluWeights(*(arrays[prefix + part] for part in SwigluWeights._fields))
 
+    def stack(prefix: str, n: int) -> SwigluWeights:
+        out = _empty_stack(n, cfg.moe)
+        for e in range(n):
+            for w, arr in zip(out, triple(f"{prefix}{e}.")):
+                w[e] = arr
+        return out
+
     layers = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         if cfg.moe is None:
             ffn, bank = triple(p + "ffn."), None
         else:
-            experts = [triple(t) for t in _expert_prefixes(p, cfg.moe.n_routed,
-                                                            cfg.moe.n_shared)]
             ffn = None
-            bank = ExpertBank(routed=experts[:cfg.moe.n_routed],
-                              shared=experts[cfg.moe.n_routed:],
+            bank = ExpertBank(routed=stack(p + "moe.routed.", cfg.moe.n_routed),
+                              shared=stack(p + "moe.shared.", cfg.moe.n_shared),
                               router=arrays[p + "moe.router"])
         layers.append(LayerWeights(*(arrays.get(p + name) for name in _LAYER_ARRAYS),
                                    ffn=ffn, moe_bank=bank))
@@ -216,12 +252,7 @@ def upcycle_model(
     seed: int,
 ) -> tuple[ModelWeights, ModelConfig]:
     """Convert a dense model into a MoE model with upcycled expert banks."""
-    if moe.hidden != dense_cfg.hidden:
-        raise ConfigError(
-            f"moe hidden {moe.hidden} does not match model hidden {dense_cfg.hidden}"
-        )
     target = replace(dense_cfg, moe=moe, ffn_intermediate=moe.expert_dim)
-    target.validate()
     return build_model(target, seed, dense_source=weights), target
 
 
@@ -238,8 +269,9 @@ def _validate_ids(cfg: ModelConfig, token_ids: Sequence[int]) -> list[int]:
 
 
 def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
-    # [seq, n_heads * head_dim] -> [n_heads, seq, head_dim]
-    return x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2)
+    # [seq, n_heads * head_dim] -> [n_heads, seq, head_dim], C-contiguous as
+    # the attention kernels' matmuls expect
+    return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2))
 
 
 def _rotary(cfg: ModelConfig) -> tuple[np.ndarray, float]:
@@ -263,14 +295,16 @@ def _blocks(
 
     Without a cache the rows are the whole sequence from position 0. With a
     cache they continue it at ``position``, attend to the cached history,
-    and are appended to it.
+    and are appended to it. The weights must have passed
+    :func:`_check_weights`: every layer runs the unchecked kernels, and one
+    rotary table serves them all.
     """
     params = cfg.attention_params()
-    rope = cfg.rope_params()
     rows = len(ids)
+    cos, sin = _rope_table(range(position, position + rows), inv_freq, rows, cfg.head_dim)
     x = weights.embedding[ids]
     for li, lw in enumerate(weights.layers):
-        h = rms_norm(x, lw.attn_gamma, cfg.rms_eps)
+        h = _rms_norm(x, lw.attn_gamma, cfg.rms_eps)
         q = h @ lw.wq.T
         k = h @ lw.wk.T
         v = h @ lw.wv.T
@@ -280,24 +314,22 @@ def _blocks(
         k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
         if cache is not None:
-            attn = cached_attention(cache, q3, k3, v3, params, rope, position=position,
-                                    layer=li, scale_mult=scale_mult, inv_freq=inv_freq)
+            attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult)
         elif cfg.dca is not None:
-            attn = dca_attention(q3, k3, v3, params, cfg.dca, rope, cfg.yarn)
+            attn = dca_attention(q3, k3, v3, params, cfg.dca, cfg.rope_params(), cfg.yarn)
         else:
-            attn = gqa_attention(q3, k3, v3, params, list(range(rows)), rope,
-                                 scale_mult=scale_mult, inv_freq=inv_freq)
+            attn = _gqa_attention(q3, k3, v3, params, cos, sin, scale_mult)
         x = x + attn @ lw.wo.T
-        h2 = rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
+        h2 = _rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
         if lw.ffn is not None:
-            x = x + swiglu_ffn(h2, *lw.ffn)
+            x = x + _swiglu_ffn(h2, *lw.ffn)
         else:
-            x = x + moe_forward(h2, cfg.moe, lw.moe_bank)
+            x = x + _moe_forward(h2, cfg.moe, lw.moe_bank)
     return x
 
 
 def _logits(weights: ModelWeights, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    h = rms_norm(x, weights.final_gamma, cfg.rms_eps)
+    h = _rms_norm(x, weights.final_gamma, cfg.rms_eps)
     logits = h @ weights.output_matrix().T
     if not np.isfinite(logits).all():
         raise NumericError("logits hold non-finite values; are the weights finite?")
@@ -308,9 +340,11 @@ def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -
     """Logits for every position, [seq, vocab_size].
 
     Token ids must be Python or numpy integers (not bool) inside the
-    vocabulary, else :class:`InputError`. Non-finite logits raise
-    :class:`NumericError`.
+    vocabulary, else :class:`InputError`. Weights that are not float32
+    arrays of the layout ``cfg`` implies raise :class:`ConfigError` naming
+    the tensor. Non-finite logits raise :class:`NumericError`.
     """
+    _check_weights(weights, cfg)
     ids = _validate_ids(cfg, token_ids)
     if not ids:
         raise InputError("token_ids must be nonempty")
@@ -358,11 +392,12 @@ def greedy_decode(
     call through the blocks, then every new token is fed as one row; only
     the last row of each call is projected to logits. Deterministic; argmax
     ties resolve to the lower token id. Generation stops early after
-    emitting the configured end-of-text id. Token ids are checked as in
-    :func:`forward`, and non-finite logits raise :class:`NumericError`.
-    Incremental decoding supports the vanilla attention path only (no
-    dual-chunk remapping).
+    emitting the configured end-of-text id. Token ids and weights are
+    checked as in :func:`forward`, and non-finite logits raise
+    :class:`NumericError`. Incremental decoding supports the vanilla
+    attention path only (no dual-chunk remapping).
     """
+    _check_weights(weights, cfg)
     ids = _validate_ids(cfg, prompt)
     if not ids:
         raise InputError("prompt must be nonempty")

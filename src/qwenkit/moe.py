@@ -5,20 +5,22 @@ outputs are combined weighted by the raw softmax probabilities (no
 renormalization over the selected k). Shared experts run unconditionally and
 their outputs are summed in unweighted. A batch of rows is routed at once:
 one router matmul scores every row, and each routed expert runs once over
-the block of rows that chose it (dropless, no capacity limit). Expert banks
-can be initialized from a dense FFN by replication, per-copy channel
-shuffling, slicing, and partial reinitialization ("upcycling").
+the block of rows that chose it (dropless, no capacity limit). Experts are
+stored stacked: one gate/up/down triple whose arrays carry a leading expert
+axis, for the routed and for the shared experts. Expert banks can be
+initialized from a dense FFN by replication, per-copy channel shuffling,
+slicing, and partial reinitialization ("upcycling").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .layers import SwigluWeights, swiglu_ffn
-from .ops import Rng, as_f32, sample_normal, softmax_rows
+from .layers import SwigluWeights, _swiglu_ffn
+from .ops import Rng, _softmax_rows, as_f32, sample_normal, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -62,36 +64,43 @@ class MoeConfig:
 
 @dataclass
 class ExpertBank:
-    """Routed and shared expert triples plus the router matrix."""
+    """Routed and shared experts, each kind one stacked triple, plus the router.
 
-    routed: list[SwigluWeights]
-    shared: list[SwigluWeights] = field(default_factory=list)
-    router: np.ndarray = None  # [n_routed, hidden]
+    ``routed.w_gate`` and ``routed.w_up`` are [n_routed, expert_dim, hidden]
+    and ``routed.w_down`` is [n_routed, hidden, expert_dim]: index e of each
+    is expert e's triple. ``shared`` is stacked the same way over n_shared
+    experts (a leading axis of 0 when there are none). ``router`` is
+    [n_routed, hidden].
+    """
+
+    routed: SwigluWeights
+    shared: SwigluWeights
+    router: np.ndarray
+
+
+def _stack_shapes(n: int, cfg: MoeConfig) -> SwigluWeights:
+    return SwigluWeights((n, cfg.expert_dim, cfg.hidden), (n, cfg.expert_dim, cfg.hidden),
+                         (n, cfg.hidden, cfg.expert_dim))
+
+
+def _empty_stack(n: int, cfg: MoeConfig) -> SwigluWeights:
+    """An uninitialized float32 stack of ``n`` experts."""
+    return SwigluWeights(*(np.empty(shape, np.float32) for shape in _stack_shapes(n, cfg)))
 
 
 def validate_bank(cfg: MoeConfig, bank: ExpertBank) -> None:
-    if len(bank.routed) != cfg.n_routed or len(bank.shared) != cfg.n_shared:
+    """Raise :class:`ConfigError` unless each of the seven arrays of ``bank``
+    has the shape ``cfg`` implies."""
+    for kind, n in (("routed", cfg.n_routed), ("shared", cfg.n_shared)):
+        stack = getattr(bank, kind)
+        for name, shape in zip(SwigluWeights._fields, _stack_shapes(n, cfg)):
+            got = np.shape(getattr(stack, name, None))
+            if got != shape:
+                raise ConfigError(f"{kind} {name} has shape {got}, expected {shape}")
+    if np.shape(bank.router) != (cfg.n_routed, cfg.hidden):
         raise ConfigError(
-            f"bank holds {len(bank.routed)} routed / {len(bank.shared)} shared "
-            f"experts, config wants {cfg.n_routed}/{cfg.n_shared}"
-        )
-    expected = {
-        "w_gate": (cfg.expert_dim, cfg.hidden),
-        "w_up": (cfg.expert_dim, cfg.hidden),
-        "w_down": (cfg.hidden, cfg.expert_dim),
-    }
-    for kind, triples in (("routed", bank.routed), ("shared", bank.shared)):
-        for i, triple in enumerate(triples):
-            for name, shape in expected.items():
-                if getattr(triple, name).shape != shape:
-                    raise ConfigError(
-                        f"{kind} expert {i} {name} has shape "
-                        f"{getattr(triple, name).shape}, expected {shape}"
-                    )
-    if bank.router is None or bank.router.shape != (cfg.n_routed, cfg.hidden):
-        raise ConfigError(
-            f"router shape {None if bank.router is None else bank.router.shape} "
-            f"does not match ({cfg.n_routed}, {cfg.hidden})"
+            f"router shape {np.shape(bank.router)} does not match "
+            f"({cfg.n_routed}, {cfg.hidden})"
         )
 
 
@@ -140,25 +149,29 @@ def moe_forward(x, cfg: MoeConfig, bank: ExpertBank) -> np.ndarray:
         raise DimensionError(
             f"input shape {x.shape} does not match ({cfg.hidden},) or (rows, {cfg.hidden})"
         )
-    rows = x.reshape(-1, cfg.hidden)
-    p = softmax_rows(rows @ bank.router.T)
+    return _moe_forward(x.reshape(-1, cfg.hidden), cfg, bank).reshape(x.shape)
+
+
+def _moe_forward(rows: np.ndarray, cfg: MoeConfig, bank: ExpertBank) -> np.ndarray:
+    """Kernel of :func:`moe_forward` on [rows, hidden]."""
+    p = _softmax_rows(rows @ bank.router.T)
     top = _topk_rows(p, cfg.k_active)
     # Row indices grouped by expert, ascending within each group (stable sort
     # of the flattened [rows, k] choices), and the size of each group.
     by_expert = np.argsort(top, axis=None, kind="stable") // cfg.k_active
     counts = np.bincount(top.ravel(), minlength=cfg.n_routed).tolist()
     out = np.zeros_like(rows)
-    for triple in bank.shared:
-        out += swiglu_ffn(rows, *triple)
+    for s in range(cfg.n_shared):
+        out += _swiglu_ffn(rows, *(w[s] for w in bank.shared))
     end = 0
     for e, n in enumerate(counts):
         if n == len(rows):  # every row chose e, as always in one-token decoding
-            out += p[:, e, None] * swiglu_ffn(rows, *bank.routed[e])
+            out += p[:, e, None] * _swiglu_ffn(rows, *(w[e] for w in bank.routed))
         elif n:
             hit = by_expert[end:end + n]
-            out[hit] += p[hit, e, None] * swiglu_ffn(rows[hit], *bank.routed[e])
+            out[hit] += p[hit, e, None] * _swiglu_ffn(rows[hit], *(w[e] for w in bank.routed))
         end += n
-    return out.reshape(x.shape)
+    return out
 
 
 def replication_count(n_routed: int, expert_dim: int, h_ffn: int) -> int:
@@ -170,7 +183,7 @@ def replication_count(n_routed: int, expert_dim: int, h_ffn: int) -> int:
 
 def replicate_and_slice(
     w_gate, w_up, w_down, cfg: MoeConfig, rng: Rng
-) -> tuple[list[SwigluWeights], list[np.ndarray]]:
+) -> tuple[SwigluWeights, np.ndarray]:
     """Replicate a dense FFN, shuffle each copy, and slice out routed experts.
 
     Each copy gets one permutation of the dense intermediate channels, applied
@@ -178,9 +191,10 @@ def replicate_and_slice(
     Copies are concatenated along the intermediate dimension and consecutive
     blocks of ``expert_dim`` become the routed experts; the tail is discarded.
 
-    Returns the expert triples together with, per expert, the dense channel
-    index each of its intermediate rows came from (channels can repeat when an
-    expert straddles two copies).
+    Returns the routed experts as one stacked triple (see
+    :class:`ExpertBank`) together with the dense channel each of their
+    intermediate rows came from, [n_routed, expert_dim] (channels can repeat
+    when an expert straddles two copies).
     """
     w_gate = as_f32(w_gate)
     w_up = as_f32(w_up)
@@ -199,49 +213,33 @@ def replicate_and_slice(
             f"dense hidden size {hidden} does not match config hidden {cfg.hidden}"
         )
     r = replication_count(cfg.n_routed, cfg.expert_dim, h_ffn)
-    assert r * h_ffn >= cfg.n_routed * cfg.expert_dim
-    gates, ups, downs, channels = [], [], [], []
-    for _ in range(r):
-        perm = rng.permutation(h_ffn)
-        gates.append(w_gate[perm])
-        ups.append(w_up[perm])
-        downs.append(w_down[:, perm])
-        channels.append(perm)
-    big_gate = np.concatenate(gates, axis=0)
-    big_up = np.concatenate(ups, axis=0)
-    big_down = np.concatenate(downs, axis=1)
-    big_channels = np.concatenate(channels)
-    experts: list[SwigluWeights] = []
-    expert_channels: list[np.ndarray] = []
-    for e in range(cfg.n_routed):
-        lo = e * cfg.expert_dim
-        hi = lo + cfg.expert_dim
-        experts.append(
-            SwigluWeights(
-                big_gate[lo:hi].copy(), big_up[lo:hi].copy(), big_down[:, lo:hi].copy()
-            )
-        )
-        expert_channels.append(big_channels[lo:hi].copy())
-    return experts, expert_channels
+    n, inner = cfg.n_routed, cfg.expert_dim
+    # Row i of the concatenated copies is dense channel channels[i].
+    channels = np.concatenate([rng.permutation(h_ffn) for _ in range(r)])[: n * inner]
+    experts = SwigluWeights(
+        w_gate[channels].reshape(n, inner, hidden),
+        w_up[channels].reshape(n, inner, hidden),
+        np.ascontiguousarray(w_down[:, channels].reshape(hidden, n, inner).transpose(1, 0, 2)),
+    )
+    return experts, channels.reshape(n, inner)
 
 
-def _reinit_half(triple: SwigluWeights, rng: Rng, std: float) -> SwigluWeights:
-    """Redraw exactly floor(count/2) scalars of one expert from Normal(0, std).
+def _reinit_half(experts: SwigluWeights, e: int, rng: Rng, std: float) -> None:
+    """Redraw in place exactly floor(count/2) scalars of expert ``e`` of a
+    stack from Normal(0, std).
 
     The scalars are chosen as the first half of a seeded permutation over the
-    flattened gate/up/down concatenation (row-major, in that order).
+    flattened gate/up/down concatenation of that expert (row-major, in that
+    order).
     """
-    flat = np.concatenate([triple.w_gate.ravel(), triple.w_up.ravel(), triple.w_down.ravel()])
+    parts = [w[e] for w in experts]
+    flat = np.concatenate([part.ravel() for part in parts])
     count = flat.shape[0]
     chosen = rng.permutation(count)[: count // 2]
     flat[chosen] = sample_normal(rng, count // 2, 0.0, std)
-    g_sz = triple.w_gate.size
-    u_sz = triple.w_up.size
-    return SwigluWeights(
-        flat[:g_sz].reshape(triple.w_gate.shape).copy(),
-        flat[g_sz : g_sz + u_sz].reshape(triple.w_up.shape).copy(),
-        flat[g_sz + u_sz :].reshape(triple.w_down.shape).copy(),
-    )
+    ends = np.cumsum([part.size for part in parts])
+    for part, new in zip(parts, np.split(flat, ends[:-1])):
+        part[...] = new.reshape(part.shape)
 
 
 def upcycle_from_dense(
@@ -257,28 +255,18 @@ def upcycle_from_dense(
     drawn entirely from Normal(0, reinit_std).
 
     The rng is consumed in a pinned order: copy permutations, then per routed
-    expert one selection permutation plus its redraws, then shared expert
-    triples (gate, up, down), then the router.
+    expert one selection permutation plus its redraws, then per shared
+    expert its gate, up and down, then the router.
     """
     if reinit_std < 0:
         raise ParameterError(f"reinit_std must be >= 0, got {reinit_std}")
-    experts, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, rng)
-    routed = [_reinit_half(t, rng, reinit_std) for t in experts]
-    shared = []
-    for _ in range(cfg.n_shared):
-        shared.append(
-            SwigluWeights(
-                sample_normal(rng, cfg.expert_dim * cfg.hidden, 0.0, reinit_std).reshape(
-                    cfg.expert_dim, cfg.hidden
-                ),
-                sample_normal(rng, cfg.expert_dim * cfg.hidden, 0.0, reinit_std).reshape(
-                    cfg.expert_dim, cfg.hidden
-                ),
-                sample_normal(rng, cfg.hidden * cfg.expert_dim, 0.0, reinit_std).reshape(
-                    cfg.hidden, cfg.expert_dim
-                ),
-            )
-        )
+    routed, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, rng)
+    for e in range(cfg.n_routed):
+        _reinit_half(routed, e, rng, reinit_std)
+    shared = _empty_stack(cfg.n_shared, cfg)
+    for s in range(cfg.n_shared):
+        for w in shared:
+            w[s] = sample_normal(rng, w[s].size, 0.0, reinit_std).reshape(w.shape[1:])
     router = sample_normal(rng, cfg.n_routed * cfg.hidden, 0.0, reinit_std).reshape(
         cfg.n_routed, cfg.hidden
     )

@@ -5,6 +5,12 @@ Every tensor in this package is a C-contiguous ``numpy.ndarray`` of
 is :class:`Rng`, a seeded splitmix64 generator feeding Box-Muller normal
 sampling, pinned so that weight initialization and shuffles reproduce
 byte-for-byte from a seed.
+
+Kernel contract, here and in ``layers`` and ``moe``: a public function
+checks its arguments (coercion to float32, shapes, ranges) and then calls
+a private kernel of the same name with a leading underscore, which holds
+the math and trusts its inputs. Callers that have checked everything once,
+such as the model's block loop, call the kernels directly.
 """
 
 from __future__ import annotations
@@ -121,6 +127,10 @@ def softmax_rows(x) -> np.ndarray:
         raise DimensionError(f"softmax_rows expects a 2-D matrix, got shape {x.shape}")
     if x.shape[1] == 0:
         raise DimensionError(f"softmax_rows got empty rows, shape {x.shape}")
+    return _softmax_rows(x)
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
     # One fresh buffer holds the shift, the exponentials and the result.
     e = x - x.max(axis=1, keepdims=True)
     np.exp(e, out=e)
@@ -130,7 +140,12 @@ def softmax_rows(x) -> np.ndarray:
 
 def silu(x) -> np.ndarray:
     """Elementwise x * sigmoid(x)."""
+    return _silu(as_f32(x))
+
+
+def _silu(x: np.ndarray) -> np.ndarray:
+    # Imported on first use: scipy adds about 22 MB to the resident size of
+    # a process that imports qwenkit only for the tokenizer or decontam.
     from scipy.special import expit
 
-    x = as_f32(x)
     return x * expit(x)

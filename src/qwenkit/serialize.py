@@ -15,15 +15,15 @@ embedding is the projection.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig, format_config, parse_config
 from .errors import ConfigError, FormatError, NumericError, ParameterError
-from .model import ModelWeights, _from_tensors, _tensor_shapes, _tensors
+from .model import ModelWeights, _check_layout, _from_tensors, _tensors
 
 MAGIC = b"QW2T"
 VERSION = 1
@@ -39,21 +39,13 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     inf raises :class:`NumericError`. Both happen before the file is opened.
     """
     cfg.validate()
-    expected = _tensor_shapes(cfg)
     tensors = _tensors(weights)
-    if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        extra = sorted(set(tensors) - set(expected))
-        raise FormatError(f"tensor set mismatch: missing {missing}, extra {extra}")
+    _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, FormatError)
     manifest = []
     arrays = []
     offset = 0
     for name in sorted(tensors):
         arr = np.ascontiguousarray(np.asarray(tensors[name], dtype="<f4"))
-        if arr.shape != expected[name]:
-            raise FormatError(
-                f"tensor {name} has shape {arr.shape}, expected {expected[name]}"
-            )
         if not np.isfinite(arr).all():
             raise NumericError(f"tensor {name} holds non-finite values; not saved")
         dims = "x".join(str(d) for d in arr.shape)
@@ -115,68 +107,63 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
     set or shape other than the layout of that config, a checksum mismatch,
     or a tensor holding NaN or inf.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < 16:
-        raise FormatError(f"file truncated at offset {len(blob)}: too short for the fixed fields")
-    if blob[:4] != MAGIC:
-        raise FormatError(f"bad magic at offset 0: expected {MAGIC!r}, got {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported format version {version} at offset 4")
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    header_end = 16 + header_len
-    if header_end > len(blob):
-        raise FormatError(
-            f"header length {header_len} at offset 8 overruns file of {len(blob)} bytes"
-        )
-    try:
-        header = blob[16:header_end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"header at offset 16 is not valid UTF-8: {exc}") from None
-    cfg, manifest = _parse_header(header)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        fixed = fh.read(16)
+        if len(fixed) < 16:
+            raise FormatError(
+                f"file truncated at offset {len(fixed)}: too short for the fixed fields")
+        if fixed[:4] != MAGIC:
+            raise FormatError(f"bad magic at offset 0: expected {MAGIC!r}, got {fixed[:4]!r}")
+        (version,) = struct.unpack_from("<I", fixed, 4)
+        if version != VERSION:
+            raise FormatError(f"unsupported format version {version} at offset 4")
+        (header_len,) = struct.unpack_from("<Q", fixed, 8)
+        header_end = 16 + header_len
+        if header_end > size:
+            raise FormatError(
+                f"header length {header_len} at offset 8 overruns file of {size} bytes"
+            )
+        try:
+            header = fh.read(header_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"header at offset 16 is not valid UTF-8: {exc}") from None
+        cfg, manifest = _parse_header(header)
 
-    expected = _tensor_shapes(cfg)
-    names = [name for name, _, _ in manifest]
-    if names != sorted(names):
-        raise FormatError("manifest is not sorted by tensor name")
-    if set(names) != set(expected) or len(names) != len(expected):
-        missing = sorted(set(expected) - set(names))
-        extra = sorted(set(names) - set(expected))
-        raise FormatError(f"tensor set mismatch: missing {missing}, extra {extra}")
+        shapes = {name: shape for name, shape, _ in manifest}
+        if [name for name, _, _ in manifest] != sorted(shapes):
+            raise FormatError("manifest is not sorted by tensor name, or repeats one")
+        _check_layout(shapes, cfg, FormatError)
+        offset = 0
+        for name, shape, off in manifest:
+            if off != offset:
+                raise FormatError(f"tensor {name} at offset {off}, expected contiguous {offset}")
+            offset += 4 * int(np.prod(shape))
+        payload_end = header_end + offset
+        if payload_end + 4 > size:
+            raise FormatError(
+                f"file truncated: payload and checksum need {payload_end + 4} bytes, "
+                f"file ends at offset {size}"
+            )
 
-    offset = 0
-    for name, shape, off in manifest:
-        if shape != expected[name]:
-            raise FormatError(f"tensor {name} has shape {shape}, expected {expected[name]}")
-        if off != offset:
-            raise FormatError(f"tensor {name} at offset {off}, expected contiguous {offset}")
-        offset += 4 * int(np.prod(shape))
-    payload_size = offset
-
-    payload_start = header_end
-    payload_end = payload_start + payload_size
-    if payload_end + 4 > len(blob):
-        raise FormatError(
-            f"file truncated: payload and checksum need {payload_end + 4} bytes, "
-            f"file ends at offset {len(blob)}"
-        )
-    payload = memoryview(blob)[payload_start:payload_end]
-    (stored_crc,) = struct.unpack_from("<I", blob, payload_end)
-    computed = zlib.crc32(payload) & 0xFFFFFFFF
+        # Each tensor is read straight into its own array; the CRC runs over
+        # the arrays in payload order.
+        arrays = {}
+        computed = 0
+        for name, shape, _ in manifest:
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"file truncated inside tensor {name}")
+            computed = zlib.crc32(arr, computed)
+            arrays[name] = arr
+        (stored_crc,) = struct.unpack("<I", fh.read(4))
     if stored_crc != computed:
         raise FormatError(
             f"checksum mismatch at offset {payload_end}: stored {stored_crc:#010x}, "
             f"computed {computed:#010x}"
         )
-
-    arrays = {}
-    for name, shape, off in manifest:
-        nbytes = 4 * int(np.prod(shape))
-        arrays[name] = (
-            np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=off)
-            .reshape(shape)
-            .astype(np.float32, copy=True)
-        )
-        if not np.isfinite(arrays[name]).all():
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
             raise FormatError(f"tensor {name} holds non-finite values")
+        arrays[name] = arr.astype(np.float32, copy=False)
     return _from_tensors(arrays, cfg), cfg

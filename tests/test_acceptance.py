@@ -13,7 +13,7 @@ from helpers import max_abs_diff, rand_f32
 from test_decontam import oracle_lcs
 from test_layers import ref_mha
 from test_model import TABLE
-from test_moe import oracle_moe, _random_bank
+from test_moe import oracle_moe, _expert, _random_bank
 from test_tokenizer import MULTILINGUAL
 
 import qwenkit as qk
@@ -104,7 +104,7 @@ def test_criterion_4_moe():
     bank = _random_bank(rng, dcfg)
     x = rand_f32(rng, 8)
     assert np.array_equal(qk.moe_forward(x, dcfg, bank),
-                          qk.swiglu_ffn(x, *bank.routed[0]))
+                          qk.swiglu_ffn(x, *_expert(bank.routed, 0)))
 
 
 @criterion(5, "dense-to-moe upcycling procedure", 5)
@@ -125,20 +125,20 @@ def test_criterion_5_upcycle():
     cfg = qk.MoeConfig(n_routed=4, k_active=2, n_shared=1, expert_dim=5, hidden=d)
     experts, channels = replicate_and_slice(w_gate, w_up, w_down, cfg, qk.Rng(51))
     x = rand_f32(rng, d)
-    for expert, chans in zip(experts, channels):
+    for e, chans in enumerate(channels):
         want = np.zeros(d)
         for c in chans:
             g = float(w_gate[c] @ x)
             u = float(w_up[c] @ x)
             want += (g / (1.0 + math.exp(-g)) * u) * w_down[:, c].astype(np.float64)
-        assert max_abs_diff(qk.swiglu_ffn(x, *expert), want) <= 1e-5
+        assert max_abs_diff(qk.swiglu_ffn(x, *_expert(experts, e)), want) <= 1e-5
 
     bank = qk.upcycle_from_dense(w_gate, w_up, w_down, cfg, qk.Rng(51))
     before, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, qk.Rng(51))
     count = cfg.params_per_expert
-    for pre, post in zip(before, bank.routed):
-        changed = sum(int(np.sum(getattr(pre, p) != getattr(post, p)))
-                      for p in ("w_gate", "w_up", "w_down"))
+    for e in range(cfg.n_routed):
+        changed = sum(int(np.sum(pre != post))
+                      for pre, post in zip(_expert(before, e), _expert(bank.routed, e)))
         assert changed == count // 2
 
 
@@ -267,8 +267,7 @@ def test_criterion_11_persistence(tmp_path):
                 assert np.array_equal(lw.ffn.w_gate, lw2.ffn.w_gate)
             else:
                 assert np.array_equal(lw.moe_bank.router, lw2.moe_bank.router)
-                for a, b in zip(lw.moe_bank.routed, lw2.moe_bank.routed):
-                    assert np.array_equal(a.w_down, b.w_down)
+                assert np.array_equal(lw.moe_bank.routed.w_down, lw2.moe_bank.routed.w_down)
 
     blob = bytearray((tmp_path / "nano.qw2t").read_bytes())
     corrupted = tmp_path / "bad_magic.qw2t"

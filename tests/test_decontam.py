@@ -370,3 +370,17 @@ def test_contains_run_matches_oracle(docs, run, data):
         run = doc[start : start + data.draw(st.integers(0, 6))]
     index = NgramIndex([TokenSeq(d) for d in docs], 7)
     assert index.contains_run(run) == oracle.contains_run(docs, run)
+
+
+@given(st.lists(st.lists(_tokens, max_size=12).map(tuple), max_size=5),
+       st.lists(_tokens, min_size=3, max_size=3).map(tuple), st.data())
+@settings(max_examples=300, deadline=None)
+def test_contains_window_matches_oracle(docs, window, data):
+    n = 3
+    if docs and data.draw(st.booleans()):  # also a window cut from a document
+        doc = data.draw(st.sampled_from(docs))
+        if len(doc) >= n:
+            start = data.draw(st.integers(0, len(doc) - n))
+            window = doc[start : start + n]
+    index = NgramIndex([TokenSeq(d) for d in docs], n)
+    assert index.contains_window(window) == oracle.contains_run(docs, window)

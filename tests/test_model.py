@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import max_abs_diff
+from test_moe import _expert, _stack
 from qwenkit.config import ModelConfig, format_config, parse_config, preset, preset_names
 from qwenkit.errors import ConfigError, FormatError, InputError, NumericError
 from qwenkit import model
-from qwenkit.layers import KvCache, rope_freqs, swiglu_ffn
+from qwenkit.layers import KvCache, SwigluWeights, rope_freqs, swiglu_ffn
+from qwenkit.longctx import DcaParams, YarnParams
 from qwenkit.model import (
     PREFILL_CHUNK,
     LayerWeights,
@@ -31,6 +35,13 @@ TABLE = {
     "qwen2-72b": (8192, 80, 64, 8, 128, 29_568, None, False, 151_646, "7T"),
     "qwen2-57b-a14b": (3584, 28, 28, 4, 128, 2560, (64, 8, 8), False, 151_646, "4.5T"),
 }
+
+
+# A weight of the wrong shape, as (layer, field, slice applied to it).
+MALFORMED_WEIGHTS = [
+    pytest.param(0, "wq", np.s_[:, :10], id="wq-columns"),
+    pytest.param(1, "wo", np.s_[:5], id="wo-rows"),
+]
 
 
 # int() would take these as ids: "123" as [1, 2, 3], 1.9 as 1, True as 1.
@@ -104,8 +115,6 @@ class TestConfigFormat:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_roundtrip_with_extensions(self):
-        from qwenkit.longctx import DcaParams, YarnParams
-
         cfg = ModelConfig(hidden=64, n_layers=1, n_q_heads=2, n_kv_heads=2,
                           head_dim=32, ffn_intermediate=64, vocab_size=300,
                           regular_tokens=290, yarn=YarnParams(4.0, 4096),
@@ -205,6 +214,22 @@ class TestForward:
         with pytest.raises(NumericError, match="non-finite"):
             forward(w, cfg, [1, 2])
 
+    @pytest.mark.parametrize("layer, field, cut", MALFORMED_WEIGHTS)
+    def test_malformed_weight_named(self, layer, field, cut):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        lw = w.layers[layer]
+        setattr(lw, field, getattr(lw, field)[cut])
+        with pytest.raises(ConfigError, match=f"tensor layers.{layer}.{field} has shape"):
+            forward(w, cfg, [1, 2])
+
+    def test_non_float32_weight_named(self):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        w.layers[1].ffn_gamma = w.layers[1].ffn_gamma.astype(np.float64)
+        with pytest.raises(ConfigError, match="layers.1.ffn_gamma must be a float32"):
+            forward(w, cfg, [1, 2])
+
     def test_moe_block_swap_matches_dense(self):
         # A 1-expert MoE layer sharing the dense weights must reproduce the
         # dense model's logits.
@@ -218,7 +243,8 @@ class TestForward:
                           hidden=64))
         moe_layers = []
         for lw in dense.layers:
-            bank = ExpertBank(routed=[lw.ffn], shared=[],
+            bank = ExpertBank(routed=_stack([lw.ffn], moe_cfg.moe),
+                              shared=_stack([], moe_cfg.moe),
                               router=sample_normal(Rng(1), 64, 0.0, 0.02).reshape(1, 64))
             moe_layers.append(LayerWeights(
                 lw.attn_gamma, lw.wq, lw.bq, lw.wk, lw.bk, lw.wv, lw.bv, lw.wo,
@@ -233,7 +259,7 @@ class TestForward:
         w, cfg = _small_model("moe")
         ids = [int(t) % cfg.vocab_size for t in Rng(21).uint64s(150)]
         got = forward(w, cfg, ids)
-        monkeypatch.setattr(model, "moe_forward", _per_row_moe)
+        monkeypatch.setattr(model, "_moe_forward", _per_row_moe)
         want = forward(w, cfg, ids)
         assert max_abs_diff(got, want) <= 1e-5
 
@@ -356,6 +382,23 @@ class TestGreedyDecode:
         with pytest.raises(NumericError):
             greedy_decode(w, cfg, [1, 2], 3)
 
+    @pytest.mark.parametrize("layer, field, cut", MALFORMED_WEIGHTS)
+    def test_malformed_weight_named(self, layer, field, cut):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        lw = w.layers[layer]
+        setattr(lw, field, getattr(lw, field)[cut])
+        with pytest.raises(ConfigError, match=f"tensor layers.{layer}.{field} has shape"):
+            greedy_decode(w, cfg, [1, 2], 3)
+
+    def test_expert_stack_of_wrong_count_named(self):
+        cfg = preset("nano-moe")
+        w = build_model(cfg, 0)
+        bank = w.layers[0].moe_bank
+        bank.shared = SwigluWeights(*(arr[:0] for arr in bank.shared))
+        with pytest.raises(ConfigError, match=r"missing \['layers.0.moe.shared.0.w_down"):
+            greedy_decode(w, cfg, [1, 2], 3)
+
 
 def _per_row_moe(x, moe, bank):
     """Reference MoE FFN: route and combine one row at a time with the
@@ -363,10 +406,10 @@ def _per_row_moe(x, moe, bank):
     out = np.zeros_like(x)
     for t, row in enumerate(x):
         p = gate_probs(row, bank.router)
-        for triple in bank.shared:
-            out[t] += swiglu_ffn(row, *triple)
+        for s in range(moe.n_shared):
+            out[t] += swiglu_ffn(row, *_expert(bank.shared, s))
         for i in topk_select(p, moe.k_active):
-            out[t] += p[i] * swiglu_ffn(row, *bank.routed[i])
+            out[t] += p[i] * swiglu_ffn(row, *_expert(bank.routed, i))
     return out
 
 
@@ -402,3 +445,37 @@ def test_any_prompt_chunking_matches_forward_property(data, variant):
     for a, b in zip(bounds, bounds[1:]):
         got = _cached_logits(w, cfg, ids[a:b], a, cache, inv, 1.0)
         assert max_abs_diff(got, full[b - 1]) <= 1e-5
+
+
+def _pinned_layouts():
+    nano = preset("nano")
+    return {
+        "nano-moe": preset("nano-moe"),
+        "nano-yarn-dca": replace(nano, max_ctx=400, yarn=YarnParams(4.0, 128),
+                                 dca=DcaParams(160, 40)),
+    }
+
+
+# SHA-256 of the forward logits of build_model(cfg, seed=5) with unit norm
+# gains, over max_ctx seeded ids. They pin the arithmetic of the block loop
+# (MoE dispatch; YaRN frequencies and dual-chunk attention over three
+# chunks) bit for bit: a refactor that only moves code keeps them. They
+# hold for one numpy/OpenBLAS build (here numpy 2.4, OpenBLAS 0.3.31).
+LOGITS_SHA256 = {
+    "nano-moe": "5e7f6bf39dd7c8d626b9e219489b33518e4c2e5594bea9ce73894b374b6dac70",
+    "nano-yarn-dca": "169d025874bef786f54e8bb71d9e0e5f9bd9a54d8f13e60112558f0cfb92a357",
+}
+
+
+@pytest.mark.parametrize("name", list(LOGITS_SHA256))
+def test_forward_logits_pinned(name):
+    cfg = _pinned_layouts()[name]
+    w = build_model(cfg, seed=5)
+    for lw in w.layers:
+        lw.attn_gamma[:] = 1.0
+        lw.ffn_gamma[:] = 1.0
+    w.final_gamma[:] = 1.0
+    ids = [int(t) % cfg.vocab_size for t in Rng(3).uint64s(cfg.max_ctx)]
+    logits = forward(w, cfg, ids)
+    assert logits.dtype == np.float32
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == LOGITS_SHA256[name]

@@ -18,6 +18,7 @@ from qwenkit.moe import (
     replication_count,
     topk_select,
     upcycle_from_dense,
+    validate_bank,
 )
 from qwenkit.ops import Rng
 
@@ -25,15 +26,29 @@ from qwenkit.ops import Rng
 # --- independent oracle: softmax, top-k, weighted sum written from scratch ----
 
 
-def _oracle_expert(triple, x):
-    inter, d = triple.w_gate.shape
+def _expert(stack, e):
+    """Expert e of a stacked triple."""
+    return SwigluWeights(stack.w_gate[e], stack.w_up[e], stack.w_down[e])
+
+
+def _stack(triples, cfg):
+    """Per-expert (gate, up, down) triples as one stacked triple; none gives
+    stacks with a leading axis of 0."""
+    shapes = [(cfg.expert_dim, cfg.hidden), (cfg.expert_dim, cfg.hidden),
+              (cfg.hidden, cfg.expert_dim)]
+    return SwigluWeights(*(np.array([t[i] for t in triples], dtype=np.float32)
+                           .reshape(len(triples), *shape) for i, shape in enumerate(shapes)))
+
+
+def _oracle_expert(stack, e, x):
+    inter, d = stack.w_gate[e].shape
     y = [0.0] * d
     for c in range(inter):
-        g = sum(float(triple.w_gate[c, j]) * float(x[j]) for j in range(d))
-        u = sum(float(triple.w_up[c, j]) * float(x[j]) for j in range(d))
+        g = sum(float(stack.w_gate[e, c, j]) * float(x[j]) for j in range(d))
+        u = sum(float(stack.w_up[e, c, j]) * float(x[j]) for j in range(d))
         act = g / (1.0 + math.exp(-g)) * u
         for j in range(d):
-            y[j] += float(triple.w_down[j, c]) * act
+            y[j] += float(stack.w_down[e, j, c]) * act
     return y
 
 
@@ -47,26 +62,26 @@ def oracle_moe(x, cfg, bank):
     p = [e / total for e in exps]
     chosen = sorted(range(n), key=lambda i: (-p[i], i))[: cfg.k_active]
     y = [0.0] * d
-    for triple in bank.shared:
-        contrib = _oracle_expert(triple, x)
+    for s in range(cfg.n_shared):
+        contrib = _oracle_expert(bank.shared, s, x)
         y = [a + b for a, b in zip(y, contrib)]
     for i in chosen:
-        contrib = _oracle_expert(bank.routed[i], x)
+        contrib = _oracle_expert(bank.routed, i, x)
         y = [a + p[i] * b for a, b in zip(y, contrib)]
     return np.array(y)
 
 
 def _random_bank(rng, cfg, scale=0.3):
     def triple():
-        return SwigluWeights(
+        return (
             scale * rand_f32(rng, cfg.expert_dim, cfg.hidden),
             scale * rand_f32(rng, cfg.expert_dim, cfg.hidden),
             scale * rand_f32(rng, cfg.hidden, cfg.expert_dim),
         )
 
     return ExpertBank(
-        routed=[triple() for _ in range(cfg.n_routed)],
-        shared=[triple() for _ in range(cfg.n_shared)],
+        routed=_stack([triple() for _ in range(cfg.n_routed)], cfg),
+        shared=_stack([triple() for _ in range(cfg.n_shared)], cfg),
         router=scale * rand_f32(rng, cfg.n_routed, cfg.hidden),
     )
 
@@ -122,7 +137,7 @@ class TestMoeForward:
         bank = _random_bank(rng, cfg)
         x = rand_f32(rng, 8)
         got = moe_forward(x, cfg, bank)
-        want = swiglu_ffn(x, *bank.routed[0])
+        want = swiglu_ffn(x, *_expert(bank.routed, 0))
         assert np.array_equal(got, want)
 
     def test_identical_experts_collapse(self):
@@ -131,7 +146,7 @@ class TestMoeForward:
         shared_triple = SwigluWeights(
             0.3 * rand_f32(rng, 8, 8), 0.3 * rand_f32(rng, 8, 8), 0.3 * rand_f32(rng, 8, 8)
         )
-        bank = ExpertBank(routed=[shared_triple] * 6, shared=[],
+        bank = ExpertBank(routed=_stack([shared_triple] * 6, cfg), shared=_stack([], cfg),
                           router=rand_f32(rng, 6, 8))
         x = rand_f32(rng, 8)
         # k = n: selected probabilities sum to 1, so the mixture is one expert.
@@ -154,11 +169,22 @@ class TestMoeForward:
         rng = Rng(6)
         cfg = MoeConfig(n_routed=2, k_active=1, n_shared=0, expert_dim=4, hidden=4)
         bank = _random_bank(rng, cfg)
-        bank.routed[1] = SwigluWeights(np.zeros((3, 4), dtype=np.float32),
-                                       np.zeros((3, 4), dtype=np.float32),
-                                       np.zeros((4, 3), dtype=np.float32))
+        bank.routed = SwigluWeights(np.zeros((2, 3, 4), dtype=np.float32),
+                                    np.zeros((2, 3, 4), dtype=np.float32),
+                                    np.zeros((2, 4, 3), dtype=np.float32))
         with pytest.raises(ConfigError):
             moe_forward(rand_f32(rng, 4), cfg, bank)
+
+    def test_wrong_expert_count_rejected(self):
+        cfg = MoeConfig(n_routed=2, k_active=1, n_shared=1, expert_dim=4, hidden=4)
+        wider = MoeConfig(n_routed=3, k_active=1, n_shared=2, expert_dim=4, hidden=4)
+        bank = _random_bank(Rng(6), cfg)
+        extra = _random_bank(Rng(7), wider)
+        for kind in ("routed", "shared"):
+            bad = ExpertBank(bank.routed, bank.shared, bank.router)
+            setattr(bad, kind, getattr(extra, kind))
+            with pytest.raises(ConfigError, match=f"{kind} w_gate has shape"):
+                validate_bank(cfg, bad)
 
     def test_parameter_accounting(self):
         cfg = MoeConfig(n_routed=64, k_active=8, n_shared=8, expert_dim=2560,
@@ -192,13 +218,12 @@ class TestBatchedDispatch:
         cfg = MoeConfig(n_routed=6, k_active=2, n_shared=1, expert_dim=8, hidden=8)
         bank = _random_bank(rng, cfg)
         bank.router = np.zeros((6, 8), dtype=np.float32)
-        nan = np.full((8, 8), np.nan, dtype=np.float32)
-        for e in range(2, 6):
-            bank.routed[e] = SwigluWeights(nan, nan, nan)
+        for w in bank.routed:
+            w[2:] = np.nan
         x = rand_f32(rng, 9, 8)
-        want = swiglu_ffn(x, *bank.shared[0])
+        want = swiglu_ffn(x, *_expert(bank.shared, 0))
         for e in range(2):
-            want = want + np.float32(1 / 6) * swiglu_ffn(x, *bank.routed[e])
+            want = want + np.float32(1 / 6) * swiglu_ffn(x, *_expert(bank.routed, e))
         assert max_abs_diff(moe_forward(x, cfg, bank), want) <= 1e-6
 
     @pytest.mark.parametrize("shape", [(2, 3, 8), (5, 7), (7,), ()])
@@ -232,8 +257,8 @@ class TestUpcycle:
         perm = Rng(seed).permutation(8)
         assert np.array_equal(channels[0], perm[:4])
         assert np.array_equal(channels[1], perm[4:])
-        assert np.array_equal(experts[0].w_gate, w_gate[perm[:4]])
-        assert np.array_equal(experts[1].w_down, w_down[:, perm[4:]])
+        assert np.array_equal(experts.w_gate[0], w_gate[perm[:4]])
+        assert np.array_equal(experts.w_down[1], w_down[:, perm[4:]])
 
     def test_shuffle_consistency_before_reinit(self):
         # Each sliced expert must compute the dense FFN restricted to its
@@ -245,8 +270,8 @@ class TestUpcycle:
         cfg = MoeConfig(n_routed=n, k_active=1, n_shared=0, expert_dim=h_e, hidden=d)
         experts, channels = replicate_and_slice(w_gate, w_up, w_down, cfg, Rng(17))
         x = rand_f32(rng, d)
-        for expert, chans in zip(experts, channels):
-            got = swiglu_ffn(x, *expert)
+        for e, chans in enumerate(channels):
+            got = swiglu_ffn(x, *_expert(experts, e))
             want = np.zeros(d)
             for c in chans:
                 g = float(w_gate[c] @ x)
@@ -262,11 +287,11 @@ class TestUpcycle:
         cfg = MoeConfig(n_routed=2, k_active=1, n_shared=0, expert_dim=4, hidden=d)
         experts, channels = replicate_and_slice(w_gate, w_up, w_down, cfg, Rng(18))
         x = rand_f32(rng, d)
-        for expert, chans in zip(experts, channels):
+        for e, chans in enumerate(channels):
             masked_down = np.zeros_like(w_down)
             masked_down[:, chans] = w_down[:, chans]
             want = swiglu_ffn(x, w_gate, w_up, masked_down)
-            assert max_abs_diff(swiglu_ffn(x, *expert), want) <= 1e-5
+            assert max_abs_diff(swiglu_ffn(x, *_expert(experts, e)), want) <= 1e-5
 
     def test_reinit_fraction_is_exact_half(self):
         rng_w = Rng(11)
@@ -278,10 +303,10 @@ class TestUpcycle:
         bank = upcycle_from_dense(w_gate, w_up, w_down, cfg, Rng(seed))
         before, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, Rng(seed))
         count = cfg.params_per_expert
-        for pre, post in zip(before, bank.routed):
+        for e in range(cfg.n_routed):
             changed = sum(
-                int(np.sum(getattr(pre, part) != getattr(post, part)))
-                for part in ("w_gate", "w_up", "w_down")
+                int(np.sum(pre != post))
+                for pre, post in zip(_expert(before, e), _expert(bank.routed, e))
             )
             assert changed == count // 2
             assert changed / count == (count // 2) / count
@@ -293,11 +318,11 @@ class TestUpcycle:
         w_down = rand_f32(rng_w, d, h_ffn)
         cfg = MoeConfig(n_routed=4, k_active=1, n_shared=0, expert_dim=4, hidden=d)
         experts, channels = replicate_and_slice(w_gate, w_up, w_down, cfg, Rng(19))
-        for a in range(len(experts)):
-            for b in range(a + 1, len(experts)):
+        for a in range(cfg.n_routed):
+            for b in range(a + 1, cfg.n_routed):
                 if np.array_equal(channels[a], channels[b]):
                     continue  # identical channel order would copy weights too
-                assert not np.array_equal(experts[a].w_gate, experts[b].w_gate)
+                assert not np.array_equal(experts.w_gate[a], experts.w_gate[b])
 
     def test_upcycled_bank_validates_and_runs(self):
         rng_w = Rng(13)
@@ -319,7 +344,9 @@ class TestUpcycle:
         cfg = MoeConfig(n_routed=5, k_active=2, n_shared=1, expert_dim=12, hidden=16)
         bank = upcycle_from_dense(w_gate, w_up, w_down, cfg, Rng(31))
         digest = hashlib.sha256()
-        for triple in bank.routed + bank.shared:
+        experts = [_expert(bank.routed, e) for e in range(cfg.n_routed)]
+        experts += [_expert(bank.shared, s) for s in range(cfg.n_shared)]
+        for triple in experts:
             for arr in triple:
                 digest.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         digest.update(np.ascontiguousarray(bank.router, dtype="<f4").tobytes())
