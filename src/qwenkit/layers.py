@@ -2,11 +2,11 @@
 
 RMSNorm, the SwiGLU feed-forward, rotary position embedding, grouped-query
 attention with additive QKV bias handled at the projection site, and the
-KV cache for incremental decoding: a preallocated per-layer buffer of
-rotated keys and values, and one cached attention that attends any number
-of new rows (a prompt chunk or one decoded token) against it. Full-sequence
-and cached attention share one causal kernel that works on a block of
-query rows against the keys up to the block's end.
+KV cache: a preallocated per-layer buffer of rotated keys and values.
+Cached attention is the one causal GQA kernel. It appends new rows (a whole
+prompt or one decoded token) to the cache and scores them in query blocks,
+each against the keys up to the block's last row. Full-sequence attention
+runs it on a fresh cache.
 
 Each public function checks its arguments and then calls its private
 kernel (see ``ops``); the attention kernels take a precomputed rotary
@@ -123,7 +123,8 @@ def swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
     w_gate = as_f32(w_gate)
     w_up = as_f32(w_up)
     w_down = as_f32(w_down)
-    if w_gate.shape != w_up.shape or w_down.shape != (w_gate.shape[1], w_gate.shape[0]):
+    if (w_gate.ndim != 2 or w_gate.shape != w_up.shape
+            or w_down.shape != (w_gate.shape[1], w_gate.shape[0])):
         raise DimensionError(
             f"inconsistent FFN weights: gate {w_gate.shape}, up {w_up.shape}, "
             f"down {w_down.shape}"
@@ -257,47 +258,23 @@ def gqa_attention(
     positions: Sequence[int],
     rope: RopeParams,
     scale_mult: float = 1.0,
-    inv_freq=None,
 ) -> np.ndarray:
     """Causal grouped-query attention over a full sequence.
 
     q is [n_q_heads, seq, head_dim]; k and v are [n_kv_heads, seq, head_dim].
     RoPE is applied to q and k at ``positions`` (one cos/sin table for
-    both) before the logits ``scale_mult * q.k / sqrt(head_dim)``. Queries
-    go in blocks of at most :data:`ATTN_BLOCK` rows, and a block scores only
-    the keys up to its last row, so the causal upper triangle beyond the
-    block is never computed and score memory is O(block * seq). Within the
-    block, keys after a row are masked with :data:`MASK_SENTINEL`, and one
-    exact softmax per row over its causal prefix feeds the value
-    aggregation. Returns [seq, n_q_heads * head_dim] with heads concatenated.
-
-    ``inv_freq`` overrides the frequencies derived from ``rope`` (used by
-    context-extension schemes that rescale them).
+    both) before the logits ``scale_mult * q.k / sqrt(head_dim)``. The
+    sequence runs through :func:`cached_attention`'s kernel on a fresh
+    cache, so score memory is O(block * seq). Returns
+    [seq, n_q_heads * head_dim] with heads concatenated.
     """
     q = as_f32(q)
     k = as_f32(k)
     v = as_f32(v)
     _check_qkv_shapes(q, k, v, params)
-    if inv_freq is None:
-        inv_freq = rope_freqs(rope)
-    cos, sin = _rope_table(positions, inv_freq, q.shape[1], params.head_dim)
-    return _gqa_attention(q, k, v, params, cos, sin, scale_mult)
-
-
-def _gqa_attention(q, k, v, params: AttentionParams, cos, sin, scale_mult: float):
-    """Kernel of :func:`gqa_attention`; row s is rotated by ``cos[s]``, ``sin[s]``."""
     seq = q.shape[1]
-    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
-    qr = _rotate(q, cos, sin)
-    keys_t = _rotate(k, cos, sin).transpose(0, 2, 1)
-    scale = np.float32(scale_mult / math.sqrt(d))
-    out = np.empty((seq, params.n_q_heads, d), dtype=np.float32)
-    for start in range(0, seq, ATTN_BLOCK):
-        end = min(start + ATTN_BLOCK, seq)
-        logits = np.matmul(_group_queries(qr[:, start:end], n_kv), keys_t[:, :, :end])
-        block = _attend_causal(logits, v, g, scale)
-        out[start:end] = block.reshape(params.n_q_heads, end - start, d).transpose(1, 0, 2)
-    return out.reshape(seq, params.n_q_heads * d)
+    cos, sin = _rope_table(positions, rope_freqs(rope), seq, params.head_dim)
+    return _cached_attention(KvCache(1, seq), q, k, v, params, cos, sin, 0, scale_mult)
 
 
 class KvCache:
@@ -330,12 +307,10 @@ class KvCache:
         self._check_layer(layer)
         return self._lengths[layer]
 
-    def append(self, k_rotated, v, layer: int = 0) -> None:
-        """Store [n_kv_heads, rows, head_dim] keys and values after the
-        layer's last position."""
-        self._check_layer(layer)
-        k_rotated = as_f32(k_rotated)
-        v = as_f32(v)
+    def _check_entries(self, k_rotated: np.ndarray, v: np.ndarray) -> None:
+        """Raise :class:`DimensionError` unless the keys and values are
+        matching [n_kv_heads, rows, head_dim] blocks of the head layout the
+        cache holds; run before any write."""
         if k_rotated.shape != v.shape or k_rotated.ndim != 3:
             raise DimensionError(
                 f"cache entries must be matching [n_kv_heads, rows, head_dim] blocks, "
@@ -347,6 +322,14 @@ class KvCache:
                 f"cache holds {self._kv.shape[2]} heads of width {self._kv.shape[4]}, "
                 f"got entries {k_rotated.shape}"
             )
+
+    def append(self, k_rotated, v, layer: int = 0) -> None:
+        """Store [n_kv_heads, rows, head_dim] keys and values after the
+        layer's last position."""
+        self._check_layer(layer)
+        k_rotated = as_f32(k_rotated)
+        v = as_f32(v)
+        self._check_entries(k_rotated, v)
         self._append(k_rotated, v, layer)
 
     def _append(self, k_rotated: np.ndarray, v: np.ndarray, layer: int):
@@ -397,35 +380,37 @@ def cached_attention(
     position: int,
     layer: int = 0,
     scale_mult: float = 1.0,
-    inv_freq=None,
 ) -> np.ndarray:
     """Causal grouped-query attention of new positions against one cached layer.
 
     q is [n_q_heads, rows, head_dim]; k and v are [n_kv_heads, rows, head_dim]
     for positions ``position`` .. ``position + rows - 1``, and ``position``
     must equal the layer's cache length (contiguous decoding). Rotates q and
-    k with one cos/sin table, appends the rotated keys and the values to the
-    cache, and runs the new rows as one query block of the causal kernel
-    :func:`gqa_attention` uses, against every cached key: each new query
-    attends the keys up to its own position. ``rows`` is not capped at
-    :data:`ATTN_BLOCK`; callers choose the chunk. Returns
-    [rows, n_q_heads * head_dim]: the matching rows of :func:`gqa_attention`
-    over the whole sequence.
+    k with one cos/sin table and appends the rotated keys and the values to
+    the cache. The new rows then go in query blocks of at most
+    :data:`ATTN_BLOCK` rows, and a block scores only the keys up to its
+    last row, so the causal upper triangle beyond the block is never
+    computed. Within the block, keys after a row are masked with
+    :data:`MASK_SENTINEL`, and one exact softmax per row over its causal
+    prefix feeds the value aggregation. Returns [rows, n_q_heads * head_dim]:
+    the matching rows of :func:`gqa_attention` over the whole sequence.
+    Entries that do not match the cache's head layout raise
+    :class:`DimensionError` and leave the cache unchanged.
     """
     q = as_f32(q)
     k = as_f32(k)
     v = as_f32(v)
     _check_qkv_shapes(q, k, v, params)
+    cache._check_entries(k, v)
     expected = cache.length(layer)
     if position != expected:
         raise StateError(
             f"non-contiguous decode: cache layer {layer} holds {expected} positions "
             f"but got position {position}"
         )
-    if inv_freq is None:
-        inv_freq = rope_freqs(rope)
     rows = q.shape[1]
-    cos, sin = _rope_table(range(position, position + rows), inv_freq, rows, params.head_dim)
+    cos, sin = _rope_table(range(position, position + rows), rope_freqs(rope), rows,
+                           params.head_dim)
     return _cached_attention(cache, q, k, v, params, cos, sin, layer, scale_mult)
 
 
@@ -434,13 +419,18 @@ def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin
     """Kernel of :func:`cached_attention`; new row s is rotated by
     ``cos[s]``, ``sin[s]``."""
     rows = q.shape[1]
-    d = params.head_dim
+    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
+    start = cache.length(layer)
     keys, values = cache._append(_rotate(k, cos, sin), v, layer)
-    qg = _group_queries(_rotate(q, cos, sin), params.n_kv_heads)
-    logits = np.matmul(qg, keys.transpose(0, 2, 1))
+    keys_t = keys.transpose(0, 2, 1)
+    qr = _rotate(q, cos, sin)
     scale = np.float32(scale_mult / math.sqrt(d))
-    out = _attend_causal(logits, values, params.group_size, scale)
-    out = out.reshape(params.n_q_heads, rows, d).transpose(1, 0, 2)
+    out = np.empty((rows, params.n_q_heads, d), dtype=np.float32)
+    for a in range(0, rows, ATTN_BLOCK):
+        b = min(a + ATTN_BLOCK, rows)
+        logits = np.matmul(_group_queries(qr[:, a:b], n_kv), keys_t[:, :, :start + b])
+        block = _attend_causal(logits, values, g, scale)
+        out[a:b] = block.reshape(params.n_q_heads, b - a, d).transpose(1, 0, 2)
     return out.reshape(rows, params.n_q_heads * d)
 
 
@@ -455,7 +445,6 @@ def decode_step(
     position: int,
     layer: int = 0,
     scale_mult: float = 1.0,
-    inv_freq=None,
 ) -> tuple[np.ndarray, KvCache]:
     """Attend one new token against the cached history of one layer.
 
@@ -479,6 +468,5 @@ def decode_step(
             f"({params.n_kv_heads}, {params.head_dim})"
         )
     out = cached_attention(cache, new_q[:, None], new_k[:, None], new_v[:, None], params,
-                           rope, position=position, layer=layer, scale_mult=scale_mult,
-                           inv_freq=inv_freq)
+                           rope, position=position, layer=layer, scale_mult=scale_mult)
     return out[0], cache

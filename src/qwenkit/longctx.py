@@ -23,7 +23,6 @@ from .layers import (
     AttentionParams,
     RopeParams,
     as_f32,
-    gqa_attention,
     rope_freqs,
     _attend_causal,
     _check_qkv_shapes,
@@ -112,6 +111,12 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
     return adjusted.astype(np.float32), attn_mult
 
 
+def _rotary_freqs(rope: RopeParams, yarn: YarnParams | None) -> tuple[np.ndarray, float]:
+    """Rotary frequencies and attention-logit multiplier, YaRN-adjusted if
+    ``yarn`` is given."""
+    return (rope_freqs(rope), 1.0) if yarn is None else yarn_adjust(rope, yarn)
+
+
 def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     """Effective relative distance between query position i and key position j.
 
@@ -131,6 +136,17 @@ def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     if i // s_c == j // s_c + 1 and i - j <= dca.local_window:
         return i - j
     return (s_c - 1) - (j % s_c)
+
+
+def _check_yarn_range(dca: DcaParams, yarn: YarnParams | None) -> None:
+    """Raise :class:`ParameterError` unless the 2 * chunk_size remapped
+    positions of dual-chunk attention fit inside YaRN's rescaled rotary
+    range scale * native_ctx."""
+    if yarn is not None and 2 * dca.chunk_size > yarn.scale * yarn.native_ctx:
+        raise ParameterError(
+            f"dual-chunk positions reach {2 * dca.chunk_size - 1} but the rescaled "
+            f"rotary range covers only {yarn.scale * yarn.native_ctx:g} positions"
+        )
 
 
 def dca_attention(
@@ -158,37 +174,31 @@ def dca_attention(
     over its causal prefix then feeds the value aggregation, so each query
     row still carries a proper distribution.
 
-    Sequences no longer than one chunk reduce exactly to
-    :func:`gqa_attention`. When ``yarn`` is given, its rescaled frequencies
-    and attention multiplier are used; the remapped position range
-    2 * chunk_size must fit inside scale * native_ctx.
+    A sequence no longer than one chunk has only intra blocks, whose
+    remapped positions are the true ones, so it reduces exactly to
+    :func:`~qwenkit.layers.gqa_attention`. When ``yarn`` is given, its
+    rescaled frequencies and attention multiplier are used; the remapped
+    position range 2 * chunk_size must fit inside scale * native_ctx, else
+    :class:`ParameterError`.
     """
     q = as_f32(q)
     k = as_f32(k)
     v = as_f32(v)
     _check_qkv_shapes(q, k, v, params)
+    _check_yarn_range(dca, yarn)
+    inv_freq, scale_mult = _rotary_freqs(rope, yarn)
+    n = 2 * dca.chunk_size
+    cos, sin = _rope_table(range(n), inv_freq, n, params.head_dim)
+    return _dca_attention(q, k, v, params, dca, cos, sin, scale_mult)
+
+
+def _dca_attention(q, k, v, params: AttentionParams, dca: DcaParams, cos, sin,
+                   scale_mult: float) -> np.ndarray:
+    """Kernel of :func:`dca_attention`; ``cos`` and ``sin`` cover the
+    2 * chunk_size remapped positions."""
     s_c = dca.chunk_size
-    if yarn is not None:
-        covered = yarn.scale * yarn.native_ctx
-        if 2 * s_c > covered:
-            raise ParameterError(
-                f"dual-chunk positions reach {2 * s_c - 1} but the rescaled rotary "
-                f"range covers only {covered:g} positions"
-            )
-        inv_freq, scale_mult = yarn_adjust(rope, yarn)
-    else:
-        inv_freq, scale_mult = rope_freqs(rope), 1.0
-
     seq = q.shape[1]
-    if seq <= s_c:
-        # Single chunk: all remapped positions equal the true ones.
-        return gqa_attention(
-            q, k, v, params, list(range(seq)), rope,
-            scale_mult=scale_mult, inv_freq=inv_freq,
-        )
-
     n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
-    cos, sin = _rope_table(range(2 * s_c), inv_freq, 2 * s_c, d)
     pos_mod = np.arange(seq) % s_c
     keys_t = _rotate(k, cos[pos_mod], sin[pos_mod]).transpose(0, 2, 1)
     scale = np.float32(scale_mult / math.sqrt(d))

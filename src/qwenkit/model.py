@@ -2,9 +2,12 @@
 
 Blocks are pre-normalized residuals: x += Attn(RMSNorm(x)) then
 x += FFN(RMSNorm(x)), with a final RMSNorm before the output projection.
-The forward pass and cached decoding run the same block loop; only the
-attention call differs. Both check the weights against the layout of the
-config once per call, so the loop runs the unchecked kernels.
+The forward pass and cached decoding run the same block loop and the same
+attention kernel: ``forward`` prefills a fresh KV cache with the whole
+sequence, exactly as ``greedy_decode`` prefills its prompt before feeding
+one row per token. Only dual-chunk attention takes its own kernel. Both
+check the weights against the layout of the config once per call, so the
+loop runs the unchecked kernels and one rotary table serves every layer.
 When embeddings are tied the output projection *is* the embedding matrix
 (same array object, no copy).
 """
@@ -22,20 +25,15 @@ from .layers import (
     KvCache,
     SwigluWeights,
     _cached_attention,
-    _gqa_attention,
     _rms_norm,
     _rope_table,
     _swiglu_ffn,
-    rope_freqs,
 )
-from .longctx import dca_attention, yarn_adjust
+from .longctx import _check_yarn_range, _dca_attention, _rotary_freqs
 from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
 from .ops import Rng, sample_normal
 
 INIT_STD = 0.02
-# Prompt rows fed to the cache per batched call: long prompts go in chunks
-# so the attention scores of one call stay small.
-PREFILL_CHUNK = 128
 
 
 @dataclass
@@ -274,34 +272,40 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2))
 
 
-def _rotary(cfg: ModelConfig) -> tuple[np.ndarray, float]:
-    """Rotary frequencies and attention-logit multiplier, YaRN-adjusted if set."""
-    rope = cfg.rope_params()
-    if cfg.yarn is not None:
-        return yarn_adjust(rope, cfg.yarn)
-    return rope_freqs(rope), 1.0
+def _rotary(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cos and sin tables of the blocks and the attention-logit
+    multiplier, YaRN-adjusted if set.
+
+    The tables cover positions 0 .. n - 1, or under dual-chunk attention
+    the 2 * chunk_size remapped positions, whatever ``n`` is.
+    """
+    inv_freq, scale_mult = _rotary_freqs(cfg.rope_params(), cfg.yarn)
+    if cfg.dca is not None:
+        n = 2 * cfg.dca.chunk_size
+    return (*_rope_table(range(n), inv_freq, n, cfg.head_dim), scale_mult)
 
 
 def _blocks(
     weights: ModelWeights,
     cfg: ModelConfig,
     ids: list[int],
-    position: int,
-    cache: KvCache | None,
-    inv_freq: np.ndarray,
-    scale_mult: float,
+    cache: KvCache,
+    rotary: tuple[np.ndarray, np.ndarray, float],
 ) -> np.ndarray:
     """Hidden states [rows, hidden] of ``ids`` after every decoder block.
 
-    Without a cache the rows are the whole sequence from position 0. With a
-    cache they continue it at ``position``, attend to the cached history,
-    and are appended to it. The weights must have passed
-    :func:`_check_weights`: every layer runs the unchecked kernels, and one
-    rotary table serves them all.
+    The rows continue the sequence ``cache`` holds, at position
+    ``cache.length()``: they attend to the cached history and are appended
+    to it. Under dual-chunk attention the rows are the whole sequence and
+    the cache stays empty. ``rotary`` is :func:`_rotary` over at least the
+    positions the rows reach. The weights must have passed
+    :func:`_check_weights`: every layer runs the unchecked kernels.
     """
     params = cfg.attention_params()
-    rows = len(ids)
-    cos, sin = _rope_table(range(position, position + rows), inv_freq, rows, cfg.head_dim)
+    cos, sin, scale_mult = rotary
+    if cfg.dca is None:
+        start = cache.length()
+        cos, sin = cos[start:start + len(ids)], sin[start:start + len(ids)]
     x = weights.embedding[ids]
     for li, lw in enumerate(weights.layers):
         h = _rms_norm(x, lw.attn_gamma, cfg.rms_eps)
@@ -313,12 +317,10 @@ def _blocks(
         q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
         k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
-        if cache is not None:
-            attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult)
-        elif cfg.dca is not None:
-            attn = dca_attention(q3, k3, v3, params, cfg.dca, cfg.rope_params(), cfg.yarn)
+        if cfg.dca is not None:
+            attn = _dca_attention(q3, k3, v3, params, cfg.dca, cos, sin, scale_mult)
         else:
-            attn = _gqa_attention(q3, k3, v3, params, cos, sin, scale_mult)
+            attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult)
         x = x + attn @ lw.wo.T
         h2 = _rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
         if lw.ffn is not None:
@@ -339,10 +341,14 @@ def _logits(weights: ModelWeights, cfg: ModelConfig, x: np.ndarray) -> np.ndarra
 def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -> np.ndarray:
     """Logits for every position, [seq, vocab_size].
 
-    Token ids must be Python or numpy integers (not bool) inside the
-    vocabulary, else :class:`InputError`. Weights that are not float32
-    arrays of the layout ``cfg`` implies raise :class:`ConfigError` naming
-    the tensor. Non-finite logits raise :class:`NumericError`.
+    The sequence prefills a fresh KV cache through the blocks, as
+    :func:`greedy_decode` prefills its prompt. Token ids must be Python or
+    numpy integers (not bool) inside the vocabulary, else
+    :class:`InputError`. Weights that are not float32 arrays of the layout
+    ``cfg`` implies raise :class:`ConfigError` naming the tensor. A
+    dual-chunk config whose remapped positions overrun the YaRN range
+    raises :class:`~qwenkit.errors.ParameterError`. Non-finite logits raise
+    :class:`NumericError`.
     """
     _check_weights(weights, cfg)
     ids = _validate_ids(cfg, token_ids)
@@ -350,36 +356,11 @@ def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -
         raise InputError("token_ids must be nonempty")
     if len(ids) > cfg.max_ctx:
         raise InputError(f"sequence length {len(ids)} exceeds max_ctx {cfg.max_ctx}")
-    inv_freq, scale_mult = _rotary(cfg)
-    return _logits(weights, cfg, _blocks(weights, cfg, ids, 0, None, inv_freq, scale_mult))
-
-
-def _cached_logits(
-    weights: ModelWeights,
-    cfg: ModelConfig,
-    ids: list[int],
-    position: int,
-    cache: KvCache,
-    inv_freq: np.ndarray,
-    scale_mult: float,
-) -> np.ndarray:
-    """Feed ``ids`` at ``position`` through all layers via the cache; return
-    the logits of the last one."""
-    x = _blocks(weights, cfg, ids, position, cache, inv_freq, scale_mult)
-    return _logits(weights, cfg, x[-1])
-
-
-def _decode_token(
-    weights: ModelWeights,
-    cfg: ModelConfig,
-    token: int,
-    position: int,
-    cache: KvCache,
-    inv_freq: np.ndarray,
-    scale_mult: float,
-) -> np.ndarray:
-    """Feed one token through all layers via the cache; return its logits."""
-    return _cached_logits(weights, cfg, [token], position, cache, inv_freq, scale_mult)
+    if cfg.dca is not None:
+        _check_yarn_range(cfg.dca, cfg.yarn)
+    x = _blocks(weights, cfg, ids, KvCache(cfg.n_layers, capacity=len(ids)),
+                _rotary(cfg, len(ids)))
+    return _logits(weights, cfg, x)
 
 
 def greedy_decode(
@@ -387,13 +368,13 @@ def greedy_decode(
 ) -> list[int]:
     """Extend ``prompt`` by up to ``max_new`` argmax tokens using the KV cache.
 
-    The cache is preallocated for the prompt and ``max_new`` tokens. The
-    prompt is fed in chunks of :data:`PREFILL_CHUNK` rows, each one batched
-    call through the blocks, then every new token is fed as one row; only
-    the last row of each call is projected to logits. Deterministic; argmax
-    ties resolve to the lower token id. Generation stops early after
-    emitting the configured end-of-text id. Token ids and weights are
-    checked as in :func:`forward`, and non-finite logits raise
+    The cache is preallocated for the prompt and ``max_new`` tokens, and
+    one rotary table covers them all. The whole prompt goes through the
+    blocks in one call, as in :func:`forward`, then every new token is fed
+    as one row; only the last row of each call is projected to logits.
+    Deterministic; argmax ties resolve to the lower token id. Generation
+    stops early after emitting the configured end-of-text id. Token ids and
+    weights are checked as in :func:`forward`, and non-finite logits raise
     :class:`NumericError`. Incremental decoding supports the vanilla
     attention path only (no dual-chunk remapping).
     """
@@ -411,15 +392,14 @@ def greedy_decode(
         )
     if max_new == 0:
         return ids
-    inv_freq, scale_mult = _rotary(cfg)
-    cache = KvCache(cfg.n_layers, capacity=len(ids) + max_new)
-    for start in range(0, len(ids), PREFILL_CHUNK):
-        logits = _cached_logits(weights, cfg, ids[start:start + PREFILL_CHUNK], start,
-                                cache, inv_freq, scale_mult)
+    total = len(ids) + max_new
+    rotary = _rotary(cfg, total)
+    cache = KvCache(cfg.n_layers, capacity=total)
     out = list(ids)
+    x = _blocks(weights, cfg, ids, cache, rotary)
     while True:
-        nxt = int(np.argmax(logits))
+        nxt = int(np.argmax(_logits(weights, cfg, x[-1])))
         out.append(nxt)
-        if nxt == cfg.effective_eot_id or len(out) == len(ids) + max_new:
+        if nxt == cfg.effective_eot_id or len(out) == total:
             return out
-        logits = _decode_token(weights, cfg, nxt, len(out) - 1, cache, inv_freq, scale_mult)
+        x = _blocks(weights, cfg, [nxt], cache, rotary)

@@ -18,6 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 
+import numpy as np
+
 from .errors import FormatError, InputError, ParameterError
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
@@ -226,10 +228,17 @@ def encode(vocab: BpeVocab, text) -> list[int]:
 
 
 def decode(vocab: BpeVocab, ids) -> bytes:
-    """Concatenated token byte strings; control ids contribute nothing."""
+    """Concatenated token byte strings; control ids contribute nothing.
+
+    Ids must be Python or numpy integers (not bool) inside the vocabulary,
+    else :class:`InputError`.
+    """
     parts = []
     for t in ids:
-        t = int(t)
+        # int() would turn "7" into 7 and 1.5 into 1; bool is an int subclass.
+        if type(t) is not int and (isinstance(t, bool)
+                                   or not isinstance(t, (int, np.integer))):
+            raise InputError(f"token id {t!r} is not an integer")
         if 0 <= t < vocab.n_regular:
             parts.append(vocab.token_bytes[t])
         elif vocab.n_regular <= t < vocab.vocab_size:

@@ -80,13 +80,12 @@ def test_criterion_3_kv_cache():
     ids = [int(v % cfg.vocab_size) for v in rng.uint64s(32)]
 
     cache = qk.KvCache(cfg.n_layers)
-    from qwenkit.model import _decode_token
-    from qwenkit.layers import rope_freqs
+    from qwenkit.model import _blocks, _logits, _rotary
 
-    inv = rope_freqs(cfg.rope_params())
+    rotary = _rotary(cfg, 32)
     for length in range(1, 33):
-        step_logits = _decode_token(weights, cfg, ids[length - 1], length - 1,
-                                    cache, inv, 1.0)
+        step_logits = _logits(weights, cfg,
+                              _blocks(weights, cfg, [ids[length - 1]], cache, rotary)[-1])
         full = qk.forward(weights, cfg, ids[:length])
         assert max_abs_diff(step_logits, full[-1]) <= 1e-5
 

@@ -2,7 +2,8 @@
 
 Sequences up to 400 rows span several ATTN_BLOCK-row query blocks with a
 ragged last block, and chunk sizes from 1 to 160 put chunk boundaries
-inside, at and across block boundaries.
+inside, at and across block boundaries. A cached call after a held prefix
+puts the block boundaries off the multiples of ATTN_BLOCK.
 """
 
 import numpy as np
@@ -51,6 +52,25 @@ def test_gqa_matches_dense_oracle(seq, ratio, offset, scale_mult, seed):
     assert max_abs_diff(got, want) <= 1e-5
 
 
+@given(prefix=st.integers(0, 200), rows=st.integers(1, 300), ratio=st.sampled_from(RATIOS),
+       scale_mult=st.sampled_from([1.0, 1.7]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cached_call_after_held_prefix_matches_dense_oracle(prefix, rows, ratio, scale_mult,
+                                                            seed):
+    params = AttentionParams(*ratio, HEAD_DIM)
+    rope = RopeParams(10_000.0, HEAD_DIM)
+    seq = prefix + rows
+    q, k, v = _qkv(seed, params, seq)
+    cache = KvCache(1)
+    if prefix:
+        cached_attention(cache, q[:, :prefix], k[:, :prefix], v[:, :prefix], params, rope,
+                         position=0, scale_mult=scale_mult)
+    got = cached_attention(cache, q[:, prefix:], k[:, prefix:], v[:, prefix:], params, rope,
+                           position=prefix, scale_mult=scale_mult)
+    want = dense_gqa(q, k, v, params, list(range(seq)), rope, scale_mult=scale_mult)
+    assert max_abs_diff(got, want[prefix:]) <= 1e-5
+
+
 @st.composite
 def _dca_params(draw):
     chunk = draw(st.integers(1, 160))
@@ -70,13 +90,26 @@ def test_dca_matches_dense_oracle(seq, ratio, dca, use_yarn, seed):
     assert max_abs_diff(got, want) <= 1e-5
 
 
+def _cached_after_prefix(q, k, v, params, rope, prefix=5):
+    """Rows 0 .. prefix - 1 held in a cache, then the rest in one cached call."""
+    cache = KvCache(1)
+    head = cached_attention(cache, q[:, :prefix], k[:, :prefix], v[:, :prefix], params,
+                            rope, position=0)
+    tail = cached_attention(cache, q[:, prefix:], k[:, prefix:], v[:, prefix:], params,
+                            rope, position=prefix)
+    return np.concatenate([head, tail])
+
+
 @pytest.mark.parametrize("attend", [
     lambda q, k, v, params, rope: gqa_attention(q, k, v, params, list(range(q.shape[1])), rope),
     lambda q, k, v, params, rope: dca_attention(q, k, v, params, DcaParams(160, 48), rope),
-], ids=["gqa", "dca"])
+    _cached_after_prefix,
+], ids=["gqa", "dca", "cached"])
 def test_second_block_row_leaves_earlier_rows_bit_exact(attend):
-    # Blocks are [0, 128), [128, ...) for both (the DCA chunk ends at 160);
-    # row t sits in the second block, so rows 128 .. t - 1 share its block.
+    # Blocks are [0, 128), [128, ...) for gqa and dca (the DCA chunk ends at
+    # 160); row t sits in the second block, so rows 128 .. t - 1 share its
+    # block. After the 5 held rows the cached call's blocks are [5, 133),
+    # [133, 261), ...; row t shares the second with rows 133 .. t - 1.
     params = AttentionParams(4, 2, HEAD_DIM)
     rope = RopeParams(10_000.0, HEAD_DIM)
     seq, t = 300, ATTN_BLOCK + 12

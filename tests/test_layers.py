@@ -101,6 +101,10 @@ class TestSwiglu:
         with pytest.raises(DimensionError):
             swiglu_ffn(np.zeros(4), np.zeros((8, 4)), np.zeros((8, 4)), np.zeros((4, 7)))
 
+    def test_one_dimensional_weights_rejected(self):
+        with pytest.raises(DimensionError):
+            swiglu_ffn(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4))
+
 
 class TestRope:
     def test_freqs_base_10000_dim4(self):
@@ -300,6 +304,27 @@ class TestKvCache:
         assert np.array_equal(cache.values(1), -held)
         assert cache.length(0) == 0
         assert not cache.keys(1).flags.writeable
+
+    def _held_cache(self):
+        """A cache holding 3 positions of 2 KV heads of width 8."""
+        params, rope, q, k, v = self._setup(nq=2, nkv=2, hd=8)
+        cache = KvCache(1)
+        cached_attention(cache, q[:, :3], k[:, :3], v[:, :3], params, rope, position=0)
+        return cache
+
+    # Entries of 1 KV head, and of 2 KV heads of width 4, against a cache
+    # of 2 heads of width 8, through both entry points.
+    @pytest.mark.parametrize("nkv, hd", [(1, 8), (2, 4)])
+    @pytest.mark.parametrize("one_row", [False, True], ids=["cached_attention", "decode_step"])
+    def test_mismatched_cache_left_unchanged(self, nkv, hd, one_row):
+        cache = self._held_cache()
+        params, rope, q, k, v = self._setup(seq=1, nq=2, nkv=nkv, hd=hd)
+        with pytest.raises(DimensionError, match="cache holds 2 heads of width 8"):
+            if one_row:
+                decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope, position=3)
+            else:
+                cached_attention(cache, q, k, v, params, rope, position=3)
+        assert cache.length() == 3
 
     @pytest.mark.parametrize("layer", [3, 1, -1])
     def test_out_of_range_layer_rejected(self, layer):

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from helpers import max_abs_diff
 from test_moe import _expert, _stack
 from qwenkit.config import ModelConfig, format_config, parse_config, preset, preset_names
-from qwenkit.errors import ConfigError, FormatError, InputError, NumericError
+from qwenkit.errors import ConfigError, FormatError, InputError, NumericError, ParameterError
 from qwenkit import model
-from qwenkit.layers import KvCache, SwigluWeights, rope_freqs, swiglu_ffn
+from qwenkit.layers import ATTN_BLOCK, KvCache, SwigluWeights, swiglu_ffn
 from qwenkit.longctx import DcaParams, YarnParams
 from qwenkit.model import (
-    PREFILL_CHUNK,
     LayerWeights,
-    _cached_logits,
+    _blocks,
+    _logits,
+    _rotary,
     build_model,
     forward,
     greedy_decode,
@@ -230,6 +231,15 @@ class TestForward:
         with pytest.raises(ConfigError, match="layers.1.ffn_gamma must be a float32"):
             forward(w, cfg, [1, 2])
 
+    def test_dca_beyond_yarn_range_rejected_at_entry(self, monkeypatch):
+        # 2 * 128 remapped positions against a rescaled range of 2 * 64.
+        cfg = replace(preset("nano"), yarn=YarnParams(2.0, 64), dca=DcaParams(128))
+        w = build_model(cfg, 0)
+        assert forward(w, replace(cfg, dca=DcaParams(64)), [1, 2, 3]).shape[0] == 3
+        monkeypatch.setattr(model, "_blocks", None)  # no block may run first
+        with pytest.raises(ParameterError, match="rescaled rotary range covers only 128"):
+            forward(w, cfg, [1, 2, 3])
+
     def test_moe_block_swap_matches_dense(self):
         # A 1-expert MoE layer sharing the dense weights must reproduce the
         # dense model's logits.
@@ -347,7 +357,7 @@ class TestGreedyDecode:
 
     def test_prompt_longer_than_a_chunk_matches_forward_loop(self):
         w, cfg = _small_model("dense")
-        prompt = [int(t) % cfg.regular_tokens for t in Rng(7).uint64s(PREFILL_CHUNK + 70)]
+        prompt = [int(t) % cfg.regular_tokens for t in Rng(7).uint64s(ATTN_BLOCK + 70)]
         got = greedy_decode(w, cfg, prompt, max_new=5)
         ids = list(prompt)
         for _ in range(5):
@@ -358,7 +368,7 @@ class TestGreedyDecode:
 
     def test_moe_prompt_longer_than_a_chunk_matches_forward_loop(self):
         w, cfg = _small_model("moe")
-        prompt = [int(t) % cfg.regular_tokens for t in Rng(8).uint64s(PREFILL_CHUNK + 45)]
+        prompt = [int(t) % cfg.regular_tokens for t in Rng(8).uint64s(ATTN_BLOCK + 45)]
         got = greedy_decode(w, cfg, prompt, max_new=5)
         ids = list(prompt)
         for _ in range(5):
@@ -441,9 +451,9 @@ def test_any_prompt_chunking_matches_forward_property(data, variant):
     bounds = [0, *sorted(cuts - {len(ids)}), len(ids)]
     full = forward(w, cfg, ids)
     cache = KvCache(cfg.n_layers)
-    inv = rope_freqs(cfg.rope_params())
+    rotary = _rotary(cfg, len(ids))
     for a, b in zip(bounds, bounds[1:]):
-        got = _cached_logits(w, cfg, ids[a:b], a, cache, inv, 1.0)
+        got = _logits(w, cfg, _blocks(w, cfg, ids[a:b], cache, rotary)[-1])
         assert max_abs_diff(got, full[b - 1]) <= 1e-5
 
 

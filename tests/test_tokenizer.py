@@ -143,6 +143,17 @@ class TestEncodeDecode:
         with pytest.raises(InputError):
             decode(base_vocab(), [999])
 
+    # int() would read 1.5 as 1 and "7" as 7; bool is an int subclass.
+    @pytest.mark.parametrize("bad", [1.5, "x", "7", True, np.float32(2.0)],
+                             ids=["float", "str", "digit-str", "bool", "np-float32"])
+    def test_non_integer_id_rejected(self, bad):
+        with pytest.raises(InputError, match="is not an integer"):
+            decode(base_vocab(), [ord("a"), bad])
+
+    def test_numpy_integer_ids_accepted(self):
+        vocab = base_vocab()
+        assert decode(vocab, np.array([ord("h"), ord("i")], dtype=np.int64)) == b"hi"
+
     def test_str_input_is_utf8(self):
         vocab = base_vocab()
         assert decode(vocab, encode(vocab, "héllo")) == "héllo".encode("utf-8")
