@@ -1,7 +1,10 @@
 """Length extrapolation: frequency rescaling and dual-chunk remapping.
 
-Run: python demos/long_context.py
+Run: python demos/long_context.py  (exits 1 if DCA decoding disagrees with forward)
 """
+
+import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -11,9 +14,13 @@ from qwenkit import (
     RopeParams,
     Rng,
     YarnParams,
+    build_model,
     dca_attention,
     dca_relpos,
+    forward,
     gqa_attention,
+    greedy_decode,
+    preset,
     rope_freqs,
     yarn_adjust,
 )
@@ -77,3 +84,29 @@ print(f"four-chunk output finite: {np.isfinite(multi).all()}, "
 composed = dca_attention(q, k, v, params, DcaParams(chunk_size=16), rope16,
                          yarn=YarnParams(scale=2.0, native_ctx=64))
 print(f"with rescaling on top  : finite={np.isfinite(composed).all()}")
+
+# --- decoding under DCA + YaRN -------------------------------------------------
+# greedy_decode runs dual-chunk attention through the KV cache: each key is
+# cached rotated at its position mod chunk_size, and each new token scores
+# the cache with the same kernel forward uses. Here a prompt of 80 tokens
+# spans three chunks of 32, and the 24 new tokens cross into a fourth. The
+# result must be the argmax loop over forward on the same config.
+# (Untied: with tied embeddings and these weights the last token repeats.)
+cfg = replace(preset("nano"), tie_embeddings=False, max_ctx=128,
+              yarn=YarnParams(scale=4.0, native_ctx=32),
+              dca=DcaParams(chunk_size=32, local_window=8))
+weights = build_model(cfg, seed=1)
+for layer in weights.layers:  # unit norm gains, as in a trained model
+    layer.attn_gamma[:] = 1.0
+    layer.ffn_gamma[:] = 1.0
+weights.final_gamma[:] = 1.0
+prompt = [int(t) % cfg.regular_tokens for t in Rng(9).uint64s(80)]
+decoded = greedy_decode(weights, cfg, prompt, max_new=24)
+loop = list(prompt)
+while len(loop) < len(decoded):
+    loop.append(int(np.argmax(forward(weights, cfg, loop)[-1])))
+print(f"\nDCA+YaRN greedy decode, chunk 32, context {len(prompt)} -> {len(decoded)}:")
+print(f"  new tokens        : {decoded[len(prompt):]}")
+print(f"  argmax of forward : {'same' if decoded == loop else loop[len(prompt):]}")
+if decoded != loop:
+    sys.exit(1)

@@ -3,10 +3,10 @@
 RMSNorm, the SwiGLU feed-forward, rotary position embedding, grouped-query
 attention with additive QKV bias handled at the projection site, and the
 KV cache: a preallocated per-layer buffer of rotated keys and values.
-Cached attention is the one causal GQA kernel. It appends new rows (a whole
-prompt or one decoded token) to the cache and scores them in query blocks,
-each against the keys up to the block's last row. Full-sequence attention
-runs it on a fresh cache.
+Cached attention is the one causal kernel, dual-chunk or not. It appends new
+rows (a whole prompt or one decoded token) to the cache and scores them in
+query blocks, each against the keys up to the block's last row. Full-sequence
+attention runs it on a fresh cache.
 
 Each public function checks its arguments and then calls its private
 kernel (see ``ops``); the attention kernels take a precomputed rotary
@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateError
 from .ops import _silu, _softmax_rows, as_f32
+
+if TYPE_CHECKING:
+    from .longctx import DcaParams
 
 # Causal mask sentinel: large-negative float32 whose exp underflows to exactly 0,
 # so masked positions can never leak into earlier rows.
@@ -280,7 +283,8 @@ def gqa_attention(
 class KvCache:
     """Per-layer store of past keys and values in one preallocated buffer.
 
-    Keys are stored already rotated at their absolute positions; values are
+    Keys are stored already rotated at their absolute positions, or under
+    dual-chunk attention at their position mod chunk_size; values are
     stored as projected. Both live in one float32 buffer
     ``[2, n_layers, n_kv_heads, capacity, head_dim]`` (K at index 0, V at
     index 1) that the first append allocates, taking the head layout from
@@ -409,28 +413,63 @@ def cached_attention(
             f"but got position {position}"
         )
     rows = q.shape[1]
-    cos, sin = _rope_table(range(position, position + rows), rope_freqs(rope), rows,
-                           params.head_dim)
+    # The kernel reads the table by position and never reads rows before ``position``.
+    cos = np.empty((position + rows, params.head_dim // 2), dtype=np.float32)
+    sin = np.empty_like(cos)
+    cos[position:], sin[position:] = _rope_table(range(position, position + rows),
+                                                 rope_freqs(rope), rows, params.head_dim)
     return _cached_attention(cache, q, k, v, params, cos, sin, layer, scale_mult)
 
 
 def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin,
-                      layer: int, scale_mult: float) -> np.ndarray:
-    """Kernel of :func:`cached_attention`; new row s is rotated by
-    ``cos[s]``, ``sin[s]``."""
+                      layer: int, scale_mult: float, dca: DcaParams | None = None) -> np.ndarray:
+    """Kernel of :func:`cached_attention`, and with ``dca`` of
+    :func:`~qwenkit.longctx.dca_attention`; vanilla attention is the case of
+    one chunk holding everything. ``cos`` and ``sin`` are indexed by position
+    (the 2 * chunk_size remapped ones under ``dca``): a new key at t is
+    rotated at t, or t mod chunk_size, and appended to the cache."""
     rows = q.shape[1]
     n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
     start = cache.length(layer)
-    keys, values = cache._append(_rotate(k, cos, sin), v, layer)
+    end = start + rows
+    if dca is None:
+        chunk = end
+        cos_new, sin_new = cos[start:end], sin[start:end]
+    else:
+        chunk = dca.chunk_size
+        pos_mod = np.arange(start, end) % chunk
+        cos_new, sin_new = cos[pos_mod], sin[pos_mod]
+    keys, values = cache._append(_rotate(k, cos_new, sin_new), v, layer)
     keys_t = keys.transpose(0, 2, 1)
-    qr = _rotate(q, cos, sin)
+    q_intra = _rotate(q, cos_new, sin_new)
     scale = np.float32(scale_mult / math.sqrt(d))
     out = np.empty((rows, params.n_q_heads, d), dtype=np.float32)
-    for a in range(0, rows, ATTN_BLOCK):
-        b = min(a + ATTN_BLOCK, rows)
-        logits = np.matmul(_group_queries(qr[:, a:b], n_kv), keys_t[:, :, :start + b])
+    a = start
+    while a < end:
+        cs = a - a % chunk
+        b = min(a + ATTN_BLOCK, end, cs + chunk)
+        blk = slice(a - start, b - start)
+        if cs == 0:  # all of vanilla; plain matmul, ~1 us a call cheaper than out=
+            logits = np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, :b])
+        else:
+            logits = np.empty((n_kv, g * (b - a), b), dtype=np.float32)
+            np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, cs:b],
+                      out=logits[:, :, cs:])
+            q_inter = _rotate(q[:, blk], cos[chunk - 1], sin[chunk - 1])
+            np.matmul(_group_queries(q_inter, n_kv), keys_t[:, :, :cs], out=logits[:, :, :cs])
+            # Keys lo .. cs - 1 of the previous chunk take the successive
+            # score for the rows they are within local_window of.
+            lo = min(cs, a - dca.local_window)
+            if lo < cs:
+                succ_pos = pos_mod[blk] + chunk
+                q_succ = _rotate(q[:, blk], cos[succ_pos], sin[succ_pos])
+                succ = np.matmul(_group_queries(q_succ, n_kv), keys_t[:, :, lo:cs])
+                near = np.arange(a, b)[:, None] - np.arange(lo, cs) <= dca.local_window
+                np.copyto(logits.reshape(n_kv, g, b - a, b)[..., lo:cs],
+                          succ.reshape(n_kv, g, b - a, cs - lo), where=near)
         block = _attend_causal(logits, values, g, scale)
-        out[a:b] = block.reshape(params.n_q_heads, b - a, d).transpose(1, 0, 2)
+        out[blk] = block.reshape(params.n_q_heads, b - a, d).transpose(1, 0, 2)
+        a = b
     return out.reshape(rows, params.n_q_heads * d)
 
 

@@ -19,16 +19,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .layers import (
-    ATTN_BLOCK,
     AttentionParams,
+    KvCache,
     RopeParams,
     as_f32,
     rope_freqs,
-    _attend_causal,
+    _cached_attention,
     _check_qkv_shapes,
-    _group_queries,
     _rope_table,
-    _rotate,
 )
 
 
@@ -164,10 +162,11 @@ def dca_attention(
     three ways, at (i mod chunk_size), (i mod chunk_size) + chunk_size, and
     chunk_size - 1, realizing :func:`dca_relpos` for the intra-chunk,
     successive-chunk, and inter-chunk branches; one cos/sin table over the
-    2 * chunk_size remapped positions serves all of them. Queries go in
-    blocks of at most :data:`~qwenkit.layers.ATTN_BLOCK` rows that never
-    straddle a chunk, and a block scores each key range with the one variant
-    it needs: keys of its own chunk intra (causally masked), keys of the
+    2 * chunk_size remapped positions serves all of them. The sequence runs
+    through the KV-cache kernel on a fresh cache, as
+    :func:`~qwenkit.layers.gqa_attention` does. Query blocks never straddle
+    a chunk, and a block scores each key range with the one variant it
+    needs: keys of its own chunk intra (causally masked), keys of the
     previous chunk successive within ``local_window`` of the query and
     inter beyond it (the only element-wise choice), and all earlier keys
     inter. Keys after the block are never scored. A single softmax per row
@@ -189,53 +188,5 @@ def dca_attention(
     inv_freq, scale_mult = _rotary_freqs(rope, yarn)
     n = 2 * dca.chunk_size
     cos, sin = _rope_table(range(n), inv_freq, n, params.head_dim)
-    return _dca_attention(q, k, v, params, dca, cos, sin, scale_mult)
-
-
-def _dca_attention(q, k, v, params: AttentionParams, dca: DcaParams, cos, sin,
-                   scale_mult: float) -> np.ndarray:
-    """Kernel of :func:`dca_attention`; ``cos`` and ``sin`` cover the
-    2 * chunk_size remapped positions."""
-    s_c = dca.chunk_size
-    seq = q.shape[1]
-    n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
-    pos_mod = np.arange(seq) % s_c
-    keys_t = _rotate(k, cos[pos_mod], sin[pos_mod]).transpose(0, 2, 1)
-    scale = np.float32(scale_mult / math.sqrt(d))
-    window = dca.local_window
-    out = np.empty((seq, params.n_q_heads, d), dtype=np.float32)
-    for a, b, cs in _chunk_blocks(seq, s_c):
-        rows = b - a
-        q_blk = q[:, a:b]
-        blk_mod = pos_mod[a:b]
-        logits = np.empty((n_kv, g * rows, b), dtype=np.float32)
-        # Keys of the block's own chunk: intra, causally masked by the kernel.
-        q_intra = _group_queries(_rotate(q_blk, cos[blk_mod], sin[blk_mod]), n_kv)
-        np.matmul(q_intra, keys_t[:, :, cs:b], out=logits[:, :, cs:])
-        if cs:
-            # Keys of earlier chunks: inter, ...
-            q_inter = _group_queries(_rotate(q_blk, cos[s_c - 1], sin[s_c - 1]), n_kv)
-            np.matmul(q_inter, keys_t[:, :, :cs], out=logits[:, :, :cs])
-            # ... except keys lo .. cs - 1 of the previous chunk, each within
-            # local_window of some row, which take the successive score for
-            # the rows they are within local_window of.
-            lo = min(cs, a - window)
-            if lo < cs:
-                succ_mod = blk_mod + s_c
-                q_succ = _group_queries(_rotate(q_blk, cos[succ_mod], sin[succ_mod]), n_kv)
-                succ = np.matmul(q_succ, keys_t[:, :, lo:cs])
-                near = np.arange(a, b)[:, None] - np.arange(lo, cs) <= window
-                np.copyto(logits.reshape(n_kv, g, rows, b)[..., lo:cs],
-                          succ.reshape(n_kv, g, rows, cs - lo), where=near)
-        block = _attend_causal(logits, v, g, scale)
-        out[a:b] = block.reshape(params.n_q_heads, rows, d).transpose(1, 0, 2)
-    return out.reshape(seq, params.n_q_heads * d)
-
-
-def _chunk_blocks(seq: int, chunk_size: int):
-    """(start, end, chunk start) of query blocks of at most ATTN_BLOCK rows
-    that never straddle a chunk."""
-    for cs in range(0, seq, chunk_size):
-        ce = min(cs + chunk_size, seq)
-        for a in range(cs, ce, ATTN_BLOCK):
-            yield a, min(a + ATTN_BLOCK, ce), cs
+    return _cached_attention(KvCache(1, q.shape[1]), q, k, v, params, cos, sin, 0,
+                             scale_mult, dca)

@@ -5,9 +5,9 @@ x += FFN(RMSNorm(x)), with a final RMSNorm before the output projection.
 The forward pass and cached decoding run the same block loop and the same
 attention kernel: ``forward`` prefills a fresh KV cache with the whole
 sequence, exactly as ``greedy_decode`` prefills its prompt before feeding
-one row per token. Only dual-chunk attention takes its own kernel. Both
-check the weights against the layout of the config once per call, so the
-loop runs the unchecked kernels and one rotary table serves every layer.
+one row per token, with or without dual-chunk attention. Both check the
+weights against the layout of the config once per call, so the loop runs
+the unchecked kernels and one rotary table serves every layer.
 When embeddings are tied the output projection *is* the embedding matrix
 (same array object, no copy).
 """
@@ -29,7 +29,7 @@ from .layers import (
     _rope_table,
     _swiglu_ffn,
 )
-from .longctx import _check_yarn_range, _dca_attention, _rotary_freqs
+from .longctx import _check_yarn_range, _rotary_freqs
 from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
 from .ops import Rng, sample_normal
 
@@ -133,8 +133,11 @@ def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
 def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
     """The entry check of :func:`forward` and :func:`greedy_decode`: a valid
     config, and weights of its layout held as float32 arrays, else
-    :class:`ConfigError` naming the tensor."""
+    :class:`ConfigError` naming the tensor. Dual-chunk positions that
+    overrun the YaRN range raise :class:`~qwenkit.errors.ParameterError`."""
     cfg.validate()
+    if cfg.dca is not None:
+        _check_yarn_range(cfg.dca, cfg.yarn)
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, ConfigError)
     for name, arr in tensors.items():
@@ -296,16 +299,13 @@ def _blocks(
 
     The rows continue the sequence ``cache`` holds, at position
     ``cache.length()``: they attend to the cached history and are appended
-    to it. Under dual-chunk attention the rows are the whole sequence and
-    the cache stays empty. ``rotary`` is :func:`_rotary` over at least the
-    positions the rows reach. The weights must have passed
-    :func:`_check_weights`: every layer runs the unchecked kernels.
+    to it, with or without dual-chunk attention (whose keys the cache holds
+    rotated at their position mod chunk_size). ``rotary`` is :func:`_rotary`
+    over at least the positions the rows reach. The weights must have
+    passed :func:`_check_weights`: every layer runs the unchecked kernels.
     """
     params = cfg.attention_params()
     cos, sin, scale_mult = rotary
-    if cfg.dca is None:
-        start = cache.length()
-        cos, sin = cos[start:start + len(ids)], sin[start:start + len(ids)]
     x = weights.embedding[ids]
     for li, lw in enumerate(weights.layers):
         h = _rms_norm(x, lw.attn_gamma, cfg.rms_eps)
@@ -317,10 +317,7 @@ def _blocks(
         q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
         k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
-        if cfg.dca is not None:
-            attn = _dca_attention(q3, k3, v3, params, cfg.dca, cos, sin, scale_mult)
-        else:
-            attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult)
+        attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult, cfg.dca)
         x = x + attn @ lw.wo.T
         h2 = _rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
         if lw.ffn is not None:
@@ -356,8 +353,6 @@ def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -
         raise InputError("token_ids must be nonempty")
     if len(ids) > cfg.max_ctx:
         raise InputError(f"sequence length {len(ids)} exceeds max_ctx {cfg.max_ctx}")
-    if cfg.dca is not None:
-        _check_yarn_range(cfg.dca, cfg.yarn)
     x = _blocks(weights, cfg, ids, KvCache(cfg.n_layers, capacity=len(ids)),
                 _rotary(cfg, len(ids)))
     return _logits(weights, cfg, x)
@@ -375,8 +370,9 @@ def greedy_decode(
     Deterministic; argmax ties resolve to the lower token id. Generation
     stops early after emitting the configured end-of-text id. Token ids and
     weights are checked as in :func:`forward`, and non-finite logits raise
-    :class:`NumericError`. Incremental decoding supports the vanilla
-    attention path only (no dual-chunk remapping).
+    :class:`NumericError`. A dual-chunk config decodes through the same
+    cache, whose keys are then rotated at their position mod chunk_size,
+    and gives the argmax loop over :func:`forward` on that config.
     """
     _check_weights(weights, cfg)
     ids = _validate_ids(cfg, prompt)
@@ -384,8 +380,6 @@ def greedy_decode(
         raise InputError("prompt must be nonempty")
     if max_new < 0:
         raise InputError(f"max_new must be >= 0, got {max_new}")
-    if cfg.dca is not None:
-        raise ConfigError("greedy_decode does not support dual-chunk attention configs")
     if len(ids) + max_new > cfg.max_ctx:
         raise InputError(
             f"prompt length {len(ids)} + max_new {max_new} exceeds max_ctx {cfg.max_ctx}"

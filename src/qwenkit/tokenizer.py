@@ -98,9 +98,14 @@ def base_vocab(control_names=DEFAULT_CONTROL_TOKENS) -> BpeVocab:
 
 
 def _as_bytes(text) -> bytes:
-    if isinstance(text, str):
+    if isinstance(text, (bytes, bytearray)):
+        return bytes(text)
+    if not isinstance(text, str):
+        raise InputError(f"text must be str, bytes or bytearray, got {type(text).__name__}")
+    try:
         return text.encode("utf-8")
-    return bytes(text)
+    except UnicodeEncodeError as exc:
+        raise InputError(f"text is not valid UTF-8 at index {exc.start}") from None
 
 
 def split_words(data: bytes) -> list[bytes]:
@@ -127,6 +132,9 @@ def _merge_once(word: tuple[int, ...], pair: tuple[int, int], new_id: int) -> tu
 
 def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -> BpeVocab:
     """Train a vocabulary of up to ``target_vocab`` ids on a list of byte strings.
+
+    Documents are ``str`` (as UTF-8), ``bytes`` or ``bytearray``, else
+    :class:`InputError`; a ``str`` with a lone surrogate too.
 
     Each step merges the pair with the most occurrences inside words, ties
     broken by the smaller merged byte string, then the smaller left byte
@@ -209,7 +217,7 @@ def _encode_word(vocab: BpeVocab, word: bytes) -> tuple[int, ...]:
 
 def encode(vocab: BpeVocab, text) -> list[int]:
     """Token ids for any byte string, as if the merges applied in training
-    order, each to a fixpoint.
+    order, each to a fixpoint. ``text`` is taken as by :func:`bpe_train`.
 
     Each word instead merges all occurrences of its lowest-rank adjacent pair
     until no pair of it is a merge. The result is the same because merge k
@@ -249,7 +257,8 @@ def decode(vocab: BpeVocab, ids) -> bytes:
 
 
 def compression_rate(vocab: BpeVocab, corpus) -> float:
-    """Corpus bytes per token; 1.0 for a merge-free vocabulary."""
+    """Corpus bytes per token; 1.0 for a merge-free vocabulary. Documents are
+    taken as by :func:`bpe_train`."""
     docs = [_as_bytes(doc) for doc in corpus]
     total_bytes = sum(len(d) for d in docs)
     if not docs or total_bytes == 0:

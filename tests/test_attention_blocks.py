@@ -3,7 +3,8 @@
 Sequences up to 400 rows span several ATTN_BLOCK-row query blocks with a
 ragged last block, and chunk sizes from 1 to 160 put chunk boundaries
 inside, at and across block boundaries. A cached call after a held prefix
-puts the block boundaries off the multiples of ATTN_BLOCK.
+puts the block boundaries off the multiples of ATTN_BLOCK, and so does
+dual-chunk attention fed to the cache in pieces.
 """
 
 import numpy as np
@@ -19,10 +20,12 @@ from qwenkit.layers import (
     AttentionParams,
     KvCache,
     RopeParams,
+    _cached_attention,
+    _rope_table,
     cached_attention,
     gqa_attention,
 )
-from qwenkit.longctx import DcaParams, YarnParams, dca_attention
+from qwenkit.longctx import DcaParams, YarnParams, _rotary_freqs, dca_attention
 from qwenkit.ops import Rng
 
 HEAD_DIM = 8
@@ -86,6 +89,31 @@ def test_dca_matches_dense_oracle(seq, ratio, dca, use_yarn, seed):
     yarn = YarnParams(4.0, dca.chunk_size) if use_yarn else None
     q, k, v = _qkv(seed, params, seq)
     got = dca_attention(q, k, v, params, dca, rope, yarn)
+    want = dense_dca(q, k, v, params, dca, rope, yarn)
+    assert max_abs_diff(got, want) <= 1e-5
+
+
+@given(data=st.data(), seq=st.integers(1, 400), ratio=st.sampled_from(RATIOS),
+       dca=_dca_params(), use_yarn=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dca_kernel_fed_in_pieces_matches_dense_oracle(data, seq, ratio, dca, use_yarn, seed):
+    # Pieces may straddle chunks; the last few rows come one at a time, as
+    # in decoding.
+    params = AttentionParams(*ratio, HEAD_DIM)
+    rope = RopeParams(10_000.0, HEAD_DIM)
+    yarn = YarnParams(4.0, dca.chunk_size) if use_yarn else None
+    q, k, v = _qkv(seed, params, seq)
+    one_rows = data.draw(st.integers(0, min(seq - 1, 20)))
+    cuts = data.draw(st.sets(st.integers(1, seq), max_size=5)) | set(range(seq - one_rows, seq))
+    bounds = [0, *sorted(cuts - {0, seq}), seq]
+    inv_freq, scale_mult = _rotary_freqs(rope, yarn)
+    n = 2 * dca.chunk_size
+    cos, sin = _rope_table(range(n), inv_freq, n, HEAD_DIM)
+    cache = KvCache(1)
+    got = np.concatenate([
+        _cached_attention(cache, q[:, a:b], k[:, a:b], v[:, a:b], params, cos, sin, 0,
+                          scale_mult, dca)
+        for a, b in zip(bounds, bounds[1:])])
     want = dense_dca(q, k, v, params, dca, rope, yarn)
     assert max_abs_diff(got, want) <= 1e-5
 

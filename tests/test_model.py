@@ -239,6 +239,8 @@ class TestForward:
         monkeypatch.setattr(model, "_blocks", None)  # no block may run first
         with pytest.raises(ParameterError, match="rescaled rotary range covers only 128"):
             forward(w, cfg, [1, 2, 3])
+        with pytest.raises(ParameterError, match="rescaled rotary range covers only 128"):
+            greedy_decode(w, cfg, [1, 2, 3], 2)
 
     def test_moe_block_swap_matches_dense(self):
         # A 1-expert MoE layer sharing the dense weights must reproduce the
@@ -441,10 +443,12 @@ def _small_model(variant: str):
     return w, cfg
 
 
-@given(st.data(), st.sampled_from(["dense", "moe"]))
-@settings(max_examples=30, deadline=None)
-def test_any_prompt_chunking_matches_forward_property(data, variant):
+@given(st.data(), st.sampled_from(["dense", "moe"]), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_any_prompt_chunking_matches_forward_property(data, variant, use_dca):
     w, cfg = _small_model(variant)
+    if use_dca:
+        cfg = data.draw(_with_dca(cfg))
     n = data.draw(st.integers(1, cfg.max_ctx))
     ids = [int(t) % cfg.vocab_size for t in Rng(data.draw(st.integers(0, 2**32))).uint64s(n)]
     cuts = data.draw(st.sets(st.integers(1, len(ids)), max_size=6))
@@ -455,6 +459,61 @@ def test_any_prompt_chunking_matches_forward_property(data, variant):
     for a, b in zip(bounds, bounds[1:]):
         got = _logits(w, cfg, _blocks(w, cfg, ids[a:b], cache, rotary)[-1])
         assert max_abs_diff(got, full[b - 1]) <= 1e-5
+
+
+@st.composite
+def _with_dca(draw, cfg):
+    """``cfg`` with dual-chunk attention of chunk 1-160 and a local window
+    1..chunk, and YaRN on or off."""
+    chunk = draw(st.integers(1, 160))
+    yarn = YarnParams(4.0, chunk) if draw(st.booleans()) else None
+    return replace(cfg, dca=DcaParams(chunk, draw(st.integers(1, chunk))), yarn=yarn)
+
+
+def _seeded_ids(data, cfg, n):
+    return [int(t) % cfg.regular_tokens for t in Rng(data.draw(st.integers(0, 2**32))).uint64s(n)]
+
+
+@given(st.data(), st.sampled_from(["dense", "moe"]))
+@settings(max_examples=20, deadline=None)
+def test_dca_decode_matches_forward_argmax_loop_property(data, variant):
+    w, cfg = _small_model(variant)
+    cfg = data.draw(_with_dca(cfg))
+    prompt = _seeded_ids(data, cfg, data.draw(st.integers(1, 300)))
+    max_new = data.draw(st.integers(1, 4))
+    got = greedy_decode(w, cfg, prompt, max_new)
+    assert got[:len(prompt)] == prompt
+    assert len(got) == len(prompt) + max_new or got[-1] == cfg.effective_eot_id
+    for t in range(len(prompt), len(got)):
+        # Each token is an argmax of forward over its prefix, ties within 1e-5.
+        logits = forward(w, cfg, got[:t])[-1]
+        assert logits[got[t]] >= logits.max() - 1e-5
+
+
+def _stepwise_logits(w, cfg, ids, prompt_len):
+    """Logits of every row of ``ids``: the prompt prefilled in one call,
+    then one row per call, as :func:`greedy_decode` feeds them."""
+    cache = KvCache(cfg.n_layers)
+    rotary = _rotary(cfg, len(ids))
+    rows = [_blocks(w, cfg, ids[:prompt_len], cache, rotary)]
+    rows += [_blocks(w, cfg, [t], cache, rotary) for t in ids[prompt_len:]]
+    return _logits(w, cfg, np.concatenate(rows))
+
+
+@given(st.data(), st.sampled_from(["dense", "moe"]))
+@settings(max_examples=20, deadline=None)
+def test_dca_decode_within_one_chunk_is_bit_identical_property(data, variant):
+    w, cfg = _small_model(variant)
+    dca_cfg = data.draw(_with_dca(cfg))
+    vanilla_cfg = replace(dca_cfg, dca=None)
+    chunk = dca_cfg.dca.chunk_size
+    n = data.draw(st.integers(1, chunk))
+    max_new = data.draw(st.integers(0, min(chunk - n, 16)))
+    prompt = _seeded_ids(data, cfg, n)
+    got = greedy_decode(w, dca_cfg, prompt, max_new)
+    assert got == greedy_decode(w, vanilla_cfg, prompt, max_new)
+    assert np.array_equal(_stepwise_logits(w, dca_cfg, got, n),
+                          _stepwise_logits(w, vanilla_cfg, got, n))
 
 
 def _pinned_layouts():

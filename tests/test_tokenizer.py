@@ -158,6 +158,22 @@ class TestEncodeDecode:
         vocab = base_vocab()
         assert decode(vocab, encode(vocab, "héllo")) == "héllo".encode("utf-8")
 
+    def test_bytearray_input_is_its_bytes(self):
+        vocab = base_vocab()
+        assert encode(vocab, bytearray(b"hi there")) == encode(vocab, b"hi there")
+
+    # bytes(5) is five zero bytes and bytes([104, 105]) is b"hi": neither is text.
+    @pytest.mark.parametrize("bad", [5, 2.5, [104, 105], None, "lone \udc80 surrogate"],
+                             ids=["int", "float", "int-list", "none", "surrogate"])
+    def test_non_text_rejected(self, bad):
+        vocab = base_vocab()
+        with pytest.raises(InputError):
+            encode(vocab, bad)
+        with pytest.raises(InputError):
+            compression_rate(vocab, [bad])
+        with pytest.raises(InputError):
+            bpe_train(["a doc", bad], 300)
+
 
 class TestCompressionRate:
     def test_byte_only_vocab_is_one(self):
