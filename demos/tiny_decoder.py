@@ -3,6 +3,7 @@
 Run: python demos/tiny_decoder.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -37,17 +38,21 @@ prompt = [11, 42, 7]
 logits = forward(weights, cfg, prompt)
 print(f"forward: {logits.shape}, next-token argmax = {int(np.argmax(logits[-1]))}")
 
-# Greedy decoding uses the per-layer KV cache; rerunning the full forward at
+# Greedy decoding uses the per-layer KV cache, and verifies tokens copied
+# from earlier in the text several at a time; rerunning the full forward at
 # every step produces the same ids, just slower.
-ids = greedy_decode(weights, cfg, prompt, max_new=8)
+N_NEW = 32
+ids = greedy_decode(weights, cfg, prompt, max_new=N_NEW)
 print(f"greedy continuation: {ids}")
 
 check = list(prompt)
-for _ in range(8):
+for _ in range(N_NEW):
     check.append(int(np.argmax(forward(weights, cfg, check)[-1])))
     if check[-1] == cfg.effective_eot_id:
         break
 print(f"full-recompute agrees: {check == ids}")
+if check != ids:
+    sys.exit(1)
 
 # The weight container roundtrips bit-exactly and refuses corrupted files.
 with tempfile.TemporaryDirectory() as td:

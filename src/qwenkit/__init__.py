@@ -58,7 +58,7 @@ from .moe import (
     topk_select,
     upcycle_from_dense,
 )
-from .ops import Rng, matmul, sample_normal, silu, softmax_rows
+from .ops import Rng, sample_normal, silu, softmax_rows
 from .serialize import load_weights, save_weights
 from .tokenizer import (
     BpeVocab,

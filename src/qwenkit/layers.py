@@ -4,9 +4,9 @@ RMSNorm, the SwiGLU feed-forward, rotary position embedding, grouped-query
 attention with additive QKV bias handled at the projection site, and the
 KV cache: a preallocated per-layer buffer of rotated keys and values.
 Cached attention is the one causal kernel, dual-chunk or not. It appends new
-rows (a whole prompt or one decoded token) to the cache and scores them in
-query blocks, each against the keys up to the block's last row. Full-sequence
-attention runs it on a fresh cache.
+rows (a whole prompt, or a decoded token and its draft) to the cache and
+scores them in query blocks, each against the keys up to the block's last
+row. Full-sequence attention runs it on a fresh cache.
 
 Each public function checks its arguments and then calls its private
 kernel (see ``ops``); the attention kernels take a precomputed rotary
@@ -354,6 +354,12 @@ class KvCache:
         self._kv[1, layer, :, start:end] = v
         self._lengths[layer] = end
         return self._kv[0, layer, :, :end], self._kv[1, layer, :, :end]
+
+    def _truncate(self, length: int) -> None:
+        """Forget every position from ``length`` on, in every layer: the
+        next append writes over them (a key at position t sits at index t
+        of the buffer, under dual-chunk attention too)."""
+        self._lengths = [min(n, length) for n in self._lengths]
 
     def _held(self, which: int, layer: int) -> np.ndarray:
         length = self.length(layer)

@@ -3,11 +3,14 @@
 Blocks are pre-normalized residuals: x += Attn(RMSNorm(x)) then
 x += FFN(RMSNorm(x)), with a final RMSNorm before the output projection.
 The forward pass and cached decoding run the same block loop and the same
-attention kernel: ``forward`` prefills a fresh KV cache with the whole
-sequence, exactly as ``greedy_decode`` prefills its prompt before feeding
-one row per token, with or without dual-chunk attention. Both check the
-weights against the layout of the config once per call, so the loop runs
-the unchecked kernels and one rotary table serves every layer.
+attention kernel, with or without dual-chunk attention: ``forward``
+prefills a fresh KV cache with the whole sequence, exactly as
+``greedy_decode`` prefills its prompt. Decoding then drafts tokens by
+copying the text after the latest earlier occurrence of its last tokens,
+verifies the draft in one block call, one logit row at a time, and rolls
+the cache back to the accepted tokens. Both check the weights against the
+layout of the config once per call, so the loop runs the unchecked
+kernels and one rotary table serves every layer.
 When embeddings are tied the output projection *is* the embedding matrix
 (same array object, no copy).
 """
@@ -34,6 +37,9 @@ from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from
 from .ops import Rng, sample_normal
 
 INIT_STD = 0.02
+# Most draft tokens one speculative call of greedy_decode feeds after the
+# emitted token.
+MAX_DRAFT = 8
 
 
 @dataclass
@@ -257,11 +263,15 @@ def upcycle_model(
     return build_model(target, seed, dense_source=weights), target
 
 
+def _is_int(value) -> bool:
+    # int() would turn "7" into 7 and 1.9 into 1; bool is an int subclass.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _validate_ids(cfg: ModelConfig, token_ids: Sequence[int]) -> list[int]:
     ids = []
     for t in token_ids:
-        # int() would turn "7" into 7 and 1.9 into 1; bool is an int subclass.
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        if not _is_int(t):
             raise InputError(f"token id {t!r} is not an integer")
         if not 0 <= t < cfg.vocab_size:
             raise InputError(f"token id {t} outside vocabulary of {cfg.vocab_size}")
@@ -365,11 +375,22 @@ def greedy_decode(
 
     The cache is preallocated for the prompt and ``max_new`` tokens, and
     one rotary table covers them all. The whole prompt goes through the
-    blocks in one call, as in :func:`forward`, then every new token is fed
-    as one row; only the last row of each call is projected to logits.
-    Deterministic; argmax ties resolve to the lower token id. Generation
-    stops early after emitting the configured end-of-text id. Token ids and
-    weights are checked as in :func:`forward`, and non-finite logits raise
+    blocks in one call, as in :func:`forward`; only its last row is
+    projected to logits. Each later call is speculative (prompt lookup
+    decoding): it feeds the last emitted token followed by a draft copied
+    from after the latest earlier occurrence of the last two tokens (else
+    the last one) in prompt + output. Rows are projected to logits one at
+    a time, and the first argmax that differs from its draft token ends the
+    call; the cache is then rolled back to the accepted tokens. The draft
+    starts at one token, doubles after a fully accepted draft up to
+    :data:`MAX_DRAFT` and halves after a miss; with no earlier occurrence
+    there is no draft and the call is one row. So the output is the argmax
+    loop over :func:`forward`, with ties within 1e-5 as before, whatever
+    the drafts were. Deterministic; argmax ties resolve to the lower token
+    id. Generation stops early after emitting the configured end-of-text
+    id, also inside an accepted draft. Token ids and weights are checked
+    as in :func:`forward`, ``max_new`` must be a Python or numpy integer
+    (not bool), else :class:`InputError`, and non-finite logits raise
     :class:`NumericError`. A dual-chunk config decodes through the same
     cache, whose keys are then rotated at their position mod chunk_size,
     and gives the argmax loop over :func:`forward` on that config.
@@ -378,6 +399,8 @@ def greedy_decode(
     ids = _validate_ids(cfg, prompt)
     if not ids:
         raise InputError("prompt must be nonempty")
+    if not _is_int(max_new):
+        raise InputError(f"max_new {max_new!r} is not an integer")
     if max_new < 0:
         raise InputError(f"max_new must be >= 0, got {max_new}")
     if len(ids) + max_new > cfg.max_ctx:
@@ -386,14 +409,43 @@ def greedy_decode(
         )
     if max_new == 0:
         return ids
-    total = len(ids) + max_new
+    total = len(ids) + int(max_new)
     rotary = _rotary(cfg, total)
     cache = KvCache(cfg.n_layers, capacity=total)
     out = list(ids)
-    x = _blocks(weights, cfg, ids, cache, rotary)
+    x = _blocks(weights, cfg, ids, cache, rotary)[-1:]
+    draft: list[int] = []
+    # Each unigram and bigram of out[:-1] -> the index just past its latest
+    # occurrence; out[:indexed] is indexed.
+    latest: dict[int | tuple[int, int], int] = {}
+    indexed = 0
+    n_draft = 1
     while True:
-        nxt = int(np.argmax(_logits(weights, cfg, x[-1])))
-        out.append(nxt)
-        if nxt == cfg.effective_eot_id or len(out) == total:
-            return out
-        x = _blocks(weights, cfg, [nxt], cache, rotary)
+        # Row i follows draft[:i]; stop at the first row whose argmax is not
+        # the next draft token, so rejected rows are never projected.
+        for i, row in enumerate(x):
+            nxt = int(np.argmax(_logits(weights, cfg, row)))
+            out.append(nxt)
+            if nxt == cfg.effective_eot_id or len(out) == total:
+                return out
+            if i == len(draft) or nxt != draft[i]:
+                break
+        if draft:
+            cache._truncate(len(out) - 1)
+            n_draft = min(2 * n_draft, MAX_DRAFT) if i == len(draft) else max(n_draft // 2, 1)
+        for j in range(indexed, len(out) - 1):
+            latest[out[j]] = j + 1
+            if j:
+                latest[out[j - 1], out[j]] = j + 1
+        indexed = len(out) - 1
+        start = latest.get((out[-2], out[-1]), latest.get(out[-1]))
+        draft = [] if start is None else _copy_forward(out, start, min(n_draft, total - len(out)))
+        x = _blocks(weights, cfg, [out[-1], *draft], cache, rotary)
+
+
+def _copy_forward(out: list[int], start: int, n: int) -> list[int]:
+    """The ``n`` tokens that continue ``out`` by copying it from ``start``
+    on with overlap, as LZ77 does: past the end of ``out`` the copy reads
+    its own output, so a run or a cycle extends periodically."""
+    run = out[start:start + n]
+    return [run[m % len(run)] for m in range(n)]

@@ -105,21 +105,6 @@ def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
     return (mean + std * z).astype(np.float32)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Product of two 2-D float32 matrices."""
-    a = as_f32(a)
-    b = as_f32(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.shape} vs {b.shape}"
-        )
-    return a @ b
-
-
 def softmax_rows(x) -> np.ndarray:
     """Row-wise softmax of a 2-D matrix, stabilized by per-row max subtraction."""
     x = as_f32(x)

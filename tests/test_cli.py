@@ -114,6 +114,73 @@ class TestExitCodes:
         assert main(["config", "show", "--preset", "nano"]) == 2
 
 
+# Hostile input for every subcommand: (argv, exit code, a line of stderr
+# contains). Exit 2 is a usage error that argparse reports; exit 1 is a typed
+# error. Placeholders name files made by ``hostile_files``.
+HOSTILE_INPUTS = [
+    pytest.param(["model", "demo", "--prompt-ids", ""], 1, "prompt must be nonempty",
+                 id="demo-empty-prompt"),
+    pytest.param(["model", "demo", "--prompt-ids", "1,2", "--max-new", "100000"], 1,
+                 "exceeds max_ctx", id="demo-overlong-max-new"),
+    pytest.param(["model", "demo", "--prompt-ids", "1,2", "--max-new", "1.5"], 2,
+                 "invalid int value", id="demo-float-max-new"),
+    pytest.param(["model", "validate", "--preset", "nope"], 2, "invalid choice",
+                 id="validate-unknown-preset"),
+    pytest.param(["tok", "train", "--corpus", "{missing}", "--vocab-size", "300",
+                  "--out", "{out}"], 1, "cannot read corpus file", id="train-missing-corpus"),
+    pytest.param(["tok", "train", "--corpus", "{text}", "--vocab-size", "10",
+                  "--out", "{out}"], 1, "target_vocab must be at least", id="train-tiny-vocab"),
+    pytest.param(["tok", "encode", "--vocab", "{dir}", "--text", "x"], 1, "Is a directory",
+                 id="encode-directory-as-vocab"),
+    pytest.param(["tok", "decode", "--vocab", "{vocab}", "--ids", "99999"], 1,
+                 "outside vocabulary", id="decode-id-out-of-range"),
+    pytest.param(["tok", "stats", "--vocab", "{truncated}", "--corpus", "{text}"], 1,
+                 "line 3: expected two hex byte strings", id="stats-truncated-vocab"),
+    pytest.param(["tok", "stats", "--vocab", "{vocab}", "--corpus", "{empty}"], 1,
+                 "at least one nonempty document", id="stats-empty-corpus"),
+    pytest.param(["moe", "upcycle", "--in", "{empty}", "--out", "{out}", "--experts", "4",
+                  "--expert-dim", "32"], 1, "file truncated at offset 0",
+                 id="upcycle-empty-container"),
+    pytest.param(["decontam", "scan", "--train", "{empty}", "--tests", "{dir}",
+                  "--mode", "train-side-lcs"], 1, "must be nonempty", id="scan-empty-corpus"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{missing}",
+                  "--mode", "test-side-13gram"], 1, "must be a directory",
+                 id="scan-missing-test-sets"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "test-side-13gram", "--ngram-n", "0"], 1, "n must be >= 1",
+                 id="scan-zero-ngram"),
+    pytest.param(["config", "show", "--preset", "nope"], 2, "invalid choice",
+                 id="config-unknown-preset"),
+]
+
+
+class TestHostileInput:
+    @pytest.fixture()
+    def hostile_files(self, tmp_path):
+        text = tmp_path / "text.txt"
+        text.write_text("hello world\n")
+        empty = tmp_path / "empty.txt"
+        empty.touch()
+        vocab = tmp_path / "vocab.bpe"
+        vocab.write_text("qwenkit-bpe v1\nmerge 20 20\nmerge 69 6e\n")
+        truncated = tmp_path / "truncated.bpe"
+        truncated.write_bytes(vocab.read_bytes()[:-4])
+        test_sets = tmp_path / "tests"
+        test_sets.mkdir()
+        (test_sets / "set.txt").write_text("hello world\n")
+        return dict(text=text, empty=empty, vocab=vocab, truncated=truncated, dir=test_sets,
+                    missing=tmp_path / "missing", out=tmp_path / "out")
+
+    @pytest.mark.parametrize("argv, code, message", HOSTILE_INPUTS)
+    def test_exits_with_a_message_and_no_traceback(self, argv, code, message, hostile_files,
+                                                   capsys):
+        assert main([arg.format(**hostile_files) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not hostile_files["out"].exists()
+
+
 class TestModelCommands:
     def test_demo_prints_ids_deterministically(self, capsys):
         assert main(["model", "demo", "--prompt-ids", "1,2,3", "--max-new", "4"]) == 0

@@ -322,6 +322,15 @@ class TestGreedyDecode:
         assert (greedy_decode(w, cfg, np.array([1, 2], dtype=np.uint16), 2)
                 == greedy_decode(w, cfg, [1, 2], 2))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", True, np.float32(2.0)],
+                             ids=["float", "integral-float", "str", "bool", "np-float"])
+    def test_non_integer_max_new_rejected(self, bad):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        with pytest.raises(InputError, match="max_new .* is not an integer"):
+            greedy_decode(w, cfg, [1, 2], bad)
+        assert greedy_decode(w, cfg, [1, 2], np.int64(2)) == greedy_decode(w, cfg, [1, 2], 2)
+
     def test_argmax_tie_breaks_low(self):
         cfg = preset("nano")
         w = build_model(cfg, 0)

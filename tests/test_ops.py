@@ -8,41 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import rand_f32
 from qwenkit.errors import DimensionError, ParameterError
-from qwenkit.ops import Rng, matmul, sample_normal, silu, softmax_rows
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = np.array([[2.0, -1.0], [0.5, 3.0]], dtype=np.float32)
-        assert np.array_equal(matmul(np.eye(2, dtype=np.float32), x), x)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        assert np.array_equal(out, np.array([[19, 22], [43, 50]], dtype=np.float32))
-
-    def test_zero_matrix(self):
-        x = rand_f32(Rng(1), 3, 3)
-        assert np.array_equal(matmul(np.zeros((3, 3)), x), np.zeros((3, 3), dtype=np.float32))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_associativity_within_tolerance(self):
-        rng = Rng(7)
-        a = rand_f32(rng, 8, 8).clip(-1, 1)
-        b = rand_f32(rng, 8, 8).clip(-1, 1)
-        c = rand_f32(rng, 8, 8).clip(-1, 1)
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-4
-
-    def test_float32_output(self):
-        assert matmul([[1.0]], [[1.0]]).dtype == np.float32
+from qwenkit.ops import Rng, sample_normal, silu, softmax_rows
 
 
 class TestSoftmaxRows:
