@@ -10,6 +10,7 @@ every run prints a header line naming the subcommand and its seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,13 +18,18 @@ from pathlib import Path
 from . import decontam as dc
 from . import tokenizer as tok
 from .config import format_config, preset, preset_names
-from .errors import ConfigError, QwenKitError
-from .model import build_model, greedy_decode, upcycle_model
+from .errors import ConfigError, ParameterError, QwenKitError
+from .model import _tensor_shapes, build_model, greedy_decode, upcycle_model
 from .moe import MoeConfig
 from .serialize import load_weights, save_weights
 
 VERBOSITY_LEVELS = ("quiet", "info", "debug")
 ENV_VERBOSITY = "QWENKIT_VERBOSITY"
+
+# Most float32 weight bytes `model demo` draws. The nano presets hold
+# 0.4-0.5 MiB; the smallest published preset, qwen2-0.5b, about 1.8 GiB,
+# which would take minutes to draw or fail to allocate.
+DEMO_MAX_WEIGHT_BYTES = 64 * 2**20
 
 # Published architecture table used by `model validate` as an independent
 # cross-check of the preset registry.
@@ -164,6 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_model_demo(args, run: _Run) -> int:
     cfg = preset(args.preset)
+    size = 4 * sum(math.prod(shape) for shape in _tensor_shapes(cfg).values())
+    if size > DEMO_MAX_WEIGHT_BYTES:
+        raise ParameterError(
+            f"preset {args.preset} holds {size / 2**30:.2f} GiB of float32 weights; "
+            f"model demo draws at most {DEMO_MAX_WEIGHT_BYTES // 2**20} MiB")
     run.debug(f"building {args.preset}: {cfg.n_layers} layers, hidden {cfg.hidden}")
     weights = build_model(cfg, args.seed)
     ids = greedy_decode(weights, cfg, args.prompt_ids, args.max_new)

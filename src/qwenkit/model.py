@@ -44,6 +44,18 @@ MAX_DRAFT = 8
 
 @dataclass
 class LayerWeights:
+    """One decoder block's weights; shapes are [out, in] as annotated.
+
+    Models that :func:`build_model`, :func:`upcycle_model` and
+    ``serialize.load_weights`` return store every matrix here column-major
+    (Fortran order): ``wq.T`` and the others are C-contiguous, so the
+    ``x @ w.T`` projections of the blocks are plain GEMMs. At the 2 to 9
+    rows of a speculative decode call, BLAS runs the transposed form of a
+    row-major matrix up to 4x slower. Expert banks are stored the same way
+    (see :class:`~qwenkit.moe.ExpertBank`). Row-major weights built by hand
+    give the same results, only slower.
+    """
+
     attn_gamma: np.ndarray
     wq: np.ndarray  # [n_q_heads * head_dim, hidden]
     bq: np.ndarray | None
@@ -63,6 +75,10 @@ class LayerWeights:
 
 @dataclass
 class ModelWeights:
+    """Every weight of a model. The embedding is row-major, as its rows are
+    gathered; an untied ``lm_head`` is column-major like the block matrices
+    (see :class:`LayerWeights`)."""
+
     embedding: np.ndarray  # [vocab, hidden]
     layers: list[LayerWeights]
     final_gamma: np.ndarray
@@ -181,18 +197,32 @@ def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
 
 def _from_tensors(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> ModelWeights:
     """The :class:`ModelWeights` whose :func:`_tensors` are ``arrays``, which
-    must hold the names of :func:`_tensor_shapes` for ``cfg``."""
+    must hold the names of :func:`_tensor_shapes` for ``cfg``.
+
+    This sets the storage order of :class:`LayerWeights`: every matrix but
+    the embedding is made column-major, and experts are copied into
+    :func:`~qwenkit.moe._empty_stack`. ``arrays`` is consumed: each tensor
+    leaves it as it is placed, so at most one tensor (or one expert stack)
+    is held twice.
+    """
+
+    def take(name: str) -> np.ndarray | None:
+        arr = arrays.pop(name, None)
+        return None if arr is None else np.asfortranarray(arr)
 
     def triple(prefix: str) -> SwigluWeights:
-        return SwigluWeights(*(arrays[prefix + part] for part in SwigluWeights._fields))
+        return SwigluWeights(*(take(prefix + part) for part in SwigluWeights._fields))
 
     def stack(prefix: str, n: int) -> SwigluWeights:
         out = _empty_stack(n, cfg.moe)
         for e in range(n):
-            for w, arr in zip(out, triple(f"{prefix}{e}.")):
-                w[e] = arr
+            for w, part in zip(out, SwigluWeights._fields):
+                w[e] = arrays.pop(f"{prefix}{e}.{part}")
         return out
 
+    # Rows of the embedding are gathered, so it stays row-major; tied, it is
+    # also the output matrix.
+    embedding = arrays.pop("embedding")
     layers = []
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
@@ -202,11 +232,10 @@ def _from_tensors(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> ModelWeigh
             ffn = None
             bank = ExpertBank(routed=stack(p + "moe.routed.", cfg.moe.n_routed),
                               shared=stack(p + "moe.shared.", cfg.moe.n_shared),
-                              router=arrays[p + "moe.router"])
-        layers.append(LayerWeights(*(arrays.get(p + name) for name in _LAYER_ARRAYS),
+                              router=take(p + "moe.router"))
+        layers.append(LayerWeights(*(take(p + name) for name in _LAYER_ARRAYS),
                                    ffn=ffn, moe_bank=bank))
-    return ModelWeights(arrays["embedding"], layers, arrays["final_norm.gamma"],
-                        arrays.get("lm_head"))
+    return ModelWeights(embedding, layers, take("final_norm.gamma"), take("lm_head"))
 
 
 def build_model(
@@ -249,7 +278,10 @@ def _upcycled_model(cfg: ModelConfig, seed: int, source: ModelWeights) -> ModelW
         layers.append(LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk,
                                    src.wv, src.bv, src.wo, src.ffn_gamma,
                                    moe_bank=bank))
-    return ModelWeights(source.embedding, layers, source.final_gamma, source.lm_head)
+    # Through _from_tensors, so that a row-major source gives the stored
+    # layout too.
+    return _from_tensors(_tensors(ModelWeights(source.embedding, layers, source.final_gamma,
+                                               source.lm_head)), cfg)
 
 
 def upcycle_model(

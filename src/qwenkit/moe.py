@@ -71,6 +71,13 @@ class ExpertBank:
     is expert e's triple. ``shared`` is stacked the same way over n_shared
     experts (a leading axis of 0 when there are none). ``router`` is
     [n_routed, hidden].
+
+    Banks built here (and models built, loaded or upcycled by ``model``)
+    store each expert's matrix and the router column-major: the values are
+    as above, but ``stack[e].T`` and ``router.T`` are C-contiguous, so the
+    ``x @ w.T`` products are plain GEMMs, as for the other weights (see
+    ``model.LayerWeights``). Row-major banks give the same results, only
+    slower.
     """
 
     routed: SwigluWeights
@@ -84,8 +91,10 @@ def _stack_shapes(n: int, cfg: MoeConfig) -> SwigluWeights:
 
 
 def _empty_stack(n: int, cfg: MoeConfig) -> SwigluWeights:
-    """An uninitialized float32 stack of ``n`` experts."""
-    return SwigluWeights(*(np.empty(shape, np.float32) for shape in _stack_shapes(n, cfg)))
+    """An uninitialized float32 stack of ``n`` experts, each expert's matrix
+    column-major (see :class:`ExpertBank`)."""
+    return SwigluWeights(*(np.empty((n, cols, rows), np.float32).transpose(0, 2, 1)
+                           for _, rows, cols in _stack_shapes(n, cfg)))
 
 
 def validate_bank(cfg: MoeConfig, bank: ExpertBank) -> None:
@@ -192,9 +201,9 @@ def replicate_and_slice(
     blocks of ``expert_dim`` become the routed experts; the tail is discarded.
 
     Returns the routed experts as one stacked triple (see
-    :class:`ExpertBank`) together with the dense channel each of their
-    intermediate rows came from, [n_routed, expert_dim] (channels can repeat
-    when an expert straddles two copies).
+    :class:`ExpertBank`; each expert column-major) together with the dense
+    channel each of their intermediate rows came from, [n_routed,
+    expert_dim] (channels can repeat when an expert straddles two copies).
     """
     w_gate = as_f32(w_gate)
     w_up = as_f32(w_up)
@@ -216,11 +225,10 @@ def replicate_and_slice(
     n, inner = cfg.n_routed, cfg.expert_dim
     # Row i of the concatenated copies is dense channel channels[i].
     channels = np.concatenate([rng.permutation(h_ffn) for _ in range(r)])[: n * inner]
-    experts = SwigluWeights(
-        w_gate[channels].reshape(n, inner, hidden),
-        w_up[channels].reshape(n, inner, hidden),
-        np.ascontiguousarray(w_down[:, channels].reshape(hidden, n, inner).transpose(1, 0, 2)),
-    )
+    experts = _empty_stack(n, cfg)
+    experts.w_gate[...] = w_gate[channels].reshape(n, inner, hidden)
+    experts.w_up[...] = w_up[channels].reshape(n, inner, hidden)
+    experts.w_down[...] = w_down[:, channels].reshape(hidden, n, inner).transpose(1, 0, 2)
     return experts, channels.reshape(n, inner)
 
 
@@ -267,9 +275,8 @@ def upcycle_from_dense(
     for s in range(cfg.n_shared):
         for w in shared:
             w[s] = sample_normal(rng, w[s].size, 0.0, reinit_std).reshape(w.shape[1:])
-    router = sample_normal(rng, cfg.n_routed * cfg.hidden, 0.0, reinit_std).reshape(
-        cfg.n_routed, cfg.hidden
-    )
+    router = np.asfortranarray(sample_normal(rng, cfg.n_routed * cfg.hidden, 0.0, reinit_std)
+                               .reshape(cfg.n_routed, cfg.hidden))
     bank = ExpertBank(routed=routed, shared=shared, router=router)
     validate_bank(cfg, bank)
     return bank

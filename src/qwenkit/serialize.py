@@ -11,6 +11,10 @@ sorted by name; offsets are relative to the payload start and contiguous.
 The tensor names and shapes are the model's weight layout
 (``model._tensor_shapes``); tied models store no ``lm_head`` tensor: the
 embedding is the projection.
+
+Tensors are stored row-major whatever their order in memory. Loaded
+weights take the storage order of ``model._from_tensors``: every matrix
+but the embedding column-major.
 """
 
 from __future__ import annotations
@@ -41,16 +45,15 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     cfg.validate()
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, FormatError)
+    names = sorted(tensors)
     manifest = []
-    arrays = []
     offset = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype="<f4"))
+    for name in names:
+        arr = np.asarray(tensors[name], dtype="<f4")
         if not np.isfinite(arr).all():
             raise NumericError(f"tensor {name} holds non-finite values; not saved")
         dims = "x".join(str(d) for d in arr.shape)
         manifest.append(f"{name} {dims} {offset}")
-        arrays.append(arr)
         offset += arr.nbytes
     header = (
         "[config]\n" + format_config(cfg) + "[tensors]\n" + "\n".join(manifest) + "\n"
@@ -61,10 +64,13 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        # each array straight from its buffer: no payload-sized copy
-        for arr in arrays:
+        # One row-major copy at a time (none for a row-major float32 tensor),
+        # not a payload-sized list of them: each is dropped before the next.
+        for name in names:
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
             fh.write(arr)
             crc = zlib.crc32(arr, crc)
+            del arr
         fh.write(struct.pack("<I", crc))
 
 
@@ -97,6 +103,13 @@ def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, 
             raise FormatError(f"bad manifest line: {line!r}")
         manifest.append((name, shape, offset))
     return cfg, manifest
+
+
+def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    arr = np.empty(shape, dtype="<f4")
+    if fh.readinto(arr) != arr.nbytes:
+        raise FormatError(f"file truncated inside tensor {name}")
+    return arr
 
 
 def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
@@ -147,23 +160,21 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
             )
 
         # Each tensor is read straight into its own array; the CRC runs over
-        # the arrays in payload order.
+        # the arrays in payload order. Only the dict refers to them, so
+        # _from_tensors frees each one as it converts it.
         arrays = {}
         computed = 0
         for name, shape, _ in manifest:
-            arr = np.empty(shape, dtype="<f4")
-            if fh.readinto(arr) != arr.nbytes:
-                raise FormatError(f"file truncated inside tensor {name}")
-            computed = zlib.crc32(arr, computed)
-            arrays[name] = arr
+            arrays[name] = _read_tensor(fh, name, shape)
+            computed = zlib.crc32(arrays[name], computed)
         (stored_crc,) = struct.unpack("<I", fh.read(4))
     if stored_crc != computed:
         raise FormatError(
             f"checksum mismatch at offset {payload_end}: stored {stored_crc:#010x}, "
             f"computed {computed:#010x}"
         )
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
+    for name in arrays:
+        if not np.isfinite(arrays[name]).all():
             raise FormatError(f"tensor {name} holds non-finite values")
-        arrays[name] = arr.astype(np.float32, copy=False)
+        arrays[name] = arrays[name].astype(np.float32, copy=False)
     return _from_tensors(arrays, cfg), cfg

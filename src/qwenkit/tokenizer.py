@@ -108,6 +108,13 @@ def _as_bytes(text) -> bytes:
         raise InputError(f"text is not valid UTF-8 at index {exc.start}") from None
 
 
+def _corpus_bytes(corpus) -> list[bytes]:
+    docs = [_as_bytes(doc) for doc in corpus]
+    if not any(docs):
+        raise InputError("corpus must contain at least one nonempty document")
+    return docs
+
+
 def split_words(data: bytes) -> list[bytes]:
     """Split at non-whitespace to whitespace transitions; whitespace runs attach
     to the following word."""
@@ -134,7 +141,8 @@ def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -
     """Train a vocabulary of up to ``target_vocab`` ids on a list of byte strings.
 
     Documents are ``str`` (as UTF-8), ``bytes`` or ``bytearray``, else
-    :class:`InputError`; a ``str`` with a lone surrogate too.
+    :class:`InputError`; a ``str`` with a lone surrogate too, and a corpus
+    with no nonempty document.
 
     Each step merges the pair with the most occurrences inside words, ties
     broken by the smaller merged byte string, then the smaller left byte
@@ -152,8 +160,8 @@ def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -
             f"tokens, got {target_vocab}"
         )
     word_counts: dict[bytes, int] = {}
-    for doc in corpus:
-        for word in split_words(_as_bytes(doc)):
+    for doc in _corpus_bytes(corpus):
+        for word in split_words(doc):
             word_counts[word] = word_counts.get(word, 0) + 1
     words = [tuple(word) for word in word_counts]
     counts = list(word_counts.values())
@@ -258,11 +266,9 @@ def decode(vocab: BpeVocab, ids) -> bytes:
 
 def compression_rate(vocab: BpeVocab, corpus) -> float:
     """Corpus bytes per token; 1.0 for a merge-free vocabulary. Documents are
-    taken as by :func:`bpe_train`."""
-    docs = [_as_bytes(doc) for doc in corpus]
+    taken, and an empty corpus refused, as by :func:`bpe_train`."""
+    docs = _corpus_bytes(corpus)
     total_bytes = sum(len(d) for d in docs)
-    if not docs or total_bytes == 0:
-        raise ParameterError("corpus must contain at least one nonempty document")
     total_tokens = sum(len(encode(vocab, d)) for d in docs)
     return total_bytes / total_tokens
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import plant_in_container
+from qwenkit import cli
 from qwenkit.cli import build_parser, main
-from qwenkit.config import parse_config, preset, preset_names
+from qwenkit.config import PUBLISHED_PRESETS, parse_config, preset, preset_names
 from qwenkit.model import build_model
 from qwenkit.ops import Rng
 from qwenkit.serialize import load_weights, save_weights
@@ -130,6 +131,8 @@ HOSTILE_INPUTS = [
                   "--out", "{out}"], 1, "cannot read corpus file", id="train-missing-corpus"),
     pytest.param(["tok", "train", "--corpus", "{text}", "--vocab-size", "10",
                   "--out", "{out}"], 1, "target_vocab must be at least", id="train-tiny-vocab"),
+    pytest.param(["tok", "train", "--corpus", "{empty}", "--vocab-size", "300",
+                  "--out", "{out}"], 1, "at least one nonempty document", id="train-empty-corpus"),
     pytest.param(["tok", "encode", "--vocab", "{dir}", "--text", "x"], 1, "Is a directory",
                  id="encode-directory-as-vocab"),
     pytest.param(["tok", "decode", "--vocab", "{vocab}", "--ids", "99999"], 1,
@@ -197,6 +200,18 @@ class TestModelCommands:
         main(["model", "demo", "--prompt-ids", "1,2,3", "--max-new", "4",
               "--seed", "9"])
         assert capsys.readouterr().out != base
+
+    @pytest.mark.parametrize("name", PUBLISHED_PRESETS)
+    def test_demo_refuses_a_published_preset_before_drawing(self, name, capsys, monkeypatch):
+        def build_model(*args, **kwargs):
+            raise AssertionError("model demo drew the weights of a published preset")
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        assert main(["model", "demo", "--preset", name, "--prompt-ids", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: preset {name} holds" in err
+        assert "model demo draws at most" in err
+        assert "Traceback" not in err
 
     def test_validate_published_preset(self, capsys):
         assert main(["model", "validate", "--preset", "qwen2-72b"]) == 0

@@ -55,8 +55,14 @@ class TestTrain:
         assert vocab.merges[0] == (ord("a"), ord("a"))
         assert vocab.token_bytes[256] == b"aa"
 
-    def test_empty_corpus_gives_base_plus_controls(self):
-        vocab = bpe_train([], 300)
+    def test_empty_corpus_rejected(self):
+        for corpus in ([], [b""], ["", bytearray()]):
+            with pytest.raises(InputError, match="at least one nonempty document"):
+                bpe_train(corpus, 300)
+
+    def test_corpus_without_repeated_pairs_gives_base_plus_controls(self):
+        vocab = bpe_train([b"ab"], 300)
+        assert vocab.merges == []
         assert vocab.n_regular == 256
         assert vocab.vocab_size == 259
         assert vocab.control_names == DEFAULT_CONTROL_TOKENS
@@ -184,9 +190,9 @@ class TestCompressionRate:
         assert compression_rate(vocab, [b"aaaa"]) == 2.0
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError):
             compression_rate(base_vocab(), [])
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError):
             compression_rate(base_vocab(), [b""])
 
     def test_monotone_in_merges(self):
@@ -265,7 +271,7 @@ _docs = st.lists(
         st.binary(max_size=24),
     ),
     max_size=8,
-)
+).filter(any)  # bpe_train refuses a corpus with no nonempty document
 
 
 @given(_docs, st.integers(259, 320))
