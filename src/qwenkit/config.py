@@ -4,7 +4,8 @@ Presets cover the five published architecture rows (qwen2-0.5b through
 qwen2-57b-a14b) plus two desk-scale smoke models (nano, nano-moe). The
 vocabulary is stored twice on purpose: ``vocab_size`` is the embedding row
 count while ``regular_tokens`` + ``control_tokens`` is the token inventory;
-the former may be padded larger, never smaller.
+the former may be padded larger, never smaller. A ``ModelConfig`` checks
+itself when it is constructed, so every instance is valid.
 """
 
 from __future__ import annotations
@@ -46,15 +47,19 @@ class ModelConfig:
             return self.eot_id
         return self.regular_tokens + self.control_tokens - 1
 
+    def __post_init__(self):
+        self.validate()
+
     def attention_params(self) -> AttentionParams:
-        return AttentionParams(
-            self.n_q_heads, self.n_kv_heads, self.head_dim, self.use_qkv_bias
-        )
+        return AttentionParams(self.n_q_heads, self.n_kv_heads, self.head_dim)
 
     def rope_params(self) -> RopeParams:
         return RopeParams(self.rope_base, self.head_dim)
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` naming the first broken rule; run on
+        construction, so every ``ModelConfig`` (``dataclasses.replace``
+        included) is valid."""
         for name in ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
                      "ffn_intermediate", "vocab_size", "max_ctx"):
             if getattr(self, name) < 1:
@@ -97,72 +102,52 @@ class ModelConfig:
 
 
 _PUBLISHED_VOCAB = dict(vocab_size=151_646, regular_tokens=151_643, control_tokens=3)
-
-
-def _published(name: str) -> ModelConfig:
-    if name == "qwen2-0.5b":
-        return ModelConfig(hidden=896, n_layers=24, n_q_heads=14, n_kv_heads=2,
-                           head_dim=64, ffn_intermediate=4_864, tie_embeddings=True,
-                           trained_tokens="12T", **_PUBLISHED_VOCAB)
-    if name == "qwen2-1.5b":
-        return ModelConfig(hidden=1_536, n_layers=28, n_q_heads=12, n_kv_heads=2,
-                           head_dim=128, ffn_intermediate=8_960, tie_embeddings=True,
-                           trained_tokens="7T", **_PUBLISHED_VOCAB)
-    if name == "qwen2-7b":
-        return ModelConfig(hidden=3_584, n_layers=28, n_q_heads=28, n_kv_heads=4,
-                           head_dim=128, ffn_intermediate=18_944,
-                           trained_tokens="7T", **_PUBLISHED_VOCAB)
-    if name == "qwen2-72b":
-        return ModelConfig(hidden=8_192, n_layers=80, n_q_heads=64, n_kv_heads=8,
-                           head_dim=128, ffn_intermediate=29_568,
-                           trained_tokens="7T", **_PUBLISHED_VOCAB)
-    if name == "qwen2-57b-a14b":
-        return ModelConfig(hidden=3_584, n_layers=28, n_q_heads=28, n_kv_heads=4,
-                           head_dim=128, ffn_intermediate=2_560,
-                           trained_tokens="4.5T",
-                           moe=MoeConfig(n_routed=64, k_active=8, n_shared=8,
-                                         expert_dim=2_560, hidden=3_584),
-                           **_PUBLISHED_VOCAB)
-    raise KeyError(name)
-
-
-PUBLISHED_PRESETS = (
-    "qwen2-0.5b", "qwen2-1.5b", "qwen2-7b", "qwen2-72b", "qwen2-57b-a14b",
-)
-
 _NANO_COMMON = dict(hidden=64, n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=16,
                     vocab_size=512, regular_tokens=509, control_tokens=3,
                     tie_embeddings=True, rope_base=10_000.0, max_ctx=128)
 
+_PRESETS = {
+    "qwen2-0.5b": ModelConfig(hidden=896, n_layers=24, n_q_heads=14, n_kv_heads=2,
+                              head_dim=64, ffn_intermediate=4_864, tie_embeddings=True,
+                              trained_tokens="12T", **_PUBLISHED_VOCAB),
+    "qwen2-1.5b": ModelConfig(hidden=1_536, n_layers=28, n_q_heads=12, n_kv_heads=2,
+                              head_dim=128, ffn_intermediate=8_960, tie_embeddings=True,
+                              trained_tokens="7T", **_PUBLISHED_VOCAB),
+    "qwen2-7b": ModelConfig(hidden=3_584, n_layers=28, n_q_heads=28, n_kv_heads=4,
+                            head_dim=128, ffn_intermediate=18_944,
+                            trained_tokens="7T", **_PUBLISHED_VOCAB),
+    "qwen2-72b": ModelConfig(hidden=8_192, n_layers=80, n_q_heads=64, n_kv_heads=8,
+                             head_dim=128, ffn_intermediate=29_568,
+                             trained_tokens="7T", **_PUBLISHED_VOCAB),
+    "qwen2-57b-a14b": ModelConfig(hidden=3_584, n_layers=28, n_q_heads=28, n_kv_heads=4,
+                                  head_dim=128, ffn_intermediate=2_560,
+                                  trained_tokens="4.5T",
+                                  moe=MoeConfig(n_routed=64, k_active=8, n_shared=8,
+                                                expert_dim=2_560, hidden=3_584),
+                                  **_PUBLISHED_VOCAB),
+    "nano": ModelConfig(ffn_intermediate=128, **_NANO_COMMON),
+    "nano-moe": ModelConfig(ffn_intermediate=32,
+                            moe=MoeConfig(n_routed=4, k_active=2, n_shared=1,
+                                          expert_dim=32, hidden=64),
+                            **_NANO_COMMON),
+}
+
+# The published architecture rows; the rest are desk-scale smoke models.
+PUBLISHED_PRESETS = tuple(name for name in _PRESETS if name.startswith("qwen2-"))
+
 
 def preset(name: str) -> ModelConfig:
     """Named configuration; published rows plus nano smoke models."""
-    if name in PUBLISHED_PRESETS:
-        cfg = _published(name)
-        # Published rows factor exactly into heads * head_dim.
-        if cfg.n_q_heads * cfg.head_dim != cfg.hidden:
-            raise ConfigError(
-                f"preset {name}: query heads * head size "
-                f"({cfg.n_q_heads} * {cfg.head_dim}) does not equal hidden "
-                f"{cfg.hidden}"
-            )
-    elif name == "nano":
-        cfg = ModelConfig(ffn_intermediate=128, **_NANO_COMMON)
-    elif name == "nano-moe":
-        cfg = ModelConfig(ffn_intermediate=32,
-                          moe=MoeConfig(n_routed=4, k_active=2, n_shared=1,
-                                        expert_dim=32, hidden=64),
-                          **_NANO_COMMON)
-    else:
+    try:
+        return _PRESETS[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    cfg.validate()
-    return cfg
+        ) from None
 
 
 def preset_names() -> list[str]:
-    return [*PUBLISHED_PRESETS, "nano", "nano-moe"]
+    return list(_PRESETS)
 
 
 # --- key = value config file format ------------------------------------------
@@ -265,6 +250,4 @@ def parse_config(text: str) -> ModelConfig:
             kwargs["dca"] = DcaParams(**groups["dca"])
     except TypeError as exc:
         raise FormatError(f"incomplete nested group: {exc}") from None
-    cfg = ModelConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ModelConfig(**kwargs)

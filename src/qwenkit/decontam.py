@@ -135,14 +135,14 @@ class NgramIndex:
         return False
 
 
-def find_ngram_match(test, index: NgramIndex, n: int = 13) -> int | None:
+def find_ngram_match(test, index: NgramIndex) -> int | None:
     """Start offset of the first contaminated window of ``test``, else None.
 
-    Samples shorter than n count as contaminated only when the whole sample
-    appears as a contiguous run in some training document (offset 0).
+    Windows are ``index.n`` tokens long. Samples shorter than that count as
+    contaminated only when the whole sample appears as a contiguous run in
+    some training document (offset 0).
     """
-    if n != index.n:
-        raise ParameterError(f"index was built for n={index.n}, not n={n}")
+    n = index.n
     toks = _tokens(test)
     if len(toks) < n:
         return 0 if index.contains_run(toks) else None
@@ -152,8 +152,8 @@ def find_ngram_match(test, index: NgramIndex, n: int = 13) -> int | None:
     return None
 
 
-def ngram_contaminated(test, index: NgramIndex, n: int = 13) -> bool:
-    return find_ngram_match(test, index, n) is not None
+def ngram_contaminated(test, index: NgramIndex) -> bool:
+    return find_ngram_match(test, index) is not None
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def filter_corpus(
     for set_name, samples in test_sets.items():
         hit = 0
         for sample in samples:
-            start = find_ngram_match(sample, index, ngram_n)
+            start = find_ngram_match(sample, index)
             if start is None:
                 kept.append(sample)
             else:
@@ -273,43 +273,34 @@ def _read_text(path: Path) -> str:
         raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
+def _load_lines(path: Path, lowercase: bool) -> list[TokenSeq]:
+    """One :class:`TokenSeq` per nonempty line of a file, with id
+    ``name:lineno``."""
+    return [normalize(line, source_id=f"{path.name}:{lineno}", lowercase=lowercase)
+            for lineno, line in enumerate(_read_text(path).splitlines(), 1)
+            if line.strip()]
+
+
 def load_docs(path, lowercase: bool = True) -> list[TokenSeq]:
-    """Load one document per line from a file, or one per *.txt file in a
-    directory. Blank lines are skipped."""
+    """Load one document per nonempty line of a file, or one per file in a
+    directory."""
     p = Path(path)
-    docs: list[TokenSeq] = []
     try:
-        if p.is_dir():
-            for child in sorted(p.iterdir()):
-                if child.is_file():
-                    text = _read_text(child)
-                    docs.append(normalize(text, source_id=child.name, lowercase=lowercase))
-        else:
-            for lineno, line in enumerate(_read_text(p).splitlines(), 1):
-                if line.strip():
-                    docs.append(normalize(line, source_id=f"{p.name}:{lineno}",
-                                          lowercase=lowercase))
+        if not p.is_dir():
+            return _load_lines(p, lowercase)
+        return [normalize(_read_text(child), source_id=child.name, lowercase=lowercase)
+                for child in sorted(p.iterdir()) if child.is_file()]
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
-    return docs
 
 
 def load_test_sets(path, lowercase: bool = True) -> dict[str, list[TokenSeq]]:
     """Each file in the directory is one test set, one sample per line."""
     p = Path(path)
-    sets: dict[str, list[TokenSeq]] = {}
     try:
         if not p.is_dir():
             raise InputError(f"test sets path {p} must be a directory of text files")
-        for child in sorted(p.iterdir()):
-            if not child.is_file():
-                continue
-            samples = []
-            for lineno, line in enumerate(_read_text(child).splitlines(), 1):
-                if line.strip():
-                    samples.append(normalize(line, source_id=f"{child.name}:{lineno}",
-                                             lowercase=lowercase))
-            sets[child.stem] = samples
+        return {child.stem: _load_lines(child, lowercase)
+                for child in sorted(p.iterdir()) if child.is_file()}
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
-    return sets

@@ -47,7 +47,6 @@ class AttentionParams:
     n_q_heads: int
     n_kv_heads: int
     head_dim: int
-    use_qkv_bias: bool = True
 
     def __post_init__(self):
         if self.n_q_heads < 1 or self.n_kv_heads < 1:
@@ -173,10 +172,11 @@ def _rope_table(positions, inv_freq, seq: int, head_dim: int):
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate the feature pairs of [heads, seq, head_dim] x by a rope table."""
+    """Rotate the feature pairs of [heads, seq, head_dim] x by a rope table,
+    into a new C-contiguous array whatever the strides of x."""
     even = x[..., 0::2]
     odd = x[..., 1::2]
-    out = np.empty_like(x)
+    out = np.empty(x.shape, np.float32)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out

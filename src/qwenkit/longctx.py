@@ -93,8 +93,6 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
     ``scale == 1`` returns the base frequencies bit-identically with
     multiplier 1.0.
     """
-    if yarn.scale < 1:
-        raise ParameterError(f"scale must be >= 1, got {yarn.scale}")
     inv_freq = rope_freqs(rope)
     if yarn.scale == 1.0:
         return inv_freq, 1.0

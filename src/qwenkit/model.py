@@ -153,11 +153,10 @@ def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
 
 
 def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
-    """The entry check of :func:`forward` and :func:`greedy_decode`: a valid
-    config, and weights of its layout held as float32 arrays, else
-    :class:`ConfigError` naming the tensor. Dual-chunk positions that
-    overrun the YaRN range raise :class:`~qwenkit.errors.ParameterError`."""
-    cfg.validate()
+    """The entry check of :func:`forward` and :func:`greedy_decode`: weights
+    of the config's layout held as float32 arrays, else :class:`ConfigError`
+    naming the tensor. Dual-chunk positions that overrun the YaRN range
+    raise :class:`~qwenkit.errors.ParameterError`."""
     if cfg.dca is not None:
         _check_yarn_range(cfg.dca, cfg.yarn)
     tensors = _tensors(weights)
@@ -252,7 +251,6 @@ def build_model(
     router then routed then shared experts), then the final norm and the
     untied output projection.
     """
-    cfg.validate()
     if dense_source is not None:
         return _upcycled_model(cfg, seed, dense_source)
     rng = Rng(seed)
@@ -312,9 +310,9 @@ def _validate_ids(cfg: ModelConfig, token_ids: Sequence[int]) -> list[int]:
 
 
 def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
-    # [seq, n_heads * head_dim] -> [n_heads, seq, head_dim], C-contiguous as
-    # the attention kernels' matmuls expect
-    return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2))
+    # [seq, n_heads * head_dim] -> a [n_heads, seq, head_dim] view; the
+    # attention kernel copies q and k as it rotates them, v as it caches it
+    return x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2)
 
 
 def _rotary(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -1,8 +1,11 @@
 """Deterministic float32 numeric kernel.
 
-Every tensor in this package is a C-contiguous ``numpy.ndarray`` of
-``float32``. Operations here are pure functions; the only mutable object
-is :class:`Rng`, a seeded splitmix64 generator feeding Box-Muller normal
+Every tensor in this package is a ``numpy.ndarray`` of ``float32``. The
+public functions pass C-contiguous copies (:func:`as_f32`) to their
+kernels, but the kernels also take strided views, such as the per-head
+q/k/v views that the model's block loop splits from one projection.
+Operations here are pure functions; the only mutable object is
+:class:`Rng`, a seeded splitmix64 generator feeding Box-Muller normal
 sampling, pinned so that weight initialization and shuffles reproduce
 byte-for-byte from a seed.
 

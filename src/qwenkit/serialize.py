@@ -42,7 +42,6 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     naming the difference, as does a wrong shape. A tensor holding NaN or
     inf raises :class:`NumericError`. Both happen before the file is opened.
     """
-    cfg.validate()
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, FormatError)
     names = sorted(tensors)

@@ -42,7 +42,6 @@ class BpeVocab:
     merges: list[tuple[int, int]]
     token_bytes: list[bytes]
     control_names: tuple[str, ...]
-    token_to_id: dict[bytes, int] = field(repr=False)
     # Merge rank of each pair, and the ids of every word encoded so far.
     _ranks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     _words: dict[bytes, tuple[int, ...]] = field(
@@ -75,7 +74,7 @@ def _build_vocab(merges: list[tuple[int, int]], control_names) -> BpeVocab:
     if len(set(control_names)) != len(control_names):
         raise ParameterError("control token names must be unique")
     token_bytes = [bytes([b]) for b in range(256)]
-    token_to_id = {tb: i for i, tb in enumerate(token_bytes)}
+    seen = set(token_bytes)
     for k, (left, right) in enumerate(merges):
         limit = 256 + k
         if not (0 <= left < limit and 0 <= right < limit):
@@ -83,13 +82,13 @@ def _build_vocab(merges: list[tuple[int, int]], control_names) -> BpeVocab:
                 f"merge {k} references tokens ({left}, {right}) not yet defined"
             )
         merged = token_bytes[left] + token_bytes[right]
-        if merged in token_to_id:
+        if merged in seen:
             raise FormatError(
                 f"merge {k} produces duplicate token byte string {merged!r}"
             )
-        token_to_id[merged] = len(token_bytes)
+        seen.add(merged)
         token_bytes.append(merged)
-    return BpeVocab(list(merges), token_bytes, control_names, token_to_id)
+    return BpeVocab(list(merges), token_bytes, control_names)
 
 
 def base_vocab(control_names=DEFAULT_CONTROL_TOKENS) -> BpeVocab:

@@ -1,7 +1,10 @@
 """Shared test utilities."""
 
+import contextlib
+import ctypes
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -34,3 +37,51 @@ def plant_in_container(path, tensor: str, value: float) -> None:
     end = len(blob) - 4
     struct.pack_into("<I", blob, end, zlib.crc32(blob[start:end]) & 0xFFFFFFFF)
     path.write_bytes(bytes(blob))
+
+
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's OpenBLAS, the loaded library that exports the ILP64
+    ``scipy_openblas_*64_`` functions of the numpy wheels, else None."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libs = {line.split()[-1] for line in maps.splitlines()
+            if "openblas" in line.lower() and line.split()[-1].startswith("/")}
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        if hasattr(handle, "scipy_openblas_get_corename64_"):
+            handle.scipy_openblas_get_corename64_.argtypes = []
+            handle.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            handle.scipy_openblas_get_num_threads64_.argtypes = []
+            handle.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            handle.scipy_openblas_set_num_threads64_.restype = None
+            return handle
+    return None
+
+
+def blas_core() -> str:
+    """Name of the kernel set numpy's OpenBLAS runs, such as "SkylakeX";
+    the CPU or ``OPENBLAS_CORETYPE`` picks it. "unknown" without OpenBLAS."""
+    lib = _numpy_openblas()
+    if lib is None:
+        return "unknown"
+    return lib.scipy_openblas_get_corename64_().decode()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block. Some kernel sets
+    (Haswell, Sandybridge) round float32 products differently on one thread
+    than on several."""
+    lib = _numpy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)

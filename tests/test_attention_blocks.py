@@ -24,8 +24,10 @@ from qwenkit.layers import (
     _rope_table,
     cached_attention,
     gqa_attention,
+    rope_freqs,
 )
 from qwenkit.longctx import DcaParams, YarnParams, _rotary_freqs, dca_attention
+from qwenkit.model import _split_heads
 from qwenkit.ops import Rng
 
 HEAD_DIM = 8
@@ -149,6 +151,37 @@ def test_second_block_row_leaves_earlier_rows_bit_exact(attend):
     out = attend(q, k, v, params, rope)
     assert np.array_equal(out[:t], base[:t])
     assert not np.array_equal(out[t], base[t])
+
+
+@pytest.mark.parametrize("dca", [None, DcaParams(64, 16)], ids=["vanilla", "dca"])
+@pytest.mark.parametrize("rows", [1, 5, 200])
+def test_strided_head_views_match_contiguous_copies(dca, rows):
+    # The block loop hands the kernel [heads, rows, head_dim] views of
+    # [rows, heads * head_dim] projections. After 70 held rows (past the
+    # first DCA chunk) the call's rows score against an earlier chunk, and
+    # 200 rows cross three more chunk boundaries.
+    params = AttentionParams(4, 2, HEAD_DIM)
+    prefix, total = 70, 70 + rows
+    rng = Rng(11)
+    proj = [rand_f32(rng, total, n * HEAD_DIM)
+            for n in (params.n_q_heads, params.n_kv_heads, params.n_kv_heads)]
+    n = total if dca is None else 2 * dca.chunk_size
+    cos, sin = _rope_table(range(n), rope_freqs(RopeParams(10_000.0, HEAD_DIM)), n, HEAD_DIM)
+
+    def run(contiguous):
+        cache = KvCache(1, capacity=total)
+        outs = []
+        for a, b in ((0, prefix), (prefix, total)):
+            q, k, v = (_split_heads(x[a:b], x.shape[1] // HEAD_DIM, HEAD_DIM) for x in proj)
+            assert q.flags.c_contiguous == (b - a == 1)
+            if contiguous:
+                q, k, v = map(np.ascontiguousarray, (q, k, v))
+            outs.append(_cached_attention(cache, q, k, v, params, cos, sin, 0, 1.0, dca))
+        return outs, cache.keys(), cache.values()
+
+    (views_out, *views_cache), (copies_out, *copies_cache) = run(False), run(True)
+    for got, want in zip([*views_out, *views_cache], [*copies_out, *copies_cache]):
+        assert np.array_equal(got, want)
 
 
 class TestEmptySequence:

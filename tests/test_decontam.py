@@ -170,13 +170,13 @@ class TestNgram:
         small = NgramIndex(docs[:6], 5)
         big = NgramIndex(docs, 5)
         for t in tests:
-            if ngram_contaminated(t, small, 5):
-                assert ngram_contaminated(t, big, 5)
-
-    def test_mismatched_n_rejected(self):
-        idx = NgramIndex(self._train(), 13)
-        with pytest.raises(ParameterError):
-            ngram_contaminated(TokenSeq(("a",)), idx, n=7)
+            if ngram_contaminated(t, small):
+                assert ngram_contaminated(t, big)
+        # Windows are index.n tokens long: a 5-token run of a training doc
+        # inside a 15-token sample is a hit at its offset for n = 5 only.
+        planted = TokenSeq(("x",) * 4 + docs[0].tokens[2:7] + ("y",) * 6)
+        assert find_ngram_match(planted, small) == 4
+        assert find_ngram_match(planted, NgramIndex(docs[:6], 13)) is None
 
 
 def _planted_fixture():

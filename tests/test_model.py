@@ -1,14 +1,14 @@
 import functools
 import hashlib
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_abs_diff
+from helpers import blas_core, max_abs_diff, one_blas_thread
 from test_moe import _expert, _stack
 from qwenkit.config import ModelConfig, format_config, parse_config, preset, preset_names
 from qwenkit.errors import ConfigError, FormatError, InputError, NumericError, ParameterError
@@ -85,15 +85,16 @@ class TestPresets:
         assert cfg.effective_eot_id == 151_645
 
     def test_oversized_inventory_rejected(self):
-        cfg = ModelConfig(hidden=64, n_layers=1, n_q_heads=2, n_kv_heads=2,
-                          head_dim=32, ffn_intermediate=64, vocab_size=100,
-                          regular_tokens=99, control_tokens=3)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            ModelConfig(hidden=64, n_layers=1, n_q_heads=2, n_kv_heads=2,
+                        head_dim=32, ffn_intermediate=64, vocab_size=100,
+                        regular_tokens=99, control_tokens=3)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("qwen3-9b")
+        with pytest.raises(ConfigError):
+            preset(["nano"])
 
     def test_nano_builds_fast(self):
         t0 = time.perf_counter()
@@ -107,6 +108,46 @@ class TestPresets:
 
     def test_preset_names_cover_table(self):
         assert set(TABLE) <= set(preset_names())
+
+
+# One broken rule of ModelConfig.validate each: (preset, changed fields,
+# the message that names the rule).
+INVALID_CONFIGS = [
+    *(pytest.param("nano", {name: 0}, f"{name} must be >= 1", id=f"{name}-zero")
+      for name in ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
+                   "ffn_intermediate", "vocab_size", "max_ctx")),
+    pytest.param("nano", dict(n_kv_heads=3), "not divisible", id="q-heads-not-multiple"),
+    pytest.param("nano", dict(head_dim=15), "head_dim must be even", id="odd-head-dim"),
+    pytest.param("nano", dict(rope_base=0.5), "rope_base", id="rope-base"),
+    pytest.param("nano", dict(rms_eps=0.0), "rms_eps", id="rms-eps"),
+    pytest.param("nano", dict(regular_tokens=0), "inventory", id="no-regular-tokens"),
+    pytest.param("nano", dict(control_tokens=-1), "inventory", id="negative-control-tokens"),
+    pytest.param("nano", dict(regular_tokens=510), "exceed vocab_size",
+                 id="inventory-over-vocab"),
+    pytest.param("nano", dict(eot_id=512), "outside vocabulary", id="eot-past-vocab"),
+    pytest.param("nano", dict(eot_id=-1), "outside vocabulary", id="eot-negative"),
+    pytest.param("nano-moe", dict(moe=MoeConfig(n_routed=4, k_active=2, n_shared=1,
+                                                expert_dim=32, hidden=32)),
+                 "moe hidden", id="moe-hidden"),
+    pytest.param("nano-moe", dict(ffn_intermediate=64), "per-expert intermediate",
+                 id="ffn-not-expert-dim"),
+]
+
+
+class TestConfigValidation:
+    """A ModelConfig is checked when it is built, by any route."""
+
+    @pytest.mark.parametrize("base, changes, message", INVALID_CONFIGS)
+    def test_construction_rejects(self, base, changes, message):
+        valid = preset(base)
+        kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**{**kwargs, **changes})
+
+    @pytest.mark.parametrize("base, changes, message", INVALID_CONFIGS)
+    def test_replace_rejects(self, base, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(preset(base), **changes)
 
 
 class TestConfigFormat:
@@ -535,17 +576,35 @@ def _pinned_layouts():
 
 
 # SHA-256 of the forward logits of build_model(cfg, seed=5) with unit norm
-# gains, over max_ctx seeded ids. They pin the arithmetic of the block loop
-# (MoE dispatch; YaRN frequencies and dual-chunk attention over three
-# chunks) bit for bit: a refactor that only moves code keeps them. They
-# hold for one numpy/OpenBLAS build (here numpy 2.4, OpenBLAS 0.3.31).
+# gains, over max_ctx seeded ids, on one OpenBLAS thread. They pin the
+# arithmetic of the block loop (MoE dispatch; YaRN frequencies and
+# dual-chunk attention over three chunks) bit for bit: a refactor that only
+# moves code keeps them. The float32 GEMMs round differently under each
+# OpenBLAS kernel set, so the digests are keyed by (numpy version, core
+# name). To record a core, run these tests with OPENBLAS_CORETYPE set to it:
+# a key without digests fails with the digest of the run. Prescott reports
+# itself as Katmai.
 LOGITS_SHA256 = {
-    "nano-moe": "5e7f6bf39dd7c8d626b9e219489b33518e4c2e5594bea9ce73894b374b6dac70",
-    "nano-yarn-dca": "169d025874bef786f54e8bb71d9e0e5f9bd9a54d8f13e60112558f0cfb92a357",
+    ("2.4.6", "SkylakeX"): {
+        "nano-moe": "5e7f6bf39dd7c8d626b9e219489b33518e4c2e5594bea9ce73894b374b6dac70",
+        "nano-yarn-dca": "169d025874bef786f54e8bb71d9e0e5f9bd9a54d8f13e60112558f0cfb92a357",
+    },
+    ("2.4.6", "Haswell"): {
+        "nano-moe": "4794fc4be44a974c818e60b5cc122f40af077fb04cb43b06cedbfb1dec76ce94",
+        "nano-yarn-dca": "a8fac9d07d8ba0c909fc1f0a966ff6d1121c662c7f2d9cc45b0c1a8718223768",
+    },
+    ("2.4.6", "Sandybridge"): {
+        "nano-moe": "3d021184bd14725d0cbdf9862e78d5afa48a24b40aafde8e904a3c641913b78c",
+        "nano-yarn-dca": "237f0d9fe7536fac863f943dda5b5d4b03faa86209886523582e27a908b55b5b",
+    },
+    ("2.4.6", "Katmai"): {
+        "nano-moe": "cc873287ee5c523da725f56d4a036c3a62d1fbd3f4a1bd765de1d4fcba918500",
+        "nano-yarn-dca": "e9c459c2999920077020d901b24461971cebfdfce036aaa2758aef72fb76bee7",
+    },
 }
 
 
-@pytest.mark.parametrize("name", list(LOGITS_SHA256))
+@pytest.mark.parametrize("name", list(_pinned_layouts()))
 def test_forward_logits_pinned(name):
     cfg = _pinned_layouts()[name]
     w = build_model(cfg, seed=5)
@@ -554,6 +613,12 @@ def test_forward_logits_pinned(name):
         lw.ffn_gamma[:] = 1.0
     w.final_gamma[:] = 1.0
     ids = [int(t) % cfg.vocab_size for t in Rng(3).uint64s(cfg.max_ctx)]
-    logits = forward(w, cfg, ids)
+    with one_blas_thread():
+        logits = forward(w, cfg, ids)
     assert logits.dtype == np.float32
-    assert hashlib.sha256(logits.tobytes()).hexdigest() == LOGITS_SHA256[name]
+    digest = hashlib.sha256(logits.tobytes()).hexdigest()
+    key = (np.__version__, blas_core())
+    assert key in LOGITS_SHA256, (
+        f"no logit digests recorded for numpy {key[0]} with OpenBLAS core {key[1]}; "
+        f"this run gives {name}: {digest}")
+    assert digest == LOGITS_SHA256[key][name]
