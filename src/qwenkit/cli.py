@@ -4,7 +4,8 @@ Subcommands: model demo/validate, tok train/encode/decode/stats,
 moe upcycle, decontam scan, config show. Exit codes: 0 success,
 1 validation or runtime failure, 2 usage error. The QWENKIT_VERBOSITY
 environment variable (quiet, info, debug) controls diagnostics on stderr;
-every run prints a header line naming the subcommand and its seed.
+every run prints a header line naming the subcommand, and its seed when
+it takes one.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated token ids")
     p_demo.add_argument("--max-new", type=int, default=8)
     p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.set_defaults(func=_cmd_model_demo, needs_seed=True)
+    p_demo.set_defaults(func=_cmd_model_demo)
     p_val = model_sub.add_parser("validate", help="check a preset against the published table")
     p_val.add_argument("--preset", required=True, choices=preset_names())
-    p_val.set_defaults(func=_cmd_model_validate, needs_seed=False)
+    p_val.set_defaults(func=_cmd_model_validate)
 
     p_tok = top.add_parser("tok", help="byte-level BPE workflows")
     tok_sub = p_tok.add_subparsers(dest="subcommand", required=True, metavar="SUB")
@@ -113,22 +114,22 @@ def build_parser() -> argparse.ArgumentParser:
                          help="input file; repeat for more")
     p_train.add_argument("--vocab-size", type=int, required=True)
     p_train.add_argument("--out", required=True, help="vocabulary file to write")
-    p_train.set_defaults(func=_cmd_tok_train, needs_seed=False)
+    p_train.set_defaults(func=_cmd_tok_train)
     p_enc = tok_sub.add_parser("encode", help="encode text to token ids")
     p_enc.add_argument("--vocab", required=True)
     enc_src = p_enc.add_mutually_exclusive_group(required=True)
     enc_src.add_argument("--text", help="literal text to encode")
     enc_src.add_argument("--infile", help="file whose bytes are encoded")
-    p_enc.set_defaults(func=_cmd_tok_encode, needs_seed=False)
+    p_enc.set_defaults(func=_cmd_tok_encode)
     p_dec = tok_sub.add_parser("decode", help="decode token ids to bytes")
     p_dec.add_argument("--vocab", required=True)
     p_dec.add_argument("--ids", type=_id_list, required=True,
                        help="comma-separated token ids")
-    p_dec.set_defaults(func=_cmd_tok_decode, needs_seed=False)
+    p_dec.set_defaults(func=_cmd_tok_decode)
     p_stats = tok_sub.add_parser("stats", help="vocabulary and compression statistics")
     p_stats.add_argument("--vocab", required=True)
     p_stats.add_argument("--corpus", action="append", required=True)
-    p_stats.set_defaults(func=_cmd_tok_stats, needs_seed=False)
+    p_stats.set_defaults(func=_cmd_tok_stats)
 
     p_moe = top.add_parser("moe", help="mixture-of-experts tools")
     moe_sub = p_moe.add_subparsers(dest="subcommand", required=True, metavar="SUB")
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_up.add_argument("--activated", type=int, default=2, help="experts used per token")
     p_up.add_argument("--shared", type=int, default=0, help="always-on expert count")
     p_up.add_argument("--seed", type=int, default=0)
-    p_up.set_defaults(func=_cmd_moe_upcycle, needs_seed=True)
+    p_up.set_defaults(func=_cmd_moe_upcycle)
 
     p_dc = top.add_parser("decontam", help="contamination scans")
     dc_sub = p_dc.add_subparsers(dest="subcommand", required=True, metavar="SUB")
@@ -157,13 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--ngram-n", type=int, default=13)
     p_scan.add_argument("--lcs-min-len", type=int, default=13)
     p_scan.add_argument("--lcs-min-frac", type=float, default=0.6)
-    p_scan.set_defaults(func=_cmd_decontam_scan, needs_seed=False)
+    p_scan.set_defaults(func=_cmd_decontam_scan)
 
     p_cfg = top.add_parser("config", help="configuration inspection")
     cfg_sub = p_cfg.add_subparsers(dest="subcommand", required=True, metavar="SUB")
     p_show = cfg_sub.add_parser("show", help="print a preset in the key = value format")
     p_show.add_argument("--preset", required=True, choices=preset_names())
-    p_show.set_defaults(func=_cmd_config_show, needs_seed=False)
+    p_show.set_defaults(func=_cmd_config_show)
 
     return parser
 
@@ -312,8 +313,7 @@ def main(argv=None) -> int:
     if level is None:
         return 2
     command = args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else "")
-    seed = getattr(args, "seed", None) if getattr(args, "needs_seed", False) else None
-    run = _Run(command, seed, level)
+    run = _Run(command, getattr(args, "seed", None), level)
     try:
         return args.func(args, run)
     except QwenKitError as exc:

@@ -16,6 +16,7 @@ from .errors import ConfigError, FormatError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
+from .ops import _check_ints
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ class ModelConfig:
         """Raise :class:`ConfigError` naming the first broken rule; run on
         construction, so every ``ModelConfig`` (``dataclasses.replace``
         included) is valid."""
-        for name in ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
-                     "ffn_intermediate", "vocab_size", "max_ctx"):
+        sizes = ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
+                 "ffn_intermediate", "vocab_size", "max_ctx")
+        _check_ints(self, sizes + ("regular_tokens", "control_tokens"), ConfigError)
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_q_heads % self.n_kv_heads != 0:
@@ -86,6 +89,8 @@ class ModelConfig:
                 f"({self.regular_tokens} + {self.control_tokens}) exceed "
                 f"vocab_size {self.vocab_size}"
             )
+        if self.eot_id is not None:
+            _check_ints(self, ("eot_id",), ConfigError)
         if not 0 <= self.effective_eot_id < self.vocab_size:
             raise ConfigError(f"eot id {self.effective_eot_id} outside vocabulary")
         if self.moe is not None:

@@ -273,34 +273,35 @@ def _read_text(path: Path) -> str:
         raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
-def _load_lines(path: Path, lowercase: bool) -> list[TokenSeq]:
+def _load_lines(path: Path) -> list[TokenSeq]:
     """One :class:`TokenSeq` per nonempty line of a file, with id
     ``name:lineno``."""
-    return [normalize(line, source_id=f"{path.name}:{lineno}", lowercase=lowercase)
+    return [normalize(line, source_id=f"{path.name}:{lineno}")
             for lineno, line in enumerate(_read_text(path).splitlines(), 1)
             if line.strip()]
 
 
-def load_docs(path, lowercase: bool = True) -> list[TokenSeq]:
+def load_docs(path) -> list[TokenSeq]:
     """Load one document per nonempty line of a file, or one per file in a
-    directory."""
+    directory, each normalized (and so lowercased) by :func:`normalize`."""
     p = Path(path)
     try:
         if not p.is_dir():
-            return _load_lines(p, lowercase)
-        return [normalize(_read_text(child), source_id=child.name, lowercase=lowercase)
+            return _load_lines(p)
+        return [normalize(_read_text(child), source_id=child.name)
                 for child in sorted(p.iterdir()) if child.is_file()]
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc
 
 
-def load_test_sets(path, lowercase: bool = True) -> dict[str, list[TokenSeq]]:
-    """Each file in the directory is one test set, one sample per line."""
+def load_test_sets(path) -> dict[str, list[TokenSeq]]:
+    """Each file in the directory is one test set, one sample per line,
+    normalized (and so lowercased) as by :func:`load_docs`."""
     p = Path(path)
     try:
         if not p.is_dir():
             raise InputError(f"test sets path {p} must be a directory of text files")
-        return {child.stem: _load_lines(child, lowercase)
+        return {child.stem: _load_lines(child)
                 for child in sorted(p.iterdir()) if child.is_file()}
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from exc

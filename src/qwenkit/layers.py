@@ -502,15 +502,10 @@ def decode_step(
     new_q = as_f32(new_q)
     new_k = as_f32(new_k)
     new_v = as_f32(new_v)
-    if new_q.shape != (params.n_q_heads, params.head_dim):
+    if not new_q.ndim == new_k.ndim == new_v.ndim == 2:
         raise DimensionError(
-            f"new_q shape {new_q.shape} does not match "
-            f"({params.n_q_heads}, {params.head_dim})"
-        )
-    if new_k.shape != (params.n_kv_heads, params.head_dim) or new_k.shape != new_v.shape:
-        raise DimensionError(
-            f"new_k/new_v shapes {new_k.shape}/{new_v.shape} do not match "
-            f"({params.n_kv_heads}, {params.head_dim})"
+            f"new_q/new_k/new_v must be [heads, head_dim], got "
+            f"{new_q.shape}, {new_k.shape}, {new_v.shape}"
         )
     out = cached_attention(cache, new_q[:, None], new_k[:, None], new_v[:, None], params,
                            rope, position=position, layer=layer, scale_mult=scale_mult)

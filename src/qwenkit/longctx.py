@@ -28,6 +28,7 @@ from .layers import (
     _check_qkv_shapes,
     _rope_table,
 )
+from .ops import _check_ints
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class YarnParams:
     def __post_init__(self):
         if self.scale < 1:
             raise ParameterError(f"scale must be >= 1, got {self.scale}")
+        _check_ints(self, ("native_ctx",), ParameterError)
         if self.native_ctx < 1:
             raise ParameterError(f"native_ctx must be >= 1, got {self.native_ctx}")
         if not (self.beta_fast > self.beta_slow > 0):
@@ -69,10 +71,12 @@ class DcaParams:
     local_window: int | None = None
 
     def __post_init__(self):
+        _check_ints(self, ("chunk_size",), ParameterError)
         if self.chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.local_window is None:
             object.__setattr__(self, "local_window", max(1, self.chunk_size // 2))
+        _check_ints(self, ("local_window",), ParameterError)
         if not (0 < self.local_window <= self.chunk_size):
             raise ParameterError(
                 f"local_window must be in (0, chunk_size], got "

@@ -34,7 +34,7 @@ from .layers import (
 )
 from .longctx import _check_yarn_range, _rotary_freqs
 from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
-from .ops import Rng, sample_normal
+from .ops import Rng, _is_int, sample_normal
 
 INIT_STD = 0.02
 # Most draft tokens one speculative call of greedy_decode feeds after the
@@ -237,49 +237,18 @@ def _from_tensors(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> ModelWeigh
     return ModelWeights(embedding, layers, take("final_norm.gamma"), take("lm_head"))
 
 
-def build_model(
-    cfg: ModelConfig, seed: int, dense_source: ModelWeights | None = None
-) -> ModelWeights:
+def build_model(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Draw all weights from Normal(0, 0.02) deterministically from ``seed``.
 
-    With ``dense_source`` set (requires a MoE config), attention, norm, and
-    embedding weights are taken from the source model and every FFN is
-    replaced by an upcycled expert bank; only the upcycling draws consume the
-    seed. Otherwise every tensor of the weight layout is drawn in its order:
-    embedding, then per layer the attention norm, q/k/v projections with
-    biases, output projection, FFN norm, and the FFN (dense triple, or
-    router then routed then shared experts), then the final norm and the
-    untied output projection.
+    Every tensor of the weight layout is drawn in its order: embedding,
+    then per layer the attention norm, q/k/v projections with biases,
+    output projection, FFN norm, and the FFN (dense triple, or router then
+    routed then shared experts), then the final norm and the untied output
+    projection.
     """
-    if dense_source is not None:
-        return _upcycled_model(cfg, seed, dense_source)
     rng = Rng(seed)
     return _from_tensors({name: _draw(rng, *shape)
                           for name, shape in _tensor_shapes(cfg).items()}, cfg)
-
-
-def _upcycled_model(cfg: ModelConfig, seed: int, source: ModelWeights) -> ModelWeights:
-    if cfg.moe is None:
-        raise ConfigError("dense_source requires a MoE target config")
-    if len(source.layers) != cfg.n_layers:
-        raise ConfigError(
-            f"source has {len(source.layers)} layers, target wants {cfg.n_layers}"
-        )
-    rng = Rng(seed)
-    layers = []
-    for li, src in enumerate(source.layers):
-        if src.ffn is None:
-            raise ConfigError(f"source layer {li} is not dense; cannot upcycle")
-        bank = upcycle_from_dense(
-            src.ffn.w_gate, src.ffn.w_up, src.ffn.w_down, cfg.moe, rng
-        )
-        layers.append(LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk,
-                                   src.wv, src.bv, src.wo, src.ffn_gamma,
-                                   moe_bank=bank))
-    # Through _from_tensors, so that a row-major source gives the stored
-    # layout too.
-    return _from_tensors(_tensors(ModelWeights(source.embedding, layers, source.final_gamma,
-                                               source.lm_head)), cfg)
 
 
 def upcycle_model(
@@ -288,14 +257,33 @@ def upcycle_model(
     moe: MoeConfig,
     seed: int,
 ) -> tuple[ModelWeights, ModelConfig]:
-    """Convert a dense model into a MoE model with upcycled expert banks."""
+    """Convert a dense model into a MoE model with upcycled expert banks.
+
+    Attention, norm and embedding weights are taken from ``weights``; every
+    FFN is replaced by the bank :func:`~qwenkit.moe.upcycle_from_dense`
+    draws from it, all from one ``Rng(seed)``, so only the upcycling draws
+    consume the seed. Returns the weights and ``dense_cfg`` with ``moe``
+    set. Weights of another layer count, or with a layer that is not dense,
+    raise :class:`ConfigError`.
+    """
     target = replace(dense_cfg, moe=moe, ffn_intermediate=moe.expert_dim)
-    return build_model(target, seed, dense_source=weights), target
-
-
-def _is_int(value) -> bool:
-    # int() would turn "7" into 7 and 1.9 into 1; bool is an int subclass.
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if len(weights.layers) != target.n_layers:
+        raise ConfigError(
+            f"source has {len(weights.layers)} layers, target wants {target.n_layers}"
+        )
+    rng = Rng(seed)
+    layers = []
+    for li, src in enumerate(weights.layers):
+        if src.ffn is None:
+            raise ConfigError(f"source layer {li} is not dense; cannot upcycle")
+        bank = upcycle_from_dense(src.ffn.w_gate, src.ffn.w_up, src.ffn.w_down, moe, rng)
+        layers.append(LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk,
+                                   src.wv, src.bv, src.wo, src.ffn_gamma,
+                                   moe_bank=bank))
+    # Through _from_tensors, so that a row-major source gives the stored
+    # layout too.
+    return _from_tensors(_tensors(ModelWeights(weights.embedding, layers, weights.final_gamma,
+                                               weights.lm_head)), target), target
 
 
 def _validate_ids(cfg: ModelConfig, token_ids: Sequence[int]) -> list[int]:

@@ -9,7 +9,8 @@ the block of rows that chose it (dropless, no capacity limit). Experts are
 stored stacked: one gate/up/down triple whose arrays carry a leading expert
 axis, for the routed and for the shared experts. Expert banks can be
 initialized from a dense FFN by replication, per-copy channel shuffling,
-slicing, and partial reinitialization ("upcycling").
+slicing, and partial reinitialization from Normal(0, ``REINIT_STD``)
+("upcycling").
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
 from .layers import SwigluWeights, _swiglu_ffn
-from .ops import Rng, _softmax_rows, as_f32, sample_normal, softmax_rows
+from .ops import Rng, _check_ints, _softmax_rows, as_f32, sample_normal, softmax_rows
+
+# Standard deviation of every fresh draw of upcycling (upcycle_from_dense).
+REINIT_STD = 0.02
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,8 @@ class MoeConfig:
     hidden: int
 
     def __post_init__(self):
+        _check_ints(self, ("n_routed", "k_active", "n_shared", "expert_dim", "hidden"),
+                    ConfigError)
         if not 1 <= self.k_active <= self.n_routed:
             raise ConfigError(
                 f"k_active must be in [1, n_routed], got {self.k_active} "
@@ -232,9 +238,9 @@ def replicate_and_slice(
     return experts, channels.reshape(n, inner)
 
 
-def _reinit_half(experts: SwigluWeights, e: int, rng: Rng, std: float) -> None:
+def _reinit_half(experts: SwigluWeights, e: int, rng: Rng) -> None:
     """Redraw in place exactly floor(count/2) scalars of expert ``e`` of a
-    stack from Normal(0, std).
+    stack from Normal(0, REINIT_STD).
 
     The scalars are chosen as the first half of a seeded permutation over the
     flattened gate/up/down concatenation of that expert (row-major, in that
@@ -244,39 +250,33 @@ def _reinit_half(experts: SwigluWeights, e: int, rng: Rng, std: float) -> None:
     flat = np.concatenate([part.ravel() for part in parts])
     count = flat.shape[0]
     chosen = rng.permutation(count)[: count // 2]
-    flat[chosen] = sample_normal(rng, count // 2, 0.0, std)
+    flat[chosen] = sample_normal(rng, count // 2, 0.0, REINIT_STD)
     ends = np.cumsum([part.size for part in parts])
     for part, new in zip(parts, np.split(flat, ends[:-1])):
         part[...] = new.reshape(part.shape)
 
 
-def upcycle_from_dense(
-    w_gate, w_up, w_down, cfg: MoeConfig, rng: Rng, reinit_std: float = 0.02
-) -> ExpertBank:
+def upcycle_from_dense(w_gate, w_up, w_down, cfg: MoeConfig, rng: Rng) -> ExpertBank:
     """Initialize an expert bank from a dense FFN's weights.
 
     The dense FFN is replicated ceil(n_routed * expert_dim / h_ffn) times,
     each copy's intermediate channels are shuffled by a per-copy permutation,
     routed experts are sliced out of the concatenation, and half of each
     expert's scalars (exactly floor(count/2), chosen by a seeded permutation)
-    are redrawn from Normal(0, reinit_std). Shared experts and the router are
-    drawn entirely from Normal(0, reinit_std).
+    are redrawn from Normal(0, REINIT_STD). Shared experts and the router are
+    drawn entirely from Normal(0, REINIT_STD).
 
     The rng is consumed in a pinned order: copy permutations, then per routed
     expert one selection permutation plus its redraws, then per shared
     expert its gate, up and down, then the router.
     """
-    if reinit_std < 0:
-        raise ParameterError(f"reinit_std must be >= 0, got {reinit_std}")
     routed, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, rng)
     for e in range(cfg.n_routed):
-        _reinit_half(routed, e, rng, reinit_std)
+        _reinit_half(routed, e, rng)
     shared = _empty_stack(cfg.n_shared, cfg)
     for s in range(cfg.n_shared):
         for w in shared:
-            w[s] = sample_normal(rng, w[s].size, 0.0, reinit_std).reshape(w.shape[1:])
-    router = np.asfortranarray(sample_normal(rng, cfg.n_routed * cfg.hidden, 0.0, reinit_std)
+            w[s] = sample_normal(rng, w[s].size, 0.0, REINIT_STD).reshape(w.shape[1:])
+    router = np.asfortranarray(sample_normal(rng, cfg.n_routed * cfg.hidden, 0.0, REINIT_STD)
                                .reshape(cfg.n_routed, cfg.hidden))
-    bank = ExpertBank(routed=routed, shared=shared, router=router)
-    validate_bank(cfg, bank)
-    return bank
+    return ExpertBank(routed=routed, shared=shared, router=router)

@@ -28,6 +28,20 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _is_int(value) -> bool:
+    # int() would turn "7" into 7 and 1.9 into 1; bool is an int subclass.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_ints(obj, names, error) -> None:
+    """Raise ``error`` naming the first field of ``obj`` in ``names`` that
+    is not a Python or numpy integer (a bool is not one)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not _is_int(value):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 def as_f32(x) -> np.ndarray:
     """Coerce array-like input to a contiguous float32 array."""
     return np.ascontiguousarray(np.asarray(x, dtype=np.float32))

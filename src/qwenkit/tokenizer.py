@@ -66,6 +66,8 @@ class BpeVocab:
 
 
 def _build_vocab(merges: list[tuple[int, int]], control_names) -> BpeVocab:
+    """The vocabulary of ``merges``, which must be valid: :func:`load_vocab`
+    checks a file's merges, and :func:`bpe_train` makes only valid ones."""
     control_names = tuple(control_names)
     for name in control_names:
         if not name or any(c.isspace() for c in name):
@@ -74,26 +76,14 @@ def _build_vocab(merges: list[tuple[int, int]], control_names) -> BpeVocab:
     if len(set(control_names)) != len(control_names):
         raise ParameterError("control token names must be unique")
     token_bytes = [bytes([b]) for b in range(256)]
-    seen = set(token_bytes)
-    for k, (left, right) in enumerate(merges):
-        limit = 256 + k
-        if not (0 <= left < limit and 0 <= right < limit):
-            raise FormatError(
-                f"merge {k} references tokens ({left}, {right}) not yet defined"
-            )
-        merged = token_bytes[left] + token_bytes[right]
-        if merged in seen:
-            raise FormatError(
-                f"merge {k} produces duplicate token byte string {merged!r}"
-            )
-        seen.add(merged)
-        token_bytes.append(merged)
+    for left, right in merges:
+        token_bytes.append(token_bytes[left] + token_bytes[right])
     return BpeVocab(list(merges), token_bytes, control_names)
 
 
-def base_vocab(control_names=DEFAULT_CONTROL_TOKENS) -> BpeVocab:
-    """Merge-free vocabulary: the 256 bytes plus control tokens."""
-    return _build_vocab([], control_names)
+def base_vocab() -> BpeVocab:
+    """Merge-free vocabulary: the 256 bytes plus :data:`DEFAULT_CONTROL_TOKENS`."""
+    return _build_vocab([], DEFAULT_CONTROL_TOKENS)
 
 
 def _as_bytes(text) -> bytes:
@@ -136,8 +126,9 @@ def _merge_once(word: tuple[int, ...], pair: tuple[int, int], new_id: int) -> tu
     return tuple(out)
 
 
-def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -> BpeVocab:
-    """Train a vocabulary of up to ``target_vocab`` ids on a list of byte strings.
+def bpe_train(corpus, target_vocab: int) -> BpeVocab:
+    """Train a vocabulary of up to ``target_vocab`` ids on a list of byte
+    strings; it holds the three :data:`DEFAULT_CONTROL_TOKENS`.
 
     Documents are ``str`` (as UTF-8), ``bytes`` or ``bytearray``, else
     :class:`InputError`; a ``str`` with a lone surrogate too, and a corpus
@@ -152,10 +143,10 @@ def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -
     Pair counts are kept across steps: a merge rewrites only the distinct
     words that contain the merged pair and applies their count changes.
     """
-    control_names = tuple(control_names)
-    if target_vocab < 256 + len(control_names):
+    n_control = len(DEFAULT_CONTROL_TOKENS)
+    if target_vocab < 256 + n_control:
         raise ParameterError(
-            f"target_vocab must be at least 256 + {len(control_names)} control "
+            f"target_vocab must be at least 256 + {n_control} control "
             f"tokens, got {target_vocab}"
         )
     word_counts: dict[bytes, int] = {}
@@ -176,7 +167,7 @@ def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -
     token_bytes = [bytes([b]) for b in range(256)]
     existing = set(token_bytes)
     merges: list[tuple[int, int]] = []
-    while len(token_bytes) + len(control_names) < target_vocab:
+    while len(token_bytes) + n_control < target_vocab:
         best = best_key = None
         top = 2  # the best count so far; fewer cannot win
         for pair, count in pair_counts.items():
@@ -207,7 +198,7 @@ def bpe_train(corpus, target_vocab: int, control_names=DEFAULT_CONTROL_TOKENS) -
                 holders[pair].add(wi)
             words[wi] = new_word
         del pair_counts[best]
-    return _build_vocab(merges, control_names)
+    return _build_vocab(merges, DEFAULT_CONTROL_TOKENS)
 
 
 def _encode_word(vocab: BpeVocab, word: bytes) -> tuple[int, ...]:

@@ -247,6 +247,10 @@ class TestConfigShow:
         text = capsys.readouterr().out
         assert parse_config(text) == preset("qwen2-57b-a14b")
 
+    def test_header_names_no_seed(self, capsys):
+        main(["config", "show", "--preset", "nano"])
+        assert capsys.readouterr().err == "# qwenkit config show\n"
+
 
 class TestTokCommands:
     def test_full_workflow(self, tmp_path, capsys):
@@ -292,6 +296,7 @@ class TestMoeUpcycle:
         assert main(["moe", "upcycle", "--in", str(dense_path), "--out", str(out_path),
                      "--experts", "4", "--expert-dim", "32", "--activated", "2",
                      "--shared", "1", "--seed", "7"]) == 0
+        assert capsys.readouterr().err.startswith("# qwenkit moe upcycle seed=7\n")
         weights, cfg2 = load_weights(out_path)
         assert cfg2.moe is not None
         assert cfg2.moe.n_routed == 4

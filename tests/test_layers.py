@@ -326,6 +326,22 @@ class TestKvCache:
                 cached_attention(cache, q, k, v, params, rope, position=3)
         assert cache.length() == 3
 
+    # One-row entries of another rank, head count or width, as (entry,
+    # shape); the others keep [heads, head_dim] of the held cache's layout.
+    @pytest.mark.parametrize("entry, shape", [
+        ("q", ()), ("q", (2,)), ("q", (2, 1, 8)), ("k", ()), ("k", (2,)),
+        ("v", (2, 1, 8)), ("q", (3, 8)), ("q", (2, 4)), ("v", (2, 4)),
+    ], ids=["q-0d", "q-1d", "q-3d", "k-0d", "k-1d", "v-3d", "q-heads", "q-width", "v-width"])
+    def test_malformed_one_row_entries_rejected(self, entry, shape):
+        cache = self._held_cache()
+        params, rope, q, k, v = self._setup(seq=1, nq=2, nkv=2, hd=8)
+        entries = {"q": q[:, 0], "k": k[:, 0], "v": v[:, 0]}
+        entries[entry] = np.ones(shape, np.float32)
+        with pytest.raises(DimensionError):
+            decode_step(cache, entries["q"], entries["k"], entries["v"], params, rope,
+                        position=3)
+        assert cache.length() == 3
+
     @pytest.mark.parametrize("layer", [3, 1, -1])
     def test_out_of_range_layer_rejected(self, layer):
         params, rope, q, k, v = self._setup()

@@ -23,6 +23,7 @@ from qwenkit.model import (
     build_model,
     forward,
     greedy_decode,
+    upcycle_model,
 )
 from qwenkit.moe import ExpertBank, MoeConfig, gate_probs, topk_select
 from qwenkit.ops import Rng, sample_normal
@@ -131,6 +132,33 @@ INVALID_CONFIGS = [
                  "moe hidden", id="moe-hidden"),
     pytest.param("nano-moe", dict(ffn_intermediate=64), "per-expert intermediate",
                  id="ffn-not-expert-dim"),
+    *(pytest.param("nano", {name: 2.5}, f"{name} must be an integer", id=f"{name}-float")
+      for name in ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
+                   "ffn_intermediate", "vocab_size", "max_ctx", "regular_tokens",
+                   "control_tokens", "eot_id")),
+    pytest.param("nano", dict(max_ctx=True), "max_ctx must be an integer", id="max-ctx-bool"),
+    pytest.param("nano", dict(hidden="64"), "hidden must be an integer", id="hidden-str"),
+    pytest.param("nano", dict(eot_id=np.float32(5)), "eot_id must be an integer",
+                 id="eot-np-float"),
+]
+
+# The integer fields of the nested configs, given other types: (class,
+# arguments, error, the message that names the field).
+INVALID_PARTS = [
+    pytest.param(MoeConfig, dict(n_routed=4, k_active=2, n_shared=1, expert_dim=8.0, hidden=64),
+                 ConfigError, "expert_dim must be an integer", id="moe-expert-dim-float"),
+    pytest.param(MoeConfig, dict(n_routed=4, k_active=True, n_shared=1, expert_dim=8, hidden=64),
+                 ConfigError, "k_active must be an integer", id="moe-k-active-bool"),
+    pytest.param(MoeConfig, dict(n_routed="4", k_active=2, n_shared=1, expert_dim=8, hidden=64),
+                 ConfigError, "n_routed must be an integer", id="moe-n-routed-str"),
+    pytest.param(DcaParams, dict(chunk_size=8.5), ParameterError,
+                 "chunk_size must be an integer", id="dca-chunk-float"),
+    pytest.param(DcaParams, dict(chunk_size="8"), ParameterError,
+                 "chunk_size must be an integer", id="dca-chunk-str"),
+    pytest.param(DcaParams, dict(chunk_size=8, local_window=2.0), ParameterError,
+                 "local_window must be an integer", id="dca-window-float"),
+    pytest.param(YarnParams, dict(scale=2.0, native_ctx=512.0), ParameterError,
+                 "native_ctx must be an integer", id="yarn-native-ctx-float"),
 ]
 
 
@@ -148,6 +176,19 @@ class TestConfigValidation:
     def test_replace_rejects(self, base, changes, message):
         with pytest.raises(ConfigError, match=message):
             replace(preset(base), **changes)
+
+    @pytest.mark.parametrize("cls, kwargs, error, message", INVALID_PARTS)
+    def test_part_rejects(self, cls, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            cls(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        i64 = np.int64
+        cfg = replace(preset("nano-moe"), n_layers=i64(1), max_ctx=np.int32(64), eot_id=i64(7),
+                      moe=MoeConfig(n_routed=i64(4), k_active=np.int8(2), n_shared=i64(1),
+                                    expert_dim=i64(32), hidden=i64(64)),
+                      yarn=YarnParams(4.0, i64(32)), dca=DcaParams(i64(32), i64(8)))
+        assert forward(build_model(cfg, 0), cfg, [1, 2, 3]).shape == (3, 512)
 
 
 class TestConfigFormat:
@@ -327,6 +368,20 @@ class TestForward:
         with pytest.raises(ConfigError):
             LayerWeights(np.ones(4), np.ones((4, 4)), None, np.ones((4, 4)), None,
                          np.ones((4, 4)), None, np.ones((4, 4)), np.ones(4))
+
+
+class TestUpcycleModel:
+    MOE = MoeConfig(n_routed=4, k_active=2, n_shared=1, expert_dim=32, hidden=64)
+
+    def test_moe_source_rejected(self):
+        cfg = preset("nano-moe")
+        with pytest.raises(ConfigError, match="source layer 0 is not dense"):
+            upcycle_model(build_model(cfg, 0), cfg, self.MOE, 1)
+
+    def test_layer_count_mismatch_rejected(self):
+        cfg = preset("nano")
+        with pytest.raises(ConfigError, match="source has 2 layers, target wants 3"):
+            upcycle_model(build_model(cfg, 0), replace(cfg, n_layers=3), self.MOE, 1)
 
 
 class TestGreedyDecode:
