@@ -16,7 +16,7 @@ from .errors import ConfigError, FormatError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
-from .ops import _check_ints
+from .ops import _check_ints, _check_reals
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ class ModelConfig:
         sizes = ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
                  "ffn_intermediate", "vocab_size", "max_ctx")
         _check_ints(self, sizes + ("regular_tokens", "control_tokens"), ConfigError)
+        _check_reals(self, ("rope_base", "rms_eps"), ConfigError)
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -28,7 +28,7 @@ from .layers import (
     _check_qkv_shapes,
     _rope_table,
 )
-from .ops import _check_ints
+from .ops import _check_ints, _check_reals
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ class YarnParams:
     mscale_coeff: float = 0.1
 
     def __post_init__(self):
+        _check_reals(self, ("scale", "beta_fast", "beta_slow", "mscale_coeff"),
+                     ParameterError)
         if self.scale < 1:
             raise ParameterError(f"scale must be >= 1, got {self.scale}")
         _check_ints(self, ("native_ctx",), ParameterError)

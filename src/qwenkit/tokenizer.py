@@ -66,15 +66,10 @@ class BpeVocab:
 
 
 def _build_vocab(merges: list[tuple[int, int]], control_names) -> BpeVocab:
-    """The vocabulary of ``merges``, which must be valid: :func:`load_vocab`
-    checks a file's merges, and :func:`bpe_train` makes only valid ones."""
+    """The vocabulary of ``merges`` and ``control_names``, which must be
+    valid: :func:`load_vocab` checks a file's merges and control names, and
+    :func:`bpe_train` makes only valid merges, with the default names."""
     control_names = tuple(control_names)
-    for name in control_names:
-        if not name or any(c.isspace() for c in name):
-            raise ParameterError(f"control token name {name!r} must be nonempty "
-                                 "and contain no whitespace")
-    if len(set(control_names)) != len(control_names):
-        raise ParameterError("control token names must be unique")
     token_bytes = [bytes([b]) for b in range(256)]
     for left, right in merges:
         token_bytes.append(token_bytes[left] + token_bytes[right])
@@ -314,8 +309,11 @@ def load_vocab(path) -> BpeVocab:
             token_to_id[merged] = 256 + len(merges)
             merges.append((left, right))
         elif kind == "control":
-            if not rest:
-                raise FormatError(f"line {lineno}: control token needs a name")
+            if not rest or any(c.isspace() for c in rest):
+                raise FormatError(f"line {lineno}: control token name {rest!r} must be "
+                                  "nonempty and contain no whitespace")
+            if rest in controls:
+                raise FormatError(f"line {lineno}: duplicate control token name {rest!r}")
             controls.append(rest)
         else:
             raise FormatError(f"line {lineno}: unknown record {kind!r}")

@@ -139,6 +139,8 @@ HOSTILE_INPUTS = [
                  "outside vocabulary", id="decode-id-out-of-range"),
     pytest.param(["tok", "stats", "--vocab", "{truncated}", "--corpus", "{text}"], 1,
                  "line 3: expected two hex byte strings", id="stats-truncated-vocab"),
+    pytest.param(["tok", "stats", "--vocab", "{repeated_control}", "--corpus", "{text}"], 1,
+                 "line 3: duplicate control token name", id="stats-repeated-control"),
     pytest.param(["tok", "stats", "--vocab", "{vocab}", "--corpus", "{empty}"], 1,
                  "at least one nonempty document", id="stats-empty-corpus"),
     pytest.param(["moe", "upcycle", "--in", "{empty}", "--out", "{out}", "--experts", "4",
@@ -168,10 +170,13 @@ class TestHostileInput:
         vocab.write_text("qwenkit-bpe v1\nmerge 20 20\nmerge 69 6e\n")
         truncated = tmp_path / "truncated.bpe"
         truncated.write_bytes(vocab.read_bytes()[:-4])
+        repeated_control = tmp_path / "repeated_control.bpe"
+        repeated_control.write_text("qwenkit-bpe v1\ncontrol <x>\ncontrol <x>\n")
         test_sets = tmp_path / "tests"
         test_sets.mkdir()
         (test_sets / "set.txt").write_text("hello world\n")
-        return dict(text=text, empty=empty, vocab=vocab, truncated=truncated, dir=test_sets,
+        return dict(text=text, empty=empty, vocab=vocab, truncated=truncated,
+                    repeated_control=repeated_control, dir=test_sets,
                     missing=tmp_path / "missing", out=tmp_path / "out")
 
     @pytest.mark.parametrize("argv, code, message", HOSTILE_INPUTS)

@@ -140,6 +140,14 @@ INVALID_CONFIGS = [
     pytest.param("nano", dict(hidden="64"), "hidden must be an integer", id="hidden-str"),
     pytest.param("nano", dict(eot_id=np.float32(5)), "eot_id must be an integer",
                  id="eot-np-float"),
+    pytest.param("nano", dict(rope_base="1e4"), "rope_base must be a real number",
+                 id="rope-base-str"),
+    pytest.param("nano", dict(rms_eps="1e-6"), "rms_eps must be a real number",
+                 id="rms-eps-str"),
+    pytest.param("nano", dict(rope_base=True), "rope_base must be a real number",
+                 id="rope-base-bool"),
+    pytest.param("nano", dict(rms_eps=None), "rms_eps must be a real number",
+                 id="rms-eps-none"),
 ]
 
 # The integer fields of the nested configs, given other types: (class,
@@ -159,6 +167,17 @@ INVALID_PARTS = [
                  "local_window must be an integer", id="dca-window-float"),
     pytest.param(YarnParams, dict(scale=2.0, native_ctx=512.0), ParameterError,
                  "native_ctx must be an integer", id="yarn-native-ctx-float"),
+    pytest.param(YarnParams, dict(scale="2", native_ctx=8), ParameterError,
+                 "scale must be a real number", id="yarn-scale-str"),
+    pytest.param(YarnParams, dict(scale=True, native_ctx=8), ParameterError,
+                 "scale must be a real number", id="yarn-scale-bool"),
+    pytest.param(YarnParams, dict(scale=2.0, native_ctx=8, beta_fast="32"), ParameterError,
+                 "beta_fast must be a real number", id="yarn-beta-fast-str"),
+    pytest.param(YarnParams, dict(scale=2.0, native_ctx=8, beta_slow=None), ParameterError,
+                 "beta_slow must be a real number", id="yarn-beta-slow-none"),
+    pytest.param(YarnParams, dict(scale=2.0, native_ctx=8, mscale_coeff="0.1"),
+                 ParameterError, "mscale_coeff must be a real number",
+                 id="yarn-mscale-str"),
 ]
 
 
@@ -188,6 +207,12 @@ class TestConfigValidation:
                       moe=MoeConfig(n_routed=i64(4), k_active=np.int8(2), n_shared=i64(1),
                                     expert_dim=i64(32), hidden=i64(64)),
                       yarn=YarnParams(4.0, i64(32)), dca=DcaParams(i64(32), i64(8)))
+        assert forward(build_model(cfg, 0), cfg, [1, 2, 3]).shape == (3, 512)
+
+    def test_integer_and_numpy_reals_accepted(self):
+        cfg = replace(preset("nano"), rope_base=10_000, rms_eps=np.float32(1e-6),
+                      yarn=YarnParams(np.float64(4.0), 32, beta_fast=np.int64(32),
+                                      beta_slow=1, mscale_coeff=np.float32(0.1)))
         assert forward(build_model(cfg, 0), cfg, [1, 2, 3]).shape == (3, 512)
 
 

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ops_oracles
 from helpers import rand_f32
+from qwenkit import ModelConfig, build_model
 from qwenkit.errors import DimensionError, ParameterError
-from qwenkit.ops import Rng, sample_normal, silu, softmax_rows
+from qwenkit.model import _tensors
+from qwenkit.ops import _NORMAL_SLICE, Rng, sample_normal, silu, softmax_rows
 
 
 class TestSoftmaxRows:
@@ -131,3 +135,91 @@ class TestSampleNormal:
     def test_nonzero_mean(self):
         x = sample_normal(Rng(3), 50_000, 2.0, 0.1)
         assert abs(float(x.mean()) - 2.0) < 0.01
+
+
+# Differential tests against the one-shot draws and the swap loop in
+# ops_oracles: same values, bit for bit, and the stream left at the same
+# position (the next raw draw agrees).
+
+def _same_next_draw(rng: Rng, ref: ops_oracles.RefRng) -> bool:
+    return rng.next_uint64() == int(ref.uint64s(1)[0])
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestRngMatchesOracle:
+    @given(st.integers(0, 3000), SEEDS)
+    @settings(max_examples=300, deadline=None)
+    def test_permutation_matches_swap_loop(self, n, seed):
+        rng, ref = Rng(seed), ops_oracles.RefRng(seed)
+        perm = rng.permutation(n)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, ref.permutation(n))
+        assert _same_next_draw(rng, ref)
+
+    @pytest.mark.parametrize("n", [24_576, 100_003])
+    @pytest.mark.parametrize("seed", [0, 20240711, 2**64 - 1])
+    def test_permutation_matches_swap_loop_large(self, n, seed):
+        rng, ref = Rng(seed), ops_oracles.RefRng(seed)
+        assert np.array_equal(rng.permutation(n), ref.permutation(n))
+        assert _same_next_draw(rng, ref)
+
+    @given(st.integers(0, 5000), SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_raw_draws_match(self, n, seed):
+        rng, ref = Rng(seed), ops_oracles.RefRng(seed)
+        assert np.array_equal(rng.uint64s(n), ref.uint64s(n))
+        assert np.array_equal(rng.uniforms(n), ref.uniforms(n))
+        assert _same_next_draw(rng, ref)
+
+    COUNTS = [0, 1, 2, 7, _NORMAL_SLICE - 1, _NORMAL_SLICE, _NORMAL_SLICE + 1,
+              3 * _NORMAL_SLICE + 5, 4 * _NORMAL_SLICE]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("mean, std", [(0.0, 0.02), (1.5, 0.0), (-2.0, 3.0)])
+    def test_sample_normal_matches_one_shot(self, count, mean, std):
+        rng, ref = Rng(77), ops_oracles.RefRng(77)
+        got = sample_normal(rng, count, mean, std)
+        want = ops_oracles.sample_normal(ref, count, mean, std)
+        assert got.dtype == np.float32 and got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+        assert _same_next_draw(rng, ref)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_normals_match_one_shot(self, count):
+        rng, ref = Rng(2**63 + 3), ops_oracles.RefRng(2**63 + 3)
+        assert rng.normals(count).tobytes() == ref.normals(count).tobytes()
+        assert _same_next_draw(rng, ref)
+
+
+# The benchmark's mid-size model (perfbench/inputs.py MODEL).
+BENCH_MODEL = dict(hidden=256, n_layers=4, n_q_heads=8, n_kv_heads=2, head_dim=32,
+                   ffn_intermediate=512, vocab_size=2048, regular_tokens=2000,
+                   rope_base=10_000.0, max_ctx=2048, eot_id=2047)
+# Bytes the sliced normal draws may hold beyond their output, per value of
+# one slice: the ramp, raw bits and uniforms (8 bytes each) and r, cos and
+# sin (half a slice of 8 bytes each), with room to spare.
+SLICE_BYTES = 48 * _NORMAL_SLICE
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawMemory:
+    def test_sample_normal_temporaries_are_bounded(self):
+        out, peak = _traced_peak(lambda: sample_normal(Rng(1), 524_288, 0.0, 0.02))
+        assert peak <= out.nbytes + SLICE_BYTES
+
+    def test_build_model_peak_is_model_plus_one_tensor(self):
+        cfg = ModelConfig(**BENCH_MODEL)
+        weights, peak = _traced_peak(lambda: build_model(cfg, 20240710))
+        sizes = [t.nbytes for t in _tensors(weights).values()]
+        assert peak <= sum(sizes) + max(sizes) + SLICE_BYTES

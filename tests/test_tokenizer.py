@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,18 @@ class TestVocabFile:
         path = tmp_path / "v.bpe"
         path.write_text("qwenkit-bpe v1\ncontrol <x>\nmerge 61 62\n")
         with pytest.raises(FormatError):
+            load_vocab(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("control <|a|> x\n", "line 2: control token name '<|a|> x'"),
+        ("control <|a|>\ncontrol <|b|>\ncontrol <|a|>\n",
+         "line 4: duplicate control token name '<|a|>'"),
+        ("control \n", "line 2: control token name ''"),
+    ], ids=["name-with-space", "repeated-name", "empty-name"])
+    def test_bad_control_name_is_format_error(self, tmp_path, body, message):
+        path = tmp_path / "v.bpe"
+        path.write_text("qwenkit-bpe v1\n" + body)
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_vocab(path)
 
     def test_undefined_merge_reference_rejected(self, tmp_path):
