@@ -6,7 +6,9 @@ KV cache: a preallocated per-layer buffer of rotated keys and values.
 Cached attention is the one causal kernel, dual-chunk or not. It appends new
 rows (a whole prompt, or a decoded token and its draft) to the cache and
 scores them in query blocks, each against the keys up to the block's last
-row. Full-sequence attention runs it on a fresh cache.
+row. One score buffer per call, sized for the largest block, serves every
+block, and the softmax runs in it in place. Full-sequence attention runs
+it on a fresh cache.
 
 Each public function checks its arguments and then calls its private
 kernel (see ``ops``); the attention kernels take a precomputed rotary
@@ -111,8 +113,12 @@ def rms_norm(x, gamma, eps: float = 1e-6) -> np.ndarray:
 
 
 def _rms_norm(x: np.ndarray, gamma: np.ndarray, eps: float) -> np.ndarray:
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return x * gamma / np.sqrt(ms + np.float32(eps))
+    # One fresh buffer holds the squares and then the result.
+    out = np.square(x)
+    ms = np.mean(out, axis=-1, keepdims=True)
+    np.multiply(x, gamma, out=out)
+    out /= np.sqrt(ms + np.float32(eps))
+    return out
 
 
 def swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
@@ -139,7 +145,8 @@ def swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
 
 
 def _swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
-    gated = _silu(x @ w_gate.T) * (x @ w_up.T)
+    gated = _silu(x @ w_gate.T)
+    gated *= x @ w_up.T
     return gated @ w_down.T
 
 
@@ -177,8 +184,16 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty(x.shape, np.float32)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out_even = out[..., 0::2]
+    out_odd = out[..., 1::2]
+    # even * cos - odd * sin and even * sin + odd * cos, written in place
+    # with one temporary for the odd products.
+    np.multiply(even, cos, out=out_even)
+    odd_term = odd * sin
+    out_even -= odd_term
+    np.multiply(even, sin, out=out_odd)
+    np.multiply(odd, cos, out=odd_term)
+    out_odd += odd_term
     return out
 
 
@@ -239,18 +254,20 @@ def _attend_causal(logits: np.ndarray, values: np.ndarray, g: int, scale) -> np.
     by :func:`_group_queries`, at positions end - rows .. end - 1, against
     keys 0 .. end - 1. In place, the logits are multiplied by ``scale`` and
     keys after a row's own position are masked with :data:`MASK_SENTINEL`;
-    one softmax per row then weighs ``values[:, :end]``, giving
-    [n_kv, g * rows, d].
+    one softmax per row, also in place, then weighs ``values[:, :end]``,
+    giving [n_kv, g * rows, d].
     """
     n_kv, group_rows, end = logits.shape
     rows = group_rows // g
     logits *= scale
-    # Only the last ``rows`` keys, the block's own diagonal, hold a future key.
-    diagonal = logits.reshape(n_kv, g, rows, end)[..., end - rows:]
-    r = np.arange(rows)
-    diagonal[:, :, r > r[:, None]] = MASK_SENTINEL
-    probs = _softmax_rows(logits.reshape(n_kv * group_rows, end))
-    return np.matmul(probs.reshape(logits.shape), values[:, :end])
+    # Only the last ``rows`` keys, the block's own diagonal, hold a future
+    # key, and a one-row block has none.
+    if rows > 1:
+        diagonal = logits.reshape(n_kv, g, rows, end)[..., end - rows:]
+        r = np.arange(rows)
+        np.copyto(diagonal, MASK_SENTINEL, where=r > r[:, None])
+    _softmax_rows(logits.reshape(n_kv * group_rows, end))
+    return np.matmul(logits, values[:, :end])
 
 
 def gqa_attention(
@@ -450,15 +467,18 @@ def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin
     q_intra = _rotate(q, cos_new, sin_new)
     scale = np.float32(scale_mult / math.sqrt(d))
     out = np.empty((rows, params.n_q_heads, d), dtype=np.float32)
+    # Every block's scores, then its softmax, fill a prefix of one buffer
+    # sized for the largest block: no block allocates its own.
+    scores = np.empty(n_kv * g * min(rows, ATTN_BLOCK) * end, dtype=np.float32)
     a = start
     while a < end:
         cs = a - a % chunk
         b = min(a + ATTN_BLOCK, end, cs + chunk)
         blk = slice(a - start, b - start)
-        if cs == 0:  # all of vanilla; plain matmul, ~1 us a call cheaper than out=
-            logits = np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, :b])
+        logits = scores[:n_kv * g * (b - a) * b].reshape(n_kv, g * (b - a), b)
+        if cs == 0:  # all of vanilla
+            np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, :b], out=logits)
         else:
-            logits = np.empty((n_kv, g * (b - a), b), dtype=np.float32)
             np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, cs:b],
                       out=logits[:, :, cs:])
             q_inter = _rotate(q[:, blk], cos[chunk - 1], sin[chunk - 1])

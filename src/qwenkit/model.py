@@ -334,24 +334,26 @@ def _blocks(
     """
     params = cfg.attention_params()
     cos, sin, scale_mult = rotary
-    x = weights.embedding[ids]
+    x = weights.embedding[ids]  # a copy, so the residuals add in place
     for li, lw in enumerate(weights.layers):
         h = _rms_norm(x, lw.attn_gamma, cfg.rms_eps)
         q = h @ lw.wq.T
         k = h @ lw.wk.T
         v = h @ lw.wv.T
         if lw.bq is not None:
-            q, k, v = q + lw.bq, k + lw.bk, v + lw.bv
+            q += lw.bq
+            k += lw.bk
+            v += lw.bv
         q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
         k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
         attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult, cfg.dca)
-        x = x + attn @ lw.wo.T
+        x += attn @ lw.wo.T
         h2 = _rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
         if lw.ffn is not None:
-            x = x + _swiglu_ffn(h2, *lw.ffn)
+            x += _swiglu_ffn(h2, *lw.ffn)
         else:
-            x = x + _moe_forward(h2, cfg.moe, lw.moe_bank)
+            x += _moe_forward(h2, cfg.moe, lw.moe_bank)
     return x
 
 

@@ -1,10 +1,11 @@
 """Deterministic float32 numeric kernel.
 
 Every tensor in this package is a ``numpy.ndarray`` of ``float32``. The
-public functions pass C-contiguous copies (:func:`as_f32`) to their
-kernels, but the kernels also take strided views, such as the per-head
-q/k/v views that the model's block loop splits from one projection.
-Operations here are pure functions; the only mutable object is
+public functions pass C-contiguous arrays (:func:`as_f32`, which copies
+only when it must) to their kernels, but the kernels also take strided
+views, such as the per-head q/k/v views that the model's block loop splits
+from one projection.
+The public operations are pure functions; the only mutable object is
 :class:`Rng`, a seeded splitmix64 generator feeding Box-Muller normal
 sampling, pinned so that weight initialization and shuffles reproduce
 byte-for-byte from a seed. Normals are drawn in bounded slices, and
@@ -16,10 +17,14 @@ Kernel contract, here and in ``layers`` and ``moe``: a public function
 checks its arguments (coercion to float32, shapes, ranges) and then calls
 a private kernel of the same name with a leading underscore, which holds
 the math and trusts its inputs. Callers that have checked everything once,
-such as the model's block loop, call the kernels directly.
+such as the model's block loop, call the kernels directly. A kernel that
+works in place, such as :func:`_softmax_rows`, says so, and its public
+function hands it a copy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,6 +50,13 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _check_ints(obj, names, error) -> None:
     """Raise ``error`` naming the first field of ``obj`` in ``names`` that
     is not a Python or numpy integer (a bool is not one)."""
@@ -53,8 +65,11 @@ def _check_ints(obj, names, error) -> None:
 
 def _check_reals(obj, names, error) -> None:
     """Raise ``error`` naming the first field of ``obj`` in ``names`` that
-    is not a Python or numpy integer or float (a bool is not one)."""
+    is not a Python or numpy integer or float (a bool is not one), else the
+    first that is NaN, infinite or an int past the float range: NaN fails
+    every range check quietly."""
     _check_fields(obj, names, error, _is_real, "a real number")
+    _check_fields(obj, names, error, _is_finite, "finite")
 
 
 def _check_fields(obj, names, error, ok, kind) -> None:
@@ -232,7 +247,7 @@ def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
 
 def softmax_rows(x) -> np.ndarray:
     """Row-wise softmax of a 2-D matrix, stabilized by per-row max subtraction."""
-    x = as_f32(x)
+    x = np.array(x, dtype=np.float32, order="C")  # a copy for the kernel to overwrite
     if x.ndim != 2:
         raise DimensionError(f"softmax_rows expects a 2-D matrix, got shape {x.shape}")
     if x.shape[1] == 0:
@@ -241,11 +256,12 @@ def softmax_rows(x) -> np.ndarray:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    # One fresh buffer holds the shift, the exponentials and the result.
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    """Overwrite the 2-D ``x`` with its row softmax and return it: the
+    shift, the exponentials and the result all live in ``x``."""
+    np.subtract(x, x.max(axis=1, keepdims=True), out=x)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def silu(x) -> np.ndarray:
@@ -258,4 +274,6 @@ def _silu(x: np.ndarray) -> np.ndarray:
     # a process that imports qwenkit only for the tokenizer or decontam.
     from scipy.special import expit
 
-    return x * expit(x)
+    out = expit(x)
+    out *= x
+    return out

@@ -180,6 +180,11 @@ INVALID_PARTS = [
                  id="yarn-mscale-str"),
 ]
 
+# NaN, both infinities and an int no float can hold, which range checks
+# miss: NaN fails every comparison, and inf is past every lower bound.
+NON_FINITE = [pytest.param(float("nan"), id="nan"), pytest.param(float("inf"), id="inf"),
+              pytest.param(float("-inf"), id="-inf"), pytest.param(10**400, id="int-1e400")]
+
 
 class TestConfigValidation:
     """A ModelConfig is checked when it is built, by any route."""
@@ -214,6 +219,18 @@ class TestConfigValidation:
                       yarn=YarnParams(np.float64(4.0), 32, beta_fast=np.int64(32),
                                       beta_slow=1, mscale_coeff=np.float32(0.1)))
         assert forward(build_model(cfg, 0), cfg, [1, 2, 3]).shape == (3, 512)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["rope_base", "rms_eps"])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            replace(preset("nano"), **{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["scale", "beta_fast", "beta_slow", "mscale_coeff"])
+    def test_non_finite_yarn_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            YarnParams(**{"scale": 2.0, "native_ctx": 8, name: value})
 
 
 class TestConfigFormat:
