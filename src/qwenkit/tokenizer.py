@@ -16,11 +16,13 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError
+from .ops import _is_int
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
@@ -42,7 +44,8 @@ class BpeVocab:
     merges: list[tuple[int, int]]
     token_bytes: list[bytes]
     control_names: tuple[str, ...]
-    # Merge rank of each pair, and the ids of every word encoded so far.
+    # Merge rank of each pair, and the ids of every word trained on or
+    # encoded so far.
     _ranks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     _words: dict[bytes, tuple[int, ...]] = field(
         init=False, default_factory=dict, repr=False, compare=False)
@@ -57,12 +60,6 @@ class BpeVocab:
     @property
     def vocab_size(self) -> int:
         return self.n_regular + len(self.control_names)
-
-    def control_id(self, name: str) -> int:
-        try:
-            return self.n_regular + self.control_names.index(name)
-        except ValueError:
-            raise InputError(f"unknown control token {name!r}") from None
 
 
 def _build_vocab(merges: list[tuple[int, int]], control_names) -> BpeVocab:
@@ -121,13 +118,28 @@ def _merge_once(word: tuple[int, ...], pair: tuple[int, int], new_id: int) -> tu
     return tuple(out)
 
 
+def _pop_best(heap, pair_counts, existing):
+    """Pop entries off ``heap`` until one is live: its count is the pair's
+    current one and its merged bytes are no token yet. Returns that
+    ``(pair, merged)``, or None once the heap is empty. The rest are dropped
+    for good, since ``existing`` only grows and each count change pushes an
+    entry of its own."""
+    while heap:
+        neg_count, merged, _, pair = heappop(heap)
+        if pair_counts.get(pair) == -neg_count and merged not in existing:
+            return pair, merged
+    return None
+
+
 def bpe_train(corpus, target_vocab: int) -> BpeVocab:
     """Train a vocabulary of up to ``target_vocab`` ids on a list of byte
     strings; it holds the three :data:`DEFAULT_CONTROL_TOKENS`.
 
     Documents are ``str`` (as UTF-8), ``bytes`` or ``bytearray``, else
     :class:`InputError`; a ``str`` with a lone surrogate too, and a corpus
-    with no nonempty document.
+    with no nonempty document. ``target_vocab`` must be a Python or numpy
+    integer (not bool) of at least 256 plus the control tokens, else
+    :class:`ParameterError`.
 
     Each step merges the pair with the most occurrences inside words, ties
     broken by the smaller merged byte string, then the smaller left byte
@@ -135,10 +147,19 @@ def bpe_train(corpus, target_vocab: int) -> BpeVocab:
     candidate pair whose concatenation collides with an existing token's byte
     string is skipped so byte strings stay unique.
 
-    Pair counts are kept across steps: a merge rewrites only the distinct
-    words that contain the merged pair and applies their count changes.
+    Pair counts are kept across steps. A merge of ``(a, b)`` into ``n``
+    rewrites only the distinct words holding the pair, and in them only the
+    pairs next to each occurrence: ``(p, a)`` becomes ``(p, n)`` and
+    ``(b, q)`` becomes ``(n, q)``. The best pair comes from a lazy heap keyed
+    by the tie order above: each change of a pair's count pushes an entry,
+    and an entry is live while its count is the pair's current one.
+
+    The vocabulary's encoder cache starts out holding the ids of every
+    distinct training word, which are exactly what :func:`encode` gives.
     """
     n_control = len(DEFAULT_CONTROL_TOKENS)
+    if not _is_int(target_vocab):
+        raise ParameterError(f"target_vocab must be an integer, got {target_vocab!r}")
     if target_vocab < 256 + n_control:
         raise ParameterError(
             f"target_vocab must be at least 256 + {n_control} control "
@@ -162,38 +183,68 @@ def bpe_train(corpus, target_vocab: int) -> BpeVocab:
     token_bytes = [bytes([b]) for b in range(256)]
     existing = set(token_bytes)
     merges: list[tuple[int, int]] = []
+    # (-count, merged bytes, left bytes, pair): a pair's (merged, left)
+    # bytes are unique to it, so the heap order is the tie order above.
+    heap = [(-count, token_bytes[a] + token_bytes[b], token_bytes[a], (a, b))
+            for (a, b), count in pair_counts.items() if count >= 2]
+    heapify(heap)
     while len(token_bytes) + n_control < target_vocab:
-        best = best_key = None
-        top = 2  # the best count so far; fewer cannot win
-        for pair, count in pair_counts.items():
-            if count < top:
-                continue
-            left = token_bytes[pair[0]]
-            merged = left + token_bytes[pair[1]]
-            if merged in existing:
-                continue
-            key = (-count, merged, left)
-            if best is None or key < best_key:
-                best, best_key, top = pair, key, count
-        if best is None:
+        top = _pop_best(heap, pair_counts, existing)
+        if top is None:
             break
+        best, merged = top
+        a, b = best
         new_id = len(token_bytes)
-        merged = best_key[1]
         token_bytes.append(merged)
         existing.add(merged)
         merges.append(best)
+        changed = set()
         for wi in holders.pop(best):
             word = words[wi]
-            new_word = _merge_once(word, best, new_id)
+            n = len(word)
             count = counts[wi]
-            for pair in zip(word, word[1:]):
-                pair_counts[pair] -= count
-            for pair in zip(new_word, new_word[1:]):
-                pair_counts[pair] += count
-                holders[pair].add(wi)
-            words[wi] = new_word
+            out = []
+            i = 0
+            while i < n:
+                if word[i] == a and i + 1 < n and word[i + 1] == b:
+                    if out:
+                        # out[-1] may be the new id of an occurrence just before.
+                        old, pair = (out[-1], a), (out[-1], new_id)
+                        pair_counts[old] -= count
+                        pair_counts[pair] += count
+                        holders[pair].add(wi)
+                        changed.add(old)
+                        changed.add(pair)
+                    if i + 2 < n:
+                        old, pair = (b, word[i + 2]), (new_id, word[i + 2])
+                        pair_counts[old] -= count
+                        pair_counts[pair] += count
+                        holders[pair].add(wi)
+                        changed.add(old)
+                        changed.add(pair)
+                    out.append(new_id)
+                    i += 2
+                else:
+                    out.append(word[i])
+                    i += 1
+            words[wi] = tuple(out)
+        # Every occurrence is gone, and merges only form pairs holding their
+        # new id, so neither the merged pair nor a pair at count 0 returns.
         del pair_counts[best]
-    return _build_vocab(merges, DEFAULT_CONTROL_TOKENS)
+        changed.discard(best)
+        for pair in changed:
+            count = pair_counts[pair]
+            if count == 0:
+                del pair_counts[pair]
+                holders.pop(pair, None)
+            elif count >= 2:
+                left = token_bytes[pair[0]]
+                heappush(heap, (-count, left + token_bytes[pair[1]], left, pair))
+    vocab = _build_vocab(merges, DEFAULT_CONTROL_TOKENS)
+    # Merge k joins only ids below 256 + k and was applied to every word
+    # holding its pair, so each trained word is the encoder's fixpoint.
+    vocab._words.update(zip(word_counts, words))
+    return vocab
 
 
 def _encode_word(vocab: BpeVocab, word: bytes) -> tuple[int, ...]:
@@ -216,7 +267,9 @@ def encode(vocab: BpeVocab, text) -> list[int]:
     until no pair of it is a merge. The result is the same because merge k
     only joins ids below 256 + k, so no merge can bring back a pair of lower
     rank. The ids of each distinct word are cached on the vocabulary, which
-    so grows by one entry per distinct word it has encoded.
+    so grows by one entry per distinct word it has encoded. A vocabulary
+    from :func:`bpe_train` starts out holding every distinct training word,
+    so the training documents encode by lookups alone.
     """
     cache = vocab._words
     out: list[int] = []
@@ -231,9 +284,13 @@ def encode(vocab: BpeVocab, text) -> list[int]:
 def decode(vocab: BpeVocab, ids) -> bytes:
     """Concatenated token byte strings; control ids contribute nothing.
 
-    Ids must be Python or numpy integers (not bool) inside the vocabulary,
-    else :class:`InputError`.
+    ``ids`` must be an iterable of Python or numpy integers (not bool)
+    inside the vocabulary, else :class:`InputError`.
     """
+    try:
+        ids = iter(ids)
+    except TypeError:
+        raise InputError(f"ids must be an iterable of token ids, got {ids!r}") from None
     parts = []
     for t in ids:
         # int() would turn "7" into 7 and 1.5 into 1; bool is an int subclass.

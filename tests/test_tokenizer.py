@@ -1,4 +1,5 @@
 import re
+from heapq import heapify
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qwenkit.tokenizer import (
     save_vocab,
     split_words,
 )
-from qwenkit.tokenizer import _build_vocab
+from qwenkit.tokenizer import _build_vocab, _pop_best
 
 MULTILINGUAL = [
     "The quick brown fox jumps over the lazy dog.",
@@ -88,6 +89,17 @@ class TestTrain:
         with pytest.raises(ParameterError):
             bpe_train([b"x"], 258)
 
+    # A float would pass the range check and train; a str fails only in a comparison.
+    @pytest.mark.parametrize("bad", [300.5, 300.0, np.float64(300), "300", True, None],
+                             ids=["float", "whole-float", "np-float64", "str", "bool", "none"])
+    def test_non_integer_target_rejected(self, bad):
+        with pytest.raises(ParameterError, match="target_vocab must be an integer"):
+            bpe_train([b"aaaa bbbb"], bad)
+
+    def test_numpy_integer_target_accepted(self):
+        corpus = [b"the cat sat on the mat"]
+        assert bpe_train(corpus, np.int64(300)).merges == bpe_train(corpus, 300).merges
+
     def test_merges_never_cross_word_boundaries(self):
         # " a" repeats but the space belongs to the next word, so the pair
         # ("a", " ") never forms; (" ", "a") does.
@@ -144,12 +156,17 @@ class TestEncodeDecode:
 
     def test_control_ids_decode_to_nothing(self):
         vocab = base_vocab()
-        eot = vocab.control_id("<|endoftext|>")
+        eot = vocab.n_regular + vocab.control_names.index("<|endoftext|>")
         assert decode(vocab, [ord("h"), eot, ord("i")]) == b"hi"
 
     def test_unknown_id_rejected(self):
         with pytest.raises(InputError):
             decode(base_vocab(), [999])
+
+    @pytest.mark.parametrize("bad", [None, 5, np.int64(5), 2.5], ids=["none", "int", "np-int", "float"])
+    def test_non_iterable_ids_rejected(self, bad):
+        with pytest.raises(InputError, match="ids must be an iterable of token ids"):
+            decode(base_vocab(), bad)
 
     # int() would read 1.5 as 1 and "7" as 7; bool is an int subclass.
     @pytest.mark.parametrize("bad", [1.5, "x", "7", True, np.float32(2.0)],
@@ -349,3 +366,110 @@ def test_encode_matches_oracle_on_any_valid_merge_list(data):
     text = bytes(data.draw(st.lists(letters, max_size=48)))
     assert encode(vocab, text) == oracle.encode(vocab, text)
     assert encode(vocab, text) == oracle.encode(vocab, text)
+
+
+# The trainer's lazy heap and local rewrite, case by case against the oracle.
+def _assert_train_matches_oracle(corpus, target):
+    vocab = bpe_train(corpus, target)
+    expected = oracle.bpe_train(corpus, target)
+    assert vocab.merges == expected.merges
+    assert vocab.token_bytes == expected.token_bytes
+    return vocab
+
+
+class TestTrainHeap:
+    @pytest.mark.parametrize("corpus", [
+        [b"aaaa"] * 3,
+        [b"aaa"] * 3,
+        [b"abab"] * 2 + [b"ab"],
+        [b"aaaaa", b"aaaaaaa", b"aa"],
+        [b"ababab", b"abababa", b"babab"],
+        [b"aabaab", b"aab aab aab"],
+    ], ids=["aaaa", "aaa", "abab", "odd-runs", "alternating", "aab"])
+    @pytest.mark.parametrize("target", [260, 262, 10_000])
+    def test_overlapping_and_adjacent_occurrences(self, corpus, target):
+        _assert_train_matches_oracle(corpus, target)
+
+    def test_adjacent_occurrences_update_their_shared_pair(self):
+        # "abab" -> (n, n): the (b, a) between the two occurrences becomes
+        # (n, a) for the first and then (n, n) for the second.
+        vocab = _assert_train_matches_oracle([b"abab"] * 2, 261)
+        assert [vocab.token_bytes[t] for t in vocab.merges[1]] == [b"ab", b"ab"]
+
+    def test_count_ties_break_by_merged_bytes(self):
+        # Every pair but (a, b) occurs twice, so the merged bytes decide, and
+        # " ba" (born in the first merge) still goes before "yz".
+        vocab = _assert_train_matches_oracle([b"yz ba", b"yz ba", b"ab"], 262)
+        assert vocab.token_bytes[256:] == [b" b", b" ba", b"yz"]
+
+    def test_fallen_count_loses_to_a_pair_it_used_to_beat(self):
+        # (x, a) starts at 5 but falls to 2 once "ab" merges, so "qr" (4)
+        # must win the second merge over the heap's stale entry for (x, a).
+        corpus = [b"ab"] * 3 + [b"xab"] * 3 + [b"xa"] * 2 + [b"qr"] * 4
+        vocab = _assert_train_matches_oracle(corpus, 262)
+        assert vocab.token_bytes[256:] == [b"ab", b"qr", b"xab"]
+
+    def test_stops_early_when_no_pair_repeats(self):
+        # After "aa" the only pair is (aa, aa), once per word.
+        vocab = _assert_train_matches_oracle([b"aaaa", b"xy"], 10_000)
+        assert vocab.token_bytes[256:] == [b"aa"]
+
+    def test_pop_best_skips_stale_and_colliding_entries(self):
+        # bpe_train never meets a colliding pair (see the cache property
+        # below), so the skip is checked on a heap built by hand.
+        pair_counts = {(97, 98): 3, (98, 99): 4, (120, 121): 4, (300, 99): 5}
+        heap = [(-5, b"abc", b"ab", (300, 99)),   # merged bytes already a token
+                (-6, b"ab", b"a", (97, 98)),      # stale: the count fell to 3
+                (-4, b"bc", b"b", (98, 99)),
+                (-4, b"xy", b"x", (120, 121))]
+        heapify(heap)
+        existing = {b"abc"}
+        assert _pop_best(heap, pair_counts, existing) == ((98, 99), b"bc")
+        assert _pop_best(heap, pair_counts, existing) == ((120, 121), b"xy")
+        assert _pop_best(heap, pair_counts, existing) is None
+        assert heap == []
+
+    def test_pop_best_breaks_equal_merged_bytes_by_left_bytes(self):
+        # Unreachable in training for the same reason as a collision.
+        pair_counts = {(300, 99): 2, (97, 301): 2}  # "ab" + "c" against "a" + "bc"
+        heap = [(-2, b"abc", b"ab", (300, 99)), (-2, b"abc", b"a", (97, 301))]
+        heapify(heap)
+        assert _pop_best(heap, pair_counts, set()) == ((97, 301), b"abc")
+
+
+@given(_docs, st.integers(259, 320))
+@settings(max_examples=200, deadline=None)
+def test_trained_cache_is_the_encoding_of_every_training_word(corpus, target):
+    vocab = bpe_train(corpus, target)
+    assert set(vocab._words) == {w for doc in corpus for w in split_words(bytes(doc))}
+    for word, ids in vocab._words.items():
+        assert list(ids) == oracle.encode(vocab, word)
+        # No run of two or more adjacent ids spells a token: a run's ids
+        # are the encoding of its bytes, and a token's bytes encode to that
+        # one token. So no candidate pair of the trainer collides.
+        spelled = [vocab.token_bytes[t] for t in ids]
+        assert not any(b"".join(spelled[i:j]) in vocab.token_bytes
+                       for i in range(len(ids)) for j in range(i + 2, len(ids) + 1))
+    for doc in corpus:
+        assert encode(vocab, doc) == oracle.encode(vocab, doc)
+
+
+def _zipf_corpus(seed: int, n_words: int = 3_600) -> list[bytes]:
+    """Documents of 60 words drawn with weight 1/rank from 400 random words."""
+    rng = np.random.default_rng(seed)
+    letters = np.frombuffer(b"etaoinshrdlucmfwypvbgkqjxz", dtype=np.uint8)
+    lexicon = [letters[rng.integers(0, 26, size=n)].tobytes()
+               for n in rng.integers(1, 9, size=400)]
+    weights = 1.0 / np.arange(1, len(lexicon) + 1)
+    words = [lexicon[i] for i in rng.choice(len(lexicon), size=n_words, p=weights / weights.sum())]
+    return [b" ".join(words[i:i + 60]) for i in range(0, n_words, 60)]
+
+
+def test_train_matches_oracle_on_zipfian_corpus():
+    corpus = _zipf_corpus(17)
+    assert 15_000 < sum(map(len, corpus)) < 25_000
+    vocab = _assert_train_matches_oracle(corpus, 259 + 200)
+    assert len(vocab.merges) == 200
+    assert {w: list(ids) for w, ids in vocab._words.items()} == {
+        w: oracle.encode(vocab, w) for w in vocab._words}
+    assert [encode(vocab, doc) for doc in corpus] == [oracle.encode(vocab, doc) for doc in corpus]
