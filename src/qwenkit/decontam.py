@@ -9,6 +9,13 @@ removed, whitespace-tokenized) and compared two ways:
 * test-side: a test sample is removed when any contiguous n tokens of it
   (default 13) appear verbatim in the training corpus.
 
+A corpus scan does its per-corpus work once. The train-side scan drops the
+samples shorter than ``min_len`` up front, counts the tokens of each sample
+once and of each document once, and runs the LCS only on pairs whose token
+overlap, counted by position and then as a multiset (both upper bounds on
+the LCS), meets both thresholds. The test-side scan looks a sample shorter
+than n up at the positions of its rarest token.
+
 Reports mirror a per-test-set "percent contaminated" table.
 """
 
@@ -16,10 +23,12 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, InputError, ParameterError
+from .ops import _is_finite, _is_int, _is_real
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -44,6 +53,8 @@ def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSe
     Each distinct character of the text is classified once; one regex pass
     then deletes the dropped ones.
     """
+    if not isinstance(text, str):
+        raise InputError(f"text must be a str, got {type(text).__name__}")
     if lowercase:
         text = text.lower()
     dropped = [ch for ch in set(text) if unicodedata.category(ch)[0] in "PS"]
@@ -55,7 +66,23 @@ def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSe
 def _tokens(seq) -> tuple[str, ...]:
     if isinstance(seq, TokenSeq):
         return seq.tokens
-    return tuple(seq)
+    try:
+        return tuple(seq)
+    except TypeError:
+        raise InputError(f"expected a sequence of tokens, got {seq!r}") from None
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if not _is_int(value):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_fraction(name: str, value) -> None:
+    # NaN would fail every comparison, and so flag nothing.
+    if not (_is_real(value) and _is_finite(value) and 0 <= value <= 1):
+        raise ParameterError(f"{name} must be a finite real in [0, 1], got {value!r}")
 
 
 def lcs_len(a, b) -> int:
@@ -84,21 +111,50 @@ def lcs_len(a, b) -> int:
     return len(tb) - v.bit_count()
 
 
-def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> bool:
-    """True iff LCS(train, test) >= min_len and >= min_frac * min(|train|, |test|).
+def _overlap(ca: Counter, cb: Counter) -> int:
+    """Multiset overlap, the sum over tokens t of min(ca[t], cb[t]). Each
+    token of a common subsequence takes its own occurrence on both sides,
+    so this bounds the LCS from above."""
+    shared = ca.keys() & cb.keys()
+    return sum(map(min, map(ca.__getitem__, shared), map(cb.__getitem__, shared)))
 
-    Two sound bounds skip the LCS for clearly clean pairs: the LCS is at most
-    the shorter length, and at most the number of positions of the shorter
-    sequence whose token occurs anywhere in the longer one.
+
+def _lcs_hit(ta, ca: Counter, tb, cb: Counter, min_len: int, min_frac: float) -> int | None:
+    """LCS(ta, tb) when it meets both thresholds, else None; ``ca`` and
+    ``cb`` count the tokens of ``ta`` and ``tb``.
+
+    Three upper bounds on the LCS skip the DP, cheapest first: the shorter
+    length, the positions of the shorter sequence whose token occurs in the
+    longer one, and the multiset overlap. Each is compared with the same
+    threshold as the LCS itself, so no pair is skipped that the DP would flag.
     """
-    ta, tb = _tokens(train), _tokens(test)
-    short, long_ = (ta, tb) if len(ta) <= len(tb) else (tb, ta)
-    if not short or len(short) < min_len:
-        return False
-    if sum(map(set(long_).__contains__, short)) < min_len:
-        return False
+    short = min(len(ta), len(tb))
+    if not short or short < min_len:
+        return None
+    need = max(min_len, min_frac * short)
+    if len(ta) > len(tb):
+        ta, ca, tb, cb = tb, cb, ta, ca
+    if sum(map(cb.__contains__, ta)) < need or _overlap(ca, cb) < need:
+        return None
     n = lcs_len(ta, tb)
-    return n >= min_len and n >= min_frac * len(short)
+    return n if n >= need else None
+
+
+def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> bool:
+    """True iff both sequences are nonempty and LCS(train, test) >= min_len
+    and >= min_frac * min(|train|, |test|).
+
+    ``min_len`` must be an int >= 0 and ``min_frac`` a finite real in
+    [0, 1], else :class:`ParameterError`. Sound upper bounds skip the LCS
+    for clearly clean pairs: the shorter length, the positions of the
+    shorter sequence whose token occurs in the longer, and the multiset
+    overlap of the two token counts. :func:`filter_corpus` applies the same
+    test with each count taken once per corpus.
+    """
+    _check_int("min_len", min_len, 0)
+    _check_fraction("min_frac", min_frac)
+    ta, tb = _tokens(train), _tokens(test)
+    return _lcs_hit(ta, Counter(ta), tb, Counter(tb), min_len, min_frac) is not None
 
 
 class NgramIndex:
@@ -106,12 +162,15 @@ class NgramIndex:
     token position keyed by its token.
 
     A window is looked up as itself, so a hit is exact. Runs shorter than n
-    are looked up from the positions of their first token.
+    are looked up from the positions of their rarest token.
     """
 
     def __init__(self, docs, n: int = 13):
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
+        _check_int("n", n, 1)
+        try:
+            docs = list(docs)
+        except TypeError:
+            raise InputError(f"docs must be an iterable of token sequences, got {docs!r}") from None
         self.n = n
         self._docs = [_tokens(d) for d in docs]
         self._windows: set[tuple[str, ...]] = set()
@@ -125,12 +184,27 @@ class NgramIndex:
         return window in self._windows
 
     def contains_run(self, tokens: tuple[str, ...]) -> bool:
-        """Exact contiguous containment, for sequences shorter than n."""
+        """Exact contiguous containment, for sequences shorter than n.
+
+        The run is anchored at its token with the fewest recorded positions:
+        a token never recorded rules the run out at once, and otherwise only
+        the starts ``pos - j`` implied by the anchor at offset j are compared.
+        """
         k = len(tokens)
         if k == 0:
             return False
-        for di, start in self._starts.get(tokens[0], ()):
-            if self._docs[di][start : start + k] == tokens:
+        starts = self._starts
+        anchor = None
+        for j, tok in enumerate(tokens):
+            positions = starts.get(tok)
+            if positions is None:
+                return False
+            if anchor is None or len(positions) < len(anchor):
+                offset, anchor = j, positions
+        docs = self._docs
+        for di, pos in anchor:
+            start = pos - offset
+            if start >= 0 and docs[di][start : start + k] == tokens:
                 return True
         return False
 
@@ -198,26 +272,41 @@ def filter_corpus(
     sample of any set is removed; per-set rows count training documents
     flagged by that set). test-side-13gram removes test samples matching the
     training n-gram index; kept/removed then hold the flattened samples.
+
+    ``ngram_n`` must be an int >= 1 and the LCS thresholds as for
+    :func:`lcs_contaminated`, in either mode, else :class:`ParameterError`.
     """
     train_docs = list(train_docs)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_int("ngram_n", ngram_n, 1)
+    _check_int("lcs_min_len", lcs_min_len, 0)
+    _check_fraction("lcs_min_frac", lcs_min_frac)
     if not train_docs or not test_sets or all(not s for s in test_sets.values()):
         raise ParameterError("train corpus and test sets must be nonempty")
 
     verdicts: list[SampleVerdict] = []
     if mode == MODE_TRAIN_LCS:
+        # A sample shorter than lcs_min_len (or empty) can match no document,
+        # so it is dropped here; the rest keep their order, and so the first
+        # matching sample of each set is the same one.
+        candidates = {
+            name: [(sample, toks, Counter(toks)) for sample in samples
+                   for toks in (_tokens(sample),) if toks and len(toks) >= lcs_min_len]
+            for name, samples in test_sets.items()}
         per_set_hits = {name: 0 for name in test_sets}
         kept, removed = [], []
         for doc in train_docs:
             doc_removed = False
-            for set_name, samples in test_sets.items():
-                for sample in samples:
-                    if lcs_contaminated(doc, sample, lcs_min_len, lcs_min_frac):
+            toks = _tokens(doc)
+            counts = Counter(toks)
+            for set_name, samples in candidates.items():
+                for sample, s_toks, s_counts in samples:
+                    n = _lcs_hit(toks, counts, s_toks, s_counts, lcs_min_len, lcs_min_frac)
+                    if n is not None:
                         per_set_hits[set_name] += 1
                         verdicts.append(SampleVerdict(
-                            doc.source_id, "lcs", set_name, sample.source_id,
-                            lcs_len(doc, sample)))
+                            doc.source_id, "lcs", set_name, sample.source_id, n))
                         doc_removed = True
                         break  # one verdict per (doc, set)
             (removed if doc_removed else kept).append(doc)

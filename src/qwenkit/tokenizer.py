@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import repeat
@@ -285,24 +286,27 @@ def decode(vocab: BpeVocab, ids) -> bytes:
     """Concatenated token byte strings; control ids contribute nothing.
 
     ``ids`` must be an iterable of Python or numpy integers (not bool)
-    inside the vocabulary, else :class:`InputError`.
+    inside the vocabulary, else :class:`InputError`. Text and mappings are
+    refused although they iterate as ints or keys: ``b"hi"`` is not a list
+    of ids.
     """
+    if isinstance(ids, (str, bytes, bytearray, memoryview, Mapping)):
+        raise InputError(f"ids must be an iterable of token ids, got {type(ids).__name__}")
     try:
         ids = iter(ids)
     except TypeError:
         raise InputError(f"ids must be an iterable of token ids, got {ids!r}") from None
+    n_regular, vocab_size, token_bytes = vocab.n_regular, vocab.vocab_size, vocab.token_bytes
     parts = []
     for t in ids:
         # int() would turn "7" into 7 and 1.5 into 1; bool is an int subclass.
         if type(t) is not int and (isinstance(t, bool)
                                    or not isinstance(t, (int, np.integer))):
             raise InputError(f"token id {t!r} is not an integer")
-        if 0 <= t < vocab.n_regular:
-            parts.append(vocab.token_bytes[t])
-        elif vocab.n_regular <= t < vocab.vocab_size:
-            continue
-        else:
-            raise InputError(f"token id {t} outside vocabulary of {vocab.vocab_size}")
+        if 0 <= t < n_regular:
+            parts.append(token_bytes[t])
+        elif not n_regular <= t < vocab_size:
+            raise InputError(f"token id {t} outside vocabulary of {vocab_size}")
     return b"".join(parts)
 
 

@@ -154,6 +154,21 @@ HOSTILE_INPUTS = [
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
                   "--mode", "test-side-13gram", "--ngram-n", "0"], 1, "n must be >= 1",
                  id="scan-zero-ngram"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "train-side-lcs", "--ngram-n", "0"], 1, "ngram_n must be >= 1",
+                 id="scan-zero-ngram-train-side"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "train-side-lcs", "--lcs-min-frac", "nan"], 1,
+                 "lcs_min_frac must be a finite real in [0, 1]", id="scan-nan-min-frac"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "test-side-13gram", "--lcs-min-frac", "inf"], 1,
+                 "lcs_min_frac must be a finite real in [0, 1]", id="scan-inf-min-frac"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "train-side-lcs", "--lcs-min-frac", "1.5"], 1,
+                 "lcs_min_frac must be a finite real in [0, 1]", id="scan-min-frac-above-one"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "train-side-lcs", "--lcs-min-len", "-1"], 1,
+                 "lcs_min_len must be >= 0", id="scan-negative-min-len"),
     pytest.param(["config", "show", "--preset", "nope"], 2, "invalid choice",
                  id="config-unknown-preset"),
 ]

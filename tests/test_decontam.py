@@ -1,17 +1,22 @@
 import itertools
-from functools import lru_cache
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decontam_oracles as oracle
+from decontam_oracles import oracle_lcs
 from qwenkit.decontam import (
     MODE_TEST_NGRAM,
     MODE_TRAIN_LCS,
+    MODES,
     ContaminationReport,
     NgramIndex,
     TokenSeq,
+    _overlap,
     filter_corpus,
     find_ngram_match,
     format_report,
@@ -25,20 +30,6 @@ from qwenkit.decontam import (
 )
 from qwenkit.errors import FormatError, InputError, ParameterError
 from qwenkit.ops import Rng
-
-
-def oracle_lcs(a: tuple, b: tuple) -> int:
-    """Plain memoized recursion, independent of the DP implementation."""
-
-    @lru_cache(maxsize=None)
-    def rec(i, j):
-        if i == 0 or j == 0:
-            return 0
-        if a[i - 1] == b[j - 1]:
-            return rec(i - 1, j - 1) + 1
-        return max(rec(i - 1, j), rec(i, j - 1))
-
-    return rec(len(a), len(b))
 
 
 class TestNormalize:
@@ -161,6 +152,25 @@ class TestNgram:
         assert ngram_contaminated(inside, idx)
         assert not ngram_contaminated(scattered, idx)
 
+    def test_short_run_anchored_at_its_last_token(self):
+        # "b" is the rarest token of the run and its last: one start at
+        # pos - 1 is compared per position, and pos 0 gives no start.
+        idx = NgramIndex([TokenSeq(("b", "a", "a", "a", "b"))], 13)
+        assert idx.contains_run(("a", "b"))
+        assert not idx.contains_run(("b", "b"))
+        assert not idx.contains_run(("a", "a", "a", "a"))
+
+    def test_short_run_anchored_at_a_repeated_token(self):
+        # "c" is both the rarest token and repeated in the run.
+        idx = NgramIndex([TokenSeq(("a", "a", "c", "a", "c", "a", "a"))], 13)
+        assert idx.contains_run(("c", "a", "c"))
+        assert idx.contains_run(("a", "c", "a", "c", "a"))
+        assert not idx.contains_run(("c", "a", "a", "c"))
+
+    def test_short_run_with_an_unseen_token_is_clean(self):
+        idx = NgramIndex([TokenSeq(("a", "b", "c"))], 13)
+        assert not idx.contains_run(("a", "b", "z"))
+
     def test_monotone_under_more_training_docs(self):
         rng = Rng(1)
         docs = [TokenSeq(tuple(f"d{int(v % 50)}" for v in rng.uint64s(20)), f"t{i}")
@@ -276,6 +286,59 @@ class TestFilterCorpus:
             filter_corpus([TokenSeq(("a",))], {"s": []}, MODE_TRAIN_LCS)
 
 
+_DOCS = [TokenSeq(("a", "b"), "t0")]
+_SETS = {"s": [TokenSeq(("a", "b"), "e0")]}
+
+
+class TestHostileArguments:
+    """Thresholds are checked once, at each public entry, with typed errors;
+    NaN would otherwise fail every comparison and flag nothing."""
+
+    @pytest.mark.parametrize("min_len", [-1, 2.5, True, "13", None])
+    def test_min_len(self, min_len):
+        with pytest.raises(ParameterError, match="min_len"):
+            lcs_contaminated(("a",), ("a",), min_len=min_len)
+        for mode in MODES:
+            with pytest.raises(ParameterError, match="lcs_min_len"):
+                filter_corpus(_DOCS, _SETS, mode, lcs_min_len=min_len)
+
+    @pytest.mark.parametrize("min_frac", [math.nan, math.inf, -math.inf, -0.1, 1.5,
+                                          True, "0.6", None, 10**400])
+    def test_min_frac(self, min_frac):
+        with pytest.raises(ParameterError, match="min_frac"):
+            lcs_contaminated(("a",), ("a",), min_frac=min_frac)
+        for mode in MODES:
+            with pytest.raises(ParameterError, match="lcs_min_frac"):
+                filter_corpus(_DOCS, _SETS, mode, lcs_min_frac=min_frac)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "13", None])
+    def test_ngram_n(self, n):
+        with pytest.raises(ParameterError, match="n must be"):
+            NgramIndex(_DOCS, n)
+        for mode in MODES:
+            with pytest.raises(ParameterError, match="ngram_n"):
+                filter_corpus(_DOCS, _SETS, mode, ngram_n=n)
+
+    def test_threshold_edges_accepted(self):
+        assert lcs_contaminated(("a",), ("a",), min_len=0, min_frac=1)
+        assert lcs_contaminated(("a",), ("b",), min_len=np.int64(0), min_frac=np.float32(0))
+        assert NgramIndex(_DOCS, np.int32(1)).n == 1
+
+    @pytest.mark.parametrize("a, b", [(None, ("a",)), (("a",), None), (5, 6)])
+    def test_lcs_len_non_sequences(self, a, b):
+        with pytest.raises(InputError):
+            lcs_len(a, b)
+
+    def test_ngram_index_without_documents(self):
+        with pytest.raises(InputError):
+            NgramIndex(None)
+
+    @pytest.mark.parametrize("text", [None, b"abc", 5])
+    def test_normalize_non_text(self, text):
+        with pytest.raises(InputError, match="text must be a str"):
+            normalize(text)
+
+
 class TestLoaders:
     def test_file_one_doc_per_line(self, tmp_path):
         p = tmp_path / "train.txt"
@@ -384,3 +447,33 @@ def test_contains_window_matches_oracle(docs, window, data):
             window = doc[start : start + n]
     index = NgramIndex([TokenSeq(d) for d in docs], n)
     assert index.contains_window(window) == oracle.contains_run(docs, window)
+
+
+@given(st.lists(_tokens, max_size=30), st.lists(_tokens, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_overlap_bounds_lcs(a, b):
+    # Both prefilter bounds sit at or above the LCS, so skipping a pair whose
+    # bound misses a threshold never drops a flag.
+    a, b = tuple(a), tuple(b)
+    n = oracle_lcs(a, b)
+    ca, cb = Counter(a), Counter(b)
+    assert _overlap(ca, cb) == _overlap(cb, ca) >= n
+    assert sum(map(cb.__contains__, a)) >= _overlap(ca, cb)
+
+
+# Small corpora over a four-token alphabet: repeated tokens, documents
+# shorter than samples, and empty and sub-threshold samples all occur.
+_seqs = st.lists(st.lists(st.sampled_from("abcd"), max_size=14).map(tuple), max_size=5)
+
+
+@given(st.lists(_seqs.filter(bool), min_size=1, max_size=3), _seqs.filter(bool),
+       st.sampled_from(MODES), st.integers(0, 8), st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+       st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_filter_corpus_matches_oracle(sets, docs, mode, min_len, min_frac, n):
+    train = [TokenSeq(toks, f"t{i}") for i, toks in enumerate(docs)]
+    test_sets = {f"set{k}": [TokenSeq(toks, f"set{k}:{j}") for j, toks in enumerate(samples)]
+                 for k, samples in enumerate(sets)}
+    kwargs = dict(ngram_n=n, lcs_min_len=min_len, lcs_min_frac=min_frac)
+    got = filter_corpus(train, test_sets, mode, **kwargs)
+    assert got == oracle.filter_corpus(train, test_sets, mode, **kwargs)

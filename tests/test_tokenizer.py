@@ -175,9 +175,23 @@ class TestEncodeDecode:
         with pytest.raises(InputError, match="is not an integer"):
             decode(base_vocab(), [ord("a"), bad])
 
+    # Each iterates as ints or keys, so it would decode to a plausible
+    # wrong answer: decode(v, b"hi") gave b"hi".
+    @pytest.mark.parametrize("bad", [b"hi", bytearray(b"hi"), memoryview(b"hi"), "hi",
+                                     {104: "x", 105: "y"}],
+                             ids=["bytes", "bytearray", "memoryview", "str", "dict"])
+    def test_text_and_mappings_are_not_ids(self, bad):
+        with pytest.raises(InputError, match="ids must be an iterable of token ids"):
+            decode(base_vocab(), bad)
+
     def test_numpy_integer_ids_accepted(self):
         vocab = base_vocab()
         assert decode(vocab, np.array([ord("h"), ord("i")], dtype=np.int64)) == b"hi"
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint8])
+    def test_numpy_integer_ids_of_other_widths_accepted(self, dtype):
+        vocab = base_vocab()
+        assert decode(vocab, np.array([ord("h"), ord("i")], dtype=dtype)) == b"hi"
 
     def test_str_input_is_utf8(self):
         vocab = base_vocab()
