@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InputError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
@@ -220,6 +220,8 @@ def _parse_value(key: str, raw: str, typ):
 
 def parse_config(text: str) -> ModelConfig:
     """Parse the key = value format back into a validated ModelConfig."""
+    if not isinstance(text, str):
+        raise InputError(f"config text must be a str, got {type(text).__name__}")
     scalars: dict = {}
     groups: dict[str, dict] = {g: {} for g in _GROUP_TYPES}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _is_finite, _is_int, _is_real
+from .ops import _check_fraction, _check_int
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -64,25 +64,16 @@ def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSe
 
 
 def _tokens(seq) -> tuple[str, ...]:
-    if isinstance(seq, TokenSeq):
-        return seq.tokens
+    """The tokens of ``seq`` as a tuple, so that a slice of it compares
+    equal to a run, else :class:`InputError`. Hashing the tuple once finds
+    a token that is not hashable, which every lookup would trip on."""
+    toks = seq.tokens if isinstance(seq, TokenSeq) else seq
     try:
-        return tuple(seq)
+        toks = tuple(toks)
+        hash(toks)
     except TypeError:
-        raise InputError(f"expected a sequence of tokens, got {seq!r}") from None
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if not _is_int(value):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ParameterError(f"{name} must be >= {low}, got {value}")
-
-
-def _check_fraction(name: str, value) -> None:
-    # NaN would fail every comparison, and so flag nothing.
-    if not (_is_real(value) and _is_finite(value) and 0 <= value <= 1):
-        raise ParameterError(f"{name} must be a finite real in [0, 1], got {value!r}")
+        raise InputError(f"expected a sequence of hashable tokens, got {seq!r}") from None
+    return toks
 
 
 def lcs_len(a, b) -> int:
@@ -180,16 +171,17 @@ class NgramIndex:
             for start, tok in enumerate(toks):
                 self._starts.setdefault(tok, []).append((di, start))
 
-    def contains_window(self, window: tuple[str, ...]) -> bool:
-        return window in self._windows
+    def contains_window(self, window) -> bool:
+        return _tokens(window) in self._windows
 
-    def contains_run(self, tokens: tuple[str, ...]) -> bool:
+    def contains_run(self, tokens) -> bool:
         """Exact contiguous containment, for sequences shorter than n.
 
         The run is anchored at its token with the fewest recorded positions:
         a token never recorded rules the run out at once, and otherwise only
         the starts ``pos - j`` implied by the anchor at offset j are compared.
         """
+        tokens = _tokens(tokens)
         k = len(tokens)
         if k == 0:
             return False
@@ -220,8 +212,9 @@ def find_ngram_match(test, index: NgramIndex) -> int | None:
     toks = _tokens(test)
     if len(toks) < n:
         return 0 if index.contains_run(toks) else None
+    windows = index._windows
     for start in range(len(toks) - n + 1):
-        if index.contains_window(toks[start : start + n]):
+        if toks[start : start + n] in windows:
             return start
     return None
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateError
-from .ops import _silu, _softmax_rows, as_f32
+from .ops import _check_int, _check_ints, _check_real, _check_reals, _silu, _softmax_rows, as_f32
 
 if TYPE_CHECKING:
     from .longctx import DcaParams
@@ -51,6 +51,7 @@ class AttentionParams:
     head_dim: int
 
     def __post_init__(self):
+        _check_ints(self, ("n_q_heads", "n_kv_heads", "head_dim"), ParameterError)
         if self.n_q_heads < 1 or self.n_kv_heads < 1:
             raise ParameterError(
                 f"head counts must be >= 1, got {self.n_q_heads}/{self.n_kv_heads}"
@@ -85,6 +86,8 @@ class RopeParams:
     head_dim: int
 
     def __post_init__(self):
+        _check_reals(self, ("base",), ParameterError)
+        _check_ints(self, ("head_dim",), ParameterError)
         if self.base < 1:
             raise ParameterError(f"rope base must be >= 1, got {self.base}")
         if self.head_dim < 1 or self.head_dim % 2 != 0:
@@ -103,6 +106,7 @@ def rms_norm(x, gamma, eps: float = 1e-6) -> np.ndarray:
     """x * gamma / sqrt(mean(x^2) + eps), mean over the last dimension."""
     x = as_f32(x)
     gamma = as_f32(gamma)
+    _check_real("eps", eps)
     if eps < 0:
         raise ParameterError(f"eps must be >= 0, got {eps}")
     if gamma.ndim != 1 or gamma.shape[0] != x.shape[-1]:
@@ -166,7 +170,10 @@ def _rope_table(positions, inv_freq, seq: int, head_dim: int):
         raise DimensionError(
             f"inv_freq shape {inv_freq.shape} does not match head_dim {head_dim}"
         )
-    pos = np.asarray(positions, dtype=np.int64)
+    pos = np.asarray(positions)
+    # np.int64 would truncate 2.5 to 2; an empty list reads as float64.
+    if pos.size and pos.dtype.kind not in "iu":
+        raise ParameterError(f"positions must be integers, got dtype {pos.dtype}")
     if pos.ndim != 1 or pos.shape[0] != seq:
         raise DimensionError(
             f"positions length {pos.shape} does not match sequence length {seq}"
@@ -311,10 +318,8 @@ class KvCache:
     """
 
     def __init__(self, n_layers: int = 1, capacity: int = 16):
-        if n_layers < 1:
-            raise ParameterError(f"n_layers must be >= 1, got {n_layers}")
-        if capacity < 1:
-            raise ParameterError(f"capacity must be >= 1, got {capacity}")
+        _check_int("n_layers", n_layers, 1)
+        _check_int("capacity", capacity, 1)
         self.n_layers = n_layers
         self.capacity = capacity
         self._kv: np.ndarray | None = None
@@ -344,18 +349,11 @@ class KvCache:
                 f"got entries {k_rotated.shape}"
             )
 
-    def append(self, k_rotated, v, layer: int = 0) -> None:
-        """Store [n_kv_heads, rows, head_dim] keys and values after the
-        layer's last position."""
-        self._check_layer(layer)
-        k_rotated = as_f32(k_rotated)
-        v = as_f32(v)
-        self._check_entries(k_rotated, v)
-        self._append(k_rotated, v, layer)
-
     def _append(self, k_rotated: np.ndarray, v: np.ndarray, layer: int):
-        """Kernel of :meth:`append`; returns the layer's keys and values,
-        now including the new rows, as writable views."""
+        """Store [n_kv_heads, rows, head_dim] keys and values, checked by
+        :meth:`_check_entries`, after the layer's last position; returns the
+        layer's keys and values, now including the new rows, as writable
+        views."""
         heads, rows, head_dim = k_rotated.shape
         start = self._lengths[layer]
         end = start + rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .layers import (
     AttentionParams,
     KvCache,
@@ -113,12 +113,6 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
     return adjusted.astype(np.float32), attn_mult
 
 
-def _rotary_freqs(rope: RopeParams, yarn: YarnParams | None) -> tuple[np.ndarray, float]:
-    """Rotary frequencies and attention-logit multiplier, YaRN-adjusted if
-    ``yarn`` is given."""
-    return (rope_freqs(rope), 1.0) if yarn is None else yarn_adjust(rope, yarn)
-
-
 def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     """Effective relative distance between query position i and key position j.
 
@@ -140,15 +134,25 @@ def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     return (s_c - 1) - (j % s_c)
 
 
-def _check_yarn_range(dca: DcaParams, yarn: YarnParams | None) -> None:
-    """Raise :class:`ParameterError` unless the 2 * chunk_size remapped
-    positions of dual-chunk attention fit inside YaRN's rescaled rotary
-    range scale * native_ctx."""
-    if yarn is not None and 2 * dca.chunk_size > yarn.scale * yarn.native_ctx:
-        raise ParameterError(
-            f"dual-chunk positions reach {2 * dca.chunk_size - 1} but the rescaled "
-            f"rotary range covers only {yarn.scale * yarn.native_ctx:g} positions"
-        )
+def _rotary_table(rope: RopeParams, yarn: YarnParams | None, dca: DcaParams | None,
+                  n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The rotary cos and sin tables, each [positions, head_dim / 2], and
+    the attention-logit multiplier, YaRN-adjusted if ``yarn`` is given.
+
+    The tables cover positions 0 .. n - 1, or under dual-chunk attention
+    the 2 * chunk_size remapped positions, whatever ``n`` is. Those must
+    fit inside YaRN's rescaled rotary range scale * native_ctx, else
+    :class:`ParameterError`.
+    """
+    if dca is not None:
+        n = 2 * dca.chunk_size
+        if yarn is not None and n > yarn.scale * yarn.native_ctx:
+            raise ParameterError(
+                f"dual-chunk positions reach {n - 1} but the rescaled rotary range "
+                f"covers only {yarn.scale * yarn.native_ctx:g} positions"
+            )
+    inv_freq, scale_mult = (rope_freqs(rope), 1.0) if yarn is None else yarn_adjust(rope, yarn)
+    return (*_rope_table(range(n), inv_freq, n, rope.head_dim), scale_mult)
 
 
 def dca_attention(
@@ -188,9 +192,8 @@ def dca_attention(
     k = as_f32(k)
     v = as_f32(v)
     _check_qkv_shapes(q, k, v, params)
-    _check_yarn_range(dca, yarn)
-    inv_freq, scale_mult = _rotary_freqs(rope, yarn)
-    n = 2 * dca.chunk_size
-    cos, sin = _rope_table(range(n), inv_freq, n, params.head_dim)
+    if rope.head_dim != params.head_dim:
+        raise DimensionError(f"rope head_dim {rope.head_dim} does not match {params.head_dim}")
+    cos, sin, scale_mult = _rotary_table(rope, yarn, dca, 0)
     return _cached_attention(KvCache(1, q.shape[1]), q, k, v, params, cos, sin, 0,
                              scale_mult, dca)

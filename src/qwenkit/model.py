@@ -29,10 +29,9 @@ from .layers import (
     SwigluWeights,
     _cached_attention,
     _rms_norm,
-    _rope_table,
     _swiglu_ffn,
 )
-from .longctx import _check_yarn_range, _rotary_freqs
+from .longctx import _rotary_table
 from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
 from .ops import Rng, _is_int, sample_normal
 
@@ -155,10 +154,7 @@ def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
 def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
     """The entry check of :func:`forward` and :func:`greedy_decode`: weights
     of the config's layout held as float32 arrays, else :class:`ConfigError`
-    naming the tensor. Dual-chunk positions that overrun the YaRN range
-    raise :class:`~qwenkit.errors.ParameterError`."""
-    if cfg.dca is not None:
-        _check_yarn_range(cfg.dca, cfg.yarn)
+    naming the tensor."""
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, ConfigError)
     for name, arr in tensors.items():
@@ -304,16 +300,9 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
 
 
 def _rotary(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The cos and sin tables of the blocks and the attention-logit
-    multiplier, YaRN-adjusted if set.
-
-    The tables cover positions 0 .. n - 1, or under dual-chunk attention
-    the 2 * chunk_size remapped positions, whatever ``n`` is.
-    """
-    inv_freq, scale_mult = _rotary_freqs(cfg.rope_params(), cfg.yarn)
-    if cfg.dca is not None:
-        n = 2 * cfg.dca.chunk_size
-    return (*_rope_table(range(n), inv_freq, n, cfg.head_dim), scale_mult)
+    """:func:`~qwenkit.longctx._rotary_table` of the config, for ``n``
+    positions."""
+    return _rotary_table(cfg.rope_params(), cfg.yarn, cfg.dca, n)
 
 
 def _blocks(
@@ -427,10 +416,10 @@ def greedy_decode(
         raise InputError(
             f"prompt length {len(ids)} + max_new {max_new} exceeds max_ctx {cfg.max_ctx}"
         )
+    total = len(ids) + int(max_new)
+    rotary = _rotary(cfg, total)  # first: it also refuses a DCA overrun of the YaRN range
     if max_new == 0:
         return ids
-    total = len(ids) + int(max_new)
-    rotary = _rotary(cfg, total)
     cache = KvCache(cfg.n_layers, capacity=total)
     out = list(ids)
     x = _blocks(weights, cfg, ids, cache, rotary)[-1:]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
 from .layers import SwigluWeights, _swiglu_ffn
-from .ops import Rng, _check_ints, _softmax_rows, as_f32, sample_normal, softmax_rows
+from .ops import Rng, _check_int, _check_ints, _softmax_rows, as_f32, sample_normal, softmax_rows
 
 # Standard deviation of every fresh draw of upcycling (upcycle_from_dense).
 REINIT_STD = 0.02
@@ -141,6 +141,7 @@ def topk_select(p, k: int) -> list[int]:
     p = np.asarray(p)
     if p.ndim != 1:
         raise DimensionError(f"expected a probability vector, got shape {p.shape}")
+    _check_int("k", k)
     if not 1 <= k <= p.shape[0]:
         raise ParameterError(f"k must be in [1, {p.shape[0]}], got {k}")
     return sorted(int(i) for i in _topk_rows(p[None, :], k)[0])
@@ -191,8 +192,9 @@ def _moe_forward(rows: np.ndarray, cfg: MoeConfig, bank: ExpertBank) -> np.ndarr
 
 def replication_count(n_routed: int, expert_dim: int, h_ffn: int) -> int:
     """ceil(n_routed * expert_dim / h_ffn) dense-FFN copies cover all experts."""
-    if h_ffn < 1:
-        raise ParameterError(f"dense intermediate size must be >= 1, got {h_ffn}")
+    _check_int("n_routed", n_routed, 0)
+    _check_int("expert_dim", expert_dim, 0)
+    _check_int("h_ffn", h_ffn, 1)
     return -(-(n_routed * expert_dim) // h_ffn)
 
 

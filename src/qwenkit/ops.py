@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, InputError, ParameterError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -57,31 +57,52 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _check_int(name: str, value, low: int | None = None, error=ParameterError) -> None:
+    """Raise ``error`` unless ``value`` is a Python or numpy integer (a
+    bool is not one) and, if ``low`` is given, at least ``low``."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+
+
+def _check_real(name: str, value, error=ParameterError) -> None:
+    """Raise ``error`` unless ``value`` is a Python or numpy integer or
+    float (a bool is not one) that is finite: NaN fails every range check
+    quietly, and an int past the float range is not finite."""
+    if not _is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not _is_finite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+
+
+def _check_fraction(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a finite real in
+    [0, 1]."""
+    if not (_is_real(value) and _is_finite(value) and 0 <= value <= 1):
+        raise ParameterError(f"{name} must be a finite real in [0, 1], got {value!r}")
+
+
 def _check_ints(obj, names, error) -> None:
-    """Raise ``error`` naming the first field of ``obj`` in ``names`` that
-    is not a Python or numpy integer (a bool is not one)."""
-    _check_fields(obj, names, error, _is_int, "an integer")
+    """:func:`_check_int` on each field of ``obj`` in ``names``."""
+    for name in names:
+        _check_int(name, getattr(obj, name), error=error)
 
 
 def _check_reals(obj, names, error) -> None:
-    """Raise ``error`` naming the first field of ``obj`` in ``names`` that
-    is not a Python or numpy integer or float (a bool is not one), else the
-    first that is NaN, infinite or an int past the float range: NaN fails
-    every range check quietly."""
-    _check_fields(obj, names, error, _is_real, "a real number")
-    _check_fields(obj, names, error, _is_finite, "finite")
-
-
-def _check_fields(obj, names, error, ok, kind) -> None:
+    """:func:`_check_real` on each field of ``obj`` in ``names``."""
     for name in names:
-        value = getattr(obj, name)
-        if not ok(value):
-            raise error(f"{name} must be {kind}, got {value!r}")
+        _check_real(name, getattr(obj, name), error)
 
 
 def as_f32(x) -> np.ndarray:
-    """Coerce array-like input to a contiguous float32 array."""
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
+    """Coerce array-like input to a contiguous float32 array; input numpy
+    cannot convert, such as text or ragged nesting, is an
+    :class:`InputError`."""
+    try:
+        return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected a float32 array, got {type(x).__name__}: {exc}") from None
 
 
 class Rng:
@@ -94,12 +115,12 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        _check_int("seed", seed)
         self._state = seed & _MASK64
 
     def uint64s(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        if n < 0:
-            raise ParameterError(f"draw count must be >= 0, got {n}")
+        _check_int("draw count", n, 0)
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         self._next_into(z, z, np.empty_like(z))
         return z
@@ -116,13 +137,6 @@ class Rng:
             if mult is not None:
                 z *= np.uint64(mult)
 
-    def next_uint64(self) -> int:
-        return int(self.uint64s(1)[0])
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` float64 uniforms in [0, 1), 53-bit resolution."""
-        return (self.uint64s(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normals (float64) via Box-Muller.
 
@@ -131,8 +145,7 @@ class Rng:
         ``z1 = r sin(2 pi u2)``; outputs are interleaved z0, z1, ...
         An odd count draws a full final pair and discards its z1.
         """
-        if n < 0:
-            raise ParameterError(f"draw count must be >= 0, got {n}")
+        _check_int("draw count", n, 0)
         out = np.empty(n, dtype=np.float64)
         self._fill_normals(out)
         return out
@@ -198,8 +211,7 @@ class Rng:
         lists each target's steps in order, and pointer doubling resolves
         the chains: O(n log n) time, O(n) memory.
         """
-        if n < 0:
-            raise ParameterError(f"permutation size must be >= 0, got {n}")
+        _check_int("permutation size", n, 0)
         if n < 2:
             return np.arange(n, dtype=np.int64)
         raw = self.uint64s(n - 1)
@@ -236,10 +248,11 @@ class Rng:
 
 def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
     """``count`` draws from Normal(mean, std) as float32."""
+    _check_int("count", count, 0)
+    _check_real("mean", mean)
+    _check_real("std", std)
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
-    if count < 0:
-        raise ParameterError(f"count must be >= 0, got {count}")
     out = np.empty(count, dtype=np.float32)
     rng._fill_normals(out, mean, std)
     return out
@@ -247,7 +260,7 @@ def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
 
 def softmax_rows(x) -> np.ndarray:
     """Row-wise softmax of a 2-D matrix, stabilized by per-row max subtraction."""
-    x = np.array(x, dtype=np.float32, order="C")  # a copy for the kernel to overwrite
+    x = as_f32(x).copy()  # for the kernel to overwrite
     if x.ndim != 2:
         raise DimensionError(f"softmax_rows expects a 2-D matrix, got shape {x.shape}")
     if x.shape[1] == 0:

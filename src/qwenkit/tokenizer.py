@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _is_int
+from .ops import _check_int
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
@@ -159,8 +159,7 @@ def bpe_train(corpus, target_vocab: int) -> BpeVocab:
     distinct training word, which are exactly what :func:`encode` gives.
     """
     n_control = len(DEFAULT_CONTROL_TOKENS)
-    if not _is_int(target_vocab):
-        raise ParameterError(f"target_vocab must be an integer, got {target_vocab!r}")
+    _check_int("target_vocab", target_vocab)
     if target_vocab < 256 + n_control:
         raise ParameterError(
             f"target_vocab must be at least 256 + {n_control} control "

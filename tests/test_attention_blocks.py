@@ -21,12 +21,10 @@ from qwenkit.layers import (
     KvCache,
     RopeParams,
     _cached_attention,
-    _rope_table,
     cached_attention,
     gqa_attention,
-    rope_freqs,
 )
-from qwenkit.longctx import DcaParams, YarnParams, _rotary_freqs, dca_attention
+from qwenkit.longctx import DcaParams, YarnParams, _rotary_table, dca_attention
 from qwenkit.model import _split_heads
 from qwenkit.ops import Rng
 
@@ -108,9 +106,7 @@ def test_dca_kernel_fed_in_pieces_matches_dense_oracle(data, seq, ratio, dca, us
     one_rows = data.draw(st.integers(0, min(seq - 1, 20)))
     cuts = data.draw(st.sets(st.integers(1, seq), max_size=5)) | set(range(seq - one_rows, seq))
     bounds = [0, *sorted(cuts - {0, seq}), seq]
-    inv_freq, scale_mult = _rotary_freqs(rope, yarn)
-    n = 2 * dca.chunk_size
-    cos, sin = _rope_table(range(n), inv_freq, n, HEAD_DIM)
+    cos, sin, scale_mult = _rotary_table(rope, yarn, dca, seq)
     cache = KvCache(1)
     got = np.concatenate([
         _cached_attention(cache, q[:, a:b], k[:, a:b], v[:, a:b], params, cos, sin, 0,
@@ -165,8 +161,7 @@ def test_strided_head_views_match_contiguous_copies(dca, rows):
     rng = Rng(11)
     proj = [rand_f32(rng, total, n * HEAD_DIM)
             for n in (params.n_q_heads, params.n_kv_heads, params.n_kv_heads)]
-    n = total if dca is None else 2 * dca.chunk_size
-    cos, sin = _rope_table(range(n), rope_freqs(RopeParams(10_000.0, HEAD_DIM)), n, HEAD_DIM)
+    cos, sin, _ = _rotary_table(RopeParams(10_000.0, HEAD_DIM), None, dca, total)
 
     def run(contiguous):
         cache = KvCache(1, capacity=total)

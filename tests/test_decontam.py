@@ -171,6 +171,15 @@ class TestNgram:
         idx = NgramIndex([TokenSeq(("a", "b", "c"))], 13)
         assert not idx.contains_run(("a", "b", "z"))
 
+    @pytest.mark.parametrize("kind", [tuple, list, TokenSeq], ids=["tuple", "list", "token-seq"])
+    def test_run_and_window_of_any_sequence_kind(self, kind):
+        # A tuple slice never equals a list, so a list run once read as clean.
+        idx = NgramIndex([TokenSeq(("a", "b", "c"))], 3)
+        assert idx.contains_run(kind(("a", "b")))
+        assert not idx.contains_run(kind(("b", "a")))
+        assert idx.contains_window(kind(("a", "b", "c")))
+        assert not idx.contains_window(kind(("a",)))
+
     def test_monotone_under_more_training_docs(self):
         rng = Rng(1)
         docs = [TokenSeq(tuple(f"d{int(v % 50)}" for v in rng.uint64s(20)), f"t{i}")
@@ -328,6 +337,23 @@ class TestHostileArguments:
     def test_lcs_len_non_sequences(self, a, b):
         with pytest.raises(InputError):
             lcs_len(a, b)
+
+    # A token that is not hashable fails every count and lookup.
+    @pytest.mark.parametrize("call", [
+        lambda: lcs_len([[1]], [[1]]),
+        lambda: lcs_len(("a",), ("a", {})),
+        lambda: lcs_contaminated([[1]], [[1]]),
+        lambda: NgramIndex([[["a"]]]),
+        lambda: NgramIndex(_DOCS).contains_window([["a"]]),
+        lambda: NgramIndex(_DOCS).contains_run(["a", ["b"]]),
+        lambda: find_ngram_match([["a"]], NgramIndex(_DOCS)),
+        lambda: filter_corpus([[["a"]]], _SETS, MODE_TRAIN_LCS),
+        lambda: filter_corpus(_DOCS, {"s": [TokenSeq((["a"],))]}, MODE_TEST_NGRAM),
+    ], ids=["lcs-len", "lcs-len-dict", "lcs-contaminated", "index", "window", "run",
+            "find-ngram", "filter-train-side", "filter-test-side"])
+    def test_unhashable_tokens(self, call):
+        with pytest.raises(InputError, match="hashable tokens"):
+            call()
 
     def test_ngram_index_without_documents(self):
         with pytest.raises(InputError):

@@ -27,13 +27,12 @@ from qwenkit.layers import (
     KvCache,
     RopeParams,
     _cached_attention,
-    _rope_table,
     cached_attention,
     gqa_attention,
     rms_norm,
     swiglu_ffn,
 )
-from qwenkit.longctx import DcaParams, YarnParams, _rotary_freqs
+from qwenkit.longctx import DcaParams, YarnParams, _rotary_table
 from qwenkit.model import _blocks, _rotary, _tensors, forward, greedy_decode
 from qwenkit.moe import moe_forward
 from qwenkit.ops import Rng, softmax_rows
@@ -100,9 +99,7 @@ def test_cached_attention_matches_oracle(data, ratio, use_dca, seed):
     rows = data.draw(st.sampled_from([1, data.draw(st.integers(1, 300))]))
     seq = prefix + rows
     q, k, v = _qkv(seed, params, seq)
-    inv_freq, scale_mult = _rotary_freqs(rope, yarn)
-    n = seq if dca is None else 2 * dca.chunk_size
-    cos, sin = _rope_table(range(n), inv_freq, n, HEAD_DIM)
+    cos, sin, scale_mult = _rotary_table(rope, yarn, dca, seq)
     caches = KvCache(1), KvCache(1)
     for a, b in ((0, prefix), (prefix, seq)):
         if a == b:

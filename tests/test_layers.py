@@ -296,7 +296,7 @@ class TestKvCache:
         blocks = [rand_f32(rng, 2, rows, 8) for rows in (3, 1, 6)]
         cache = KvCache(2, capacity=2)
         for t in blocks:
-            cache.append(t, -t, layer=1)
+            cache._append(t, -t, layer=1)
         assert cache.capacity == 12  # 2 -> 3 (first block) -> 6 -> 12
         held = np.concatenate(blocks, axis=1)
         assert cache.keys(1).shape == (2, 10, 8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import max_abs_diff, rand_f32
-from qwenkit.errors import ParameterError
+from qwenkit.errors import DimensionError, ParameterError
 from qwenkit.layers import AttentionParams, RopeParams, apply_rope, gqa_attention, rope_freqs
 from qwenkit.longctx import DcaParams, YarnParams, dca_attention, dca_relpos, yarn_adjust
 from qwenkit.ops import Rng
@@ -193,6 +193,12 @@ class TestDcaAttention:
         with pytest.raises(ParameterError):
             dca_attention(q, k, v, params, DcaParams(1024), rope,
                           yarn=YarnParams(2.0, 512))
+
+    def test_rope_width_must_match_heads(self):
+        params = AttentionParams(2, 2, 16)
+        q, k, v = _qkv(Rng(35), params, 4)
+        with pytest.raises(DimensionError, match="rope head_dim 8"):
+            dca_attention(q, k, v, params, DcaParams(4), RopeParams(10_000.0, 8))
 
     def test_yarn_multiplier_applied_beyond_one_chunk(self):
         params = AttentionParams(2, 2, 16)

@@ -365,6 +365,8 @@ class TestForward:
             forward(w, cfg, [1, 2, 3])
         with pytest.raises(ParameterError, match="rescaled rotary range covers only 128"):
             greedy_decode(w, cfg, [1, 2, 3], 2)
+        with pytest.raises(ParameterError, match="rescaled rotary range covers only 128"):
+            greedy_decode(w, cfg, [1, 2, 3], 0)
 
     def test_moe_block_swap_matches_dense(self):
         # A 1-expert MoE layer sharing the dense weights must reproduce the
