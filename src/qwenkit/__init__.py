@@ -14,7 +14,6 @@ from .decontam import (
     filter_corpus,
     lcs_contaminated,
     lcs_len,
-    ngram_contaminated,
     normalize,
 )
 from .errors import (

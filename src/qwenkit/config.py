@@ -138,9 +138,6 @@ _PRESETS = {
                             **_NANO_COMMON),
 }
 
-# The published architecture rows; the rest are desk-scale smoke models.
-PUBLISHED_PRESETS = tuple(name for name in _PRESETS if name.startswith("qwen2-"))
-
 
 def preset(name: str) -> ModelConfig:
     """Named configuration; published rows plus nano smoke models."""

@@ -9,12 +9,9 @@ removed, whitespace-tokenized) and compared two ways:
 * test-side: a test sample is removed when any contiguous n tokens of it
   (default 13) appear verbatim in the training corpus.
 
-A corpus scan does its per-corpus work once. The train-side scan drops the
-samples shorter than ``min_len`` up front, counts the tokens of each sample
-once and of each document once, and runs the LCS only on pairs whose token
-overlap, counted by position and then as a multiset (both upper bounds on
-the LCS), meets both thresholds. The test-side scan looks a sample shorter
-than n up at the positions of its rarest token.
+A token sequence is checked once, where it becomes a :class:`TokenSeq`. A
+corpus scan does its per-corpus work once, and runs the LCS only on pairs
+that sound upper bounds on it do not rule out.
 
 Reports mirror a per-test-set "percent contaminated" table.
 """
@@ -37,10 +34,28 @@ MODES = (MODE_TRAIN_LCS, MODE_TEST_NGRAM)
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Normalized word tokens of one document plus its identifier."""
+    """Normalized word tokens of one document plus its identifier.
+
+    The one check of a token sequence: ``tokens`` may be any iterable of
+    hashable tokens and is stored as a tuple, so the same tokens make equal,
+    hashable sequences. Text, read as one token per character or byte, and
+    unhashable tokens, on which every lookup trips, are an
+    :class:`InputError`.
+    """
 
     tokens: tuple[str, ...]
     source_id: str = ""
+
+    def __post_init__(self) -> None:
+        toks = self.tokens
+        if isinstance(toks, (str, bytes, bytearray)):
+            raise InputError(f"expected tokens, got text ({type(toks).__name__}); normalize it")
+        try:
+            toks = tuple(toks)
+            hash(toks)
+        except TypeError:
+            raise InputError(f"expected a sequence of hashable tokens, got {toks!r}") from None
+        object.__setattr__(self, "tokens", toks)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -64,16 +79,8 @@ def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSe
 
 
 def _tokens(seq) -> tuple[str, ...]:
-    """The tokens of ``seq`` as a tuple, so that a slice of it compares
-    equal to a run, else :class:`InputError`. Hashing the tuple once finds
-    a token that is not hashable, which every lookup would trip on."""
-    toks = seq.tokens if isinstance(seq, TokenSeq) else seq
-    try:
-        toks = tuple(toks)
-        hash(toks)
-    except TypeError:
-        raise InputError(f"expected a sequence of hashable tokens, got {seq!r}") from None
-    return toks
+    """The tokens of ``seq``, checked by :class:`TokenSeq` unless it is one."""
+    return seq.tokens if isinstance(seq, TokenSeq) else TokenSeq(seq).tokens
 
 
 def lcs_len(a, b) -> int:
@@ -136,11 +143,9 @@ def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> b
     and >= min_frac * min(|train|, |test|).
 
     ``min_len`` must be an int >= 0 and ``min_frac`` a finite real in
-    [0, 1], else :class:`ParameterError`. Sound upper bounds skip the LCS
-    for clearly clean pairs: the shorter length, the positions of the
-    shorter sequence whose token occurs in the longer, and the multiset
-    overlap of the two token counts. :func:`filter_corpus` applies the same
-    test with each count taken once per corpus.
+    [0, 1], else :class:`ParameterError`. Upper bounds on the LCS skip it
+    for clearly clean pairs; :func:`filter_corpus` applies the same test
+    with each count taken once per corpus.
     """
     _check_int("min_len", min_len, 0)
     _check_fraction("min_frac", min_frac)
@@ -149,12 +154,8 @@ def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> b
 
 
 class NgramIndex:
-    """The set of all length-n token windows of a training corpus, and every
-    token position keyed by its token.
-
-    A window is looked up as itself, so a hit is exact. Runs shorter than n
-    are looked up from the positions of their rarest token.
-    """
+    """The set of all length-n token windows of a training corpus, each
+    looked up as itself, and every token position keyed by its token."""
 
     def __init__(self, docs, n: int = 13):
         _check_int("n", n, 1)
@@ -170,9 +171,6 @@ class NgramIndex:
             self._windows.update(toks[start : start + n] for start in range(len(toks) - n + 1))
             for start, tok in enumerate(toks):
                 self._starts.setdefault(tok, []).append((di, start))
-
-    def contains_window(self, window) -> bool:
-        return _tokens(window) in self._windows
 
     def contains_run(self, tokens) -> bool:
         """Exact contiguous containment, for sequences shorter than n.
@@ -217,10 +215,6 @@ def find_ngram_match(test, index: NgramIndex) -> int | None:
         if toks[start : start + n] in windows:
             return start
     return None
-
-
-def ngram_contaminated(test, index: NgramIndex) -> bool:
-    return find_ngram_match(test, index) is not None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, InputError, ParameterError
 from .layers import SwigluWeights, _swiglu_ffn
 from .ops import Rng, _check_int, _check_ints, _softmax_rows, as_f32, sample_normal, softmax_rows
 
@@ -137,8 +137,16 @@ def _topk_rows(p: np.ndarray, k: int) -> np.ndarray:
 
 
 def topk_select(p, k: int) -> list[int]:
-    """Indices of the k largest probabilities, ascending; ties keep the lower index."""
+    """Indices of the k largest probabilities, ascending; ties keep the lower index.
+
+    ``p`` must hold integers or floats, else :class:`InputError`; floats are
+    ranked in their own dtype, as a cast could tie close ones.
+    """
     p = np.asarray(p)
+    if p.dtype.kind not in "iuf":
+        raise InputError(f"expected real probabilities, got dtype {p.dtype}")
+    if p.dtype.kind != "f":  # -p would wrap an unsigned 0 or int8's -128
+        p = p.astype(np.float64)
     if p.ndim != 1:
         raise DimensionError(f"expected a probability vector, got shape {p.shape}")
     _check_int("k", k)

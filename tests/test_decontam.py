@@ -4,11 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decontam_oracles as oracle
 from decontam_oracles import oracle_lcs
+from qwenkit import decontam
 from qwenkit.decontam import (
     MODE_TEST_NGRAM,
     MODE_TRAIN_LCS,
@@ -25,7 +26,6 @@ from qwenkit.decontam import (
     lcs_len,
     load_docs,
     load_test_sets,
-    ngram_contaminated,
     normalize,
 )
 from qwenkit.errors import FormatError, InputError, ParameterError
@@ -93,6 +93,30 @@ class TestLcsLen:
         assert lcs_len(TokenSeq(("a", "b")), TokenSeq(("b",))) == 1
 
 
+class TestTokenSeq:
+    """A token sequence is checked once, where it becomes a ``TokenSeq``."""
+
+    @given(st.lists(st.one_of(st.text(max_size=3), st.integers(), st.tuples(st.integers())),
+                    max_size=8))
+    @example(["a", "b"])
+    @settings(max_examples=200, deadline=None)
+    def test_any_iterable_of_hashable_tokens_is_one_sequence(self, toks):
+        seqs = [TokenSeq(toks, "s"), TokenSeq(tuple(toks), "s"), TokenSeq(iter(toks), "s")]
+        assert all(type(seq.tokens) is tuple for seq in seqs)
+        assert seqs[0] == seqs[1] == seqs[2]
+        assert hash(seqs[0]) == hash(seqs[1]) == hash(seqs[2])
+
+    def test_tokens_of_a_token_seq_are_not_copied(self):
+        seq = normalize("the quick brown fox")
+        assert decontam._tokens(seq) is seq.tokens
+
+    # A str is a row of tests/test_typed_errors.py.
+    @pytest.mark.parametrize("text", [b"abc", bytearray(b"abc")], ids=["bytes", "bytearray"])
+    def test_bytes_are_refused(self, text):
+        with pytest.raises(InputError, match="text"):
+            TokenSeq(text)
+
+
 class TestLcsContaminated:
     def test_identical_thirteen_tokens(self):
         seq = tuple(f"w{i}" for i in range(13))
@@ -129,14 +153,14 @@ class TestNgram:
     def test_shared_thirteen_gram(self):
         idx = NgramIndex(self._train(), 13)
         test = TokenSeq(("pre",) + tuple(f"w{i}" for i in range(5, 18)) + ("post",))
-        assert ngram_contaminated(test, idx)
+        assert find_ngram_match(test, idx) == 1
 
     def test_twelve_gram_is_clean(self):
         # 13 tokens whose longest contiguous run shared with training is 12.
         idx = NgramIndex(self._train(), 13)
         test = TokenSeq(("novel",) + tuple(f"w{i}" for i in range(5, 17)))
         assert len(test) == 13
-        assert not ngram_contaminated(test, idx)
+        assert find_ngram_match(test, idx) is None
 
     def test_single_window_suffices(self):
         # 14 tokens whose first 13 match training but whose last breaks the
@@ -149,8 +173,8 @@ class TestNgram:
         idx = NgramIndex(self._train(), 13)
         inside = TokenSeq(tuple(f"w{i}" for i in range(3, 9)))
         scattered = TokenSeq(("w3", "w5", "w7"))
-        assert ngram_contaminated(inside, idx)
-        assert not ngram_contaminated(scattered, idx)
+        assert find_ngram_match(inside, idx) == 0
+        assert find_ngram_match(scattered, idx) is None
 
     def test_short_run_anchored_at_its_last_token(self):
         # "b" is the rarest token of the run and its last: one start at
@@ -177,8 +201,8 @@ class TestNgram:
         idx = NgramIndex([TokenSeq(("a", "b", "c"))], 3)
         assert idx.contains_run(kind(("a", "b")))
         assert not idx.contains_run(kind(("b", "a")))
-        assert idx.contains_window(kind(("a", "b", "c")))
-        assert not idx.contains_window(kind(("a",)))
+        assert find_ngram_match(kind(("x", "a", "b", "c")), idx) == 1
+        assert find_ngram_match(kind(("b", "a", "c")), idx) is None
 
     def test_monotone_under_more_training_docs(self):
         rng = Rng(1)
@@ -189,8 +213,8 @@ class TestNgram:
         small = NgramIndex(docs[:6], 5)
         big = NgramIndex(docs, 5)
         for t in tests:
-            if ngram_contaminated(t, small):
-                assert ngram_contaminated(t, big)
+            if find_ngram_match(t, small) is not None:
+                assert find_ngram_match(t, big) is not None
         # Windows are index.n tokens long: a 5-token run of a training doc
         # inside a 15-token sample is a hit at its offset for n = 5 only.
         planted = TokenSeq(("x",) * 4 + docs[0].tokens[2:7] + ("y",) * 6)
@@ -344,12 +368,12 @@ class TestHostileArguments:
         lambda: lcs_len(("a",), ("a", {})),
         lambda: lcs_contaminated([[1]], [[1]]),
         lambda: NgramIndex([[["a"]]]),
-        lambda: NgramIndex(_DOCS).contains_window([["a"]]),
+        lambda: TokenSeq((["a"],)),
         lambda: NgramIndex(_DOCS).contains_run(["a", ["b"]]),
         lambda: find_ngram_match([["a"]], NgramIndex(_DOCS)),
         lambda: filter_corpus([[["a"]]], _SETS, MODE_TRAIN_LCS),
         lambda: filter_corpus(_DOCS, {"s": [TokenSeq((["a"],))]}, MODE_TEST_NGRAM),
-    ], ids=["lcs-len", "lcs-len-dict", "lcs-contaminated", "index", "window", "run",
+    ], ids=["lcs-len", "lcs-len-dict", "lcs-contaminated", "index", "token-seq", "run",
             "find-ngram", "filter-train-side", "filter-test-side"])
     def test_unhashable_tokens(self, call):
         with pytest.raises(InputError, match="hashable tokens"):
@@ -464,7 +488,7 @@ def test_contains_run_matches_oracle(docs, run, data):
 @given(st.lists(st.lists(_tokens, max_size=12).map(tuple), max_size=5),
        st.lists(_tokens, min_size=3, max_size=3).map(tuple), st.data())
 @settings(max_examples=300, deadline=None)
-def test_contains_window_matches_oracle(docs, window, data):
+def test_find_ngram_match_window_matches_oracle(docs, window, data):
     n = 3
     if docs and data.draw(st.booleans()):  # also a window cut from a document
         doc = data.draw(st.sampled_from(docs))
@@ -472,7 +496,7 @@ def test_contains_window_matches_oracle(docs, window, data):
             start = data.draw(st.integers(0, len(doc) - n))
             window = doc[start : start + n]
     index = NgramIndex([TokenSeq(d) for d in docs], n)
-    assert index.contains_window(window) == oracle.contains_run(docs, window)
+    assert find_ngram_match(window, index) == (0 if oracle.contains_run(docs, window) else None)
 
 
 @given(st.lists(_tokens, max_size=30), st.lists(_tokens, max_size=30))

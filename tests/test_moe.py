@@ -123,6 +123,16 @@ class TestTopkSelect:
     def test_tie_prefers_lower_index(self):
         assert topk_select(np.array([0.3, 0.3, 0.4]), 2) == [0, 2]
 
+    def test_close_float64_probabilities_are_not_tied(self):
+        # Equal in float32, so a cast would pick index 0.
+        assert topk_select(np.array([0.5, 0.5 + 1e-12]), 1) == [1]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    def test_integer_weights_ranked_without_wrapping(self, dtype):
+        # Negating an unsigned 0 or int8's -128 wraps to the top of the order.
+        low = np.iinfo(dtype).min
+        assert topk_select(np.array([low, 5], dtype), 1) == [1]
+
     def test_out_of_range_k(self):
         with pytest.raises(ParameterError):
             topk_select(np.array([0.5, 0.5]), 3)

@@ -1,10 +1,10 @@
 """Hostile arguments at the public boundary get a typed error.
 
 Each row feeds one public call one hostile value: a float where an int is
-due, NaN, or text where an array is due. The call must raise exactly the
-named :class:`~qwenkit.errors.QwenKitError` subclass, never a bare
-``TypeError`` or a NaN array. Tokens that are not hashable are covered in
-``test_decontam``.
+due, NaN, or text where an array or a token sequence is due. The call must
+raise exactly the named :class:`~qwenkit.errors.QwenKitError` subclass,
+never a bare ``TypeError``, a NaN array or a wrong answer. Tokens that are
+not hashable are covered in ``test_decontam``.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ NAN = float("nan")
 _X = np.ones((2, 8), np.float32)
 _GAMMA = np.ones(8, np.float32)
 _INV_FREQ = qk.rope_freqs(qk.RopeParams(1e4, 8))
+_SETS = {"s": [qk.TokenSeq(("a", "b", "c"), "e0")]}
 
 HOSTILE = [
     # Integer arguments.
@@ -44,6 +45,19 @@ HOSTILE = [
     ("softmax_rows-text", lambda: qk.softmax_rows("a"), InputError),
     ("rms_norm-ragged", lambda: qk.rms_norm([[1.0], [1.0, 2.0]], _GAMMA), InputError),
     ("parse_config-None", lambda: qk.parse_config(None), InputError),
+    ("topk_select-text", lambda: qk.topk_select(["a", "b"], 1), InputError),
+    # Text where a token sequence is due would read as one token per character.
+    ("TokenSeq-text", lambda: qk.TokenSeq("abc"), InputError),
+    ("lcs_len-text", lambda: qk.lcs_len("hello world", "hello"), InputError),
+    ("lcs_contaminated-text", lambda: qk.lcs_contaminated("a" * 20, "a" * 20), InputError),
+    ("NgramIndex-text", lambda: qk.NgramIndex(["abcdefgh"], n=3), InputError),
+    ("find_ngram_match-text",
+     lambda: qk.decontam.find_ngram_match("xbcd", qk.NgramIndex([qk.TokenSeq(tuple("abcd"))], 3)),
+     InputError),
+    ("filter_corpus-text-train-side",
+     lambda: qk.filter_corpus(["abc"], _SETS, qk.decontam.MODE_TRAIN_LCS), InputError),
+    ("filter_corpus-text-test-side",
+     lambda: qk.filter_corpus(["abc"], _SETS, qk.decontam.MODE_TEST_NGRAM), InputError),
 ]
 
 
