@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from qwenkit import (
+    FormatError,
     build_model,
     forward,
     format_config,
@@ -22,6 +23,7 @@ from qwenkit import (
 # The nano preset is a 2-layer, 64-wide model with the same block structure as
 # the published rows: pre-norm residuals, grouped-query attention with QKV
 # bias, SwiGLU FFN, tied embeddings.
+# Its config prints in the JSON format that the weight container also stores.
 cfg = preset("nano")
 print(format_config(cfg))
 
@@ -54,11 +56,18 @@ print(f"full-recompute agrees: {check == ids}")
 if check != ids:
     sys.exit(1)
 
-# The weight container roundtrips bit-exactly and refuses corrupted files.
+# The weight container is a safetensors file with the config in its metadata;
+# it roundtrips bit-exactly and refuses corrupted files.
 with tempfile.TemporaryDirectory() as td:
-    path = Path(td) / "nano.qw2t"
+    path = Path(td) / "nano.safetensors"
     save_weights(weights, cfg, path)
     restored, cfg2 = load_weights(path)
     print(f"container: {path.stat().st_size:,} bytes, "
           f"bit-exact={np.array_equal(weights.embedding, restored.embedding)}, "
           f"config equal={cfg2 == cfg}")
+    path.write_bytes(path.read_bytes()[:-1000])
+    try:
+        load_weights(path)
+        sys.exit("a truncated container was read")
+    except FormatError as exc:
+        print(f"truncated container refused: {exc}")

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cfg = top.add_parser("config", help="configuration inspection")
     cfg_sub = p_cfg.add_subparsers(dest="subcommand", required=True, metavar="SUB")
-    p_show = cfg_sub.add_parser("show", help="print a preset in the key = value format")
+    p_show = cfg_sub.add_parser("show", help="print a preset in the JSON config format")
     p_show.add_argument("--preset", required=True, choices=preset_names())
     p_show.set_defaults(func=_cmd_config_show)
 
@@ -299,7 +299,7 @@ def _cmd_decontam_scan(args, run: _Run) -> int:
 
 
 def _cmd_config_show(args, run: _Run) -> int:
-    sys.stdout.write(format_config(preset(args.preset)))
+    print(format_config(preset(args.preset)))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Model configurations, named presets, and the key = value config format.
+"""Model configurations, named presets, and the JSON config format.
 
 Presets cover the five published architecture rows (qwen2-0.5b through
 qwen2-57b-a14b) plus two desk-scale smoke models (nano, nano-moe). The
@@ -10,7 +10,10 @@ itself when it is constructed, so every instance is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
 from .layers import AttentionParams, RopeParams
@@ -65,6 +68,11 @@ class ModelConfig:
                  "ffn_intermediate", "vocab_size", "max_ctx")
         _check_ints(self, sizes + ("regular_tokens", "control_tokens"), ConfigError)
         _check_reals(self, ("rope_base", "rms_eps"), ConfigError)
+        for name in ("tie_embeddings", "use_qkv_bias"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.trained_tokens, (str, type(None))):
+            raise ConfigError(f"trained_tokens must be a str or None, got {self.trained_tokens!r}")
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -153,106 +161,48 @@ def preset_names() -> list[str]:
     return list(_PRESETS)
 
 
-# --- key = value config file format ------------------------------------------
-# One "key = value" line per set field. Nested groups use dotted keys
-# (moe.n_routed, yarn.scale, dca.chunk_size); unset optional groups are
-# omitted entirely. Unknown keys are errors.
-
-_SCALAR_TYPES = {
-    "hidden": int, "n_layers": int, "n_q_heads": int, "n_kv_heads": int,
-    "head_dim": int, "ffn_intermediate": int, "vocab_size": int,
-    "regular_tokens": int, "control_tokens": int, "max_ctx": int, "eot_id": int,
-    "tie_embeddings": bool, "use_qkv_bias": bool,
-    "rope_base": float, "rms_eps": float, "trained_tokens": str,
-}
-_GROUP_TYPES = {
-    "moe": {"n_routed": int, "k_active": int, "n_shared": int, "expert_dim": int},
-    "yarn": {"scale": float, "native_ctx": int, "beta_fast": float,
-             "beta_slow": float, "mscale_coeff": float},
-    "dca": {"chunk_size": int, "local_window": int},
-}
-_REQUIRED = ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
-             "ffn_intermediate", "vocab_size", "regular_tokens")
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# The JSON config format: every field of ModelConfig, and of each group
+# that is set; an unset group is null.
+_GROUPS = {"moe": MoeConfig, "yarn": YarnParams, "dca": DcaParams}
 
 
 def format_config(cfg: ModelConfig) -> str:
-    lines = []
-    for name in _SCALAR_TYPES:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        lines.append(f"{name} = {_render(value)}")
-    for group in ("moe", "yarn", "dca"):
-        obj = getattr(cfg, group)
-        if obj is None:
-            continue
-        for sub in _GROUP_TYPES[group]:
-            lines.append(f"{group}.{sub} = {_render(getattr(obj, sub))}")
-    return "\n".join(lines) + "\n"
+    # A numpy scalar is a valid field value; .item() makes it a Python one.
+    return json.dumps(asdict(cfg), indent=2, default=np.generic.item)
 
 
-def _parse_value(key: str, raw: str, typ):
-    raw = raw.strip()
-    if typ is bool:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise FormatError(f"key {key}: expected true/false, got {raw!r}")
-    if typ is str:
-        return raw
-    try:
-        return typ(raw)
-    except ValueError:
-        raise FormatError(f"key {key}: cannot parse {raw!r} as {typ.__name__}") from None
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise FormatError(f"duplicate key in an object with keys {[k for k, _ in pairs]}")
+    return obj
+
+
+def _fields(obj, cls, where: str) -> dict:
+    """``obj`` if it is a dict with exactly the field names of ``cls``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    names = {f.name for f in fields(cls)}
+    if obj.keys() != names:
+        raise FormatError(f"{where}: unknown keys {sorted(obj.keys() - names)}, "
+                          f"missing keys {sorted(names - obj.keys())}")
+    return obj
 
 
 def parse_config(text: str) -> ModelConfig:
-    """Parse the key = value format back into a validated ModelConfig."""
+    """Parse the JSON config format back into a validated ModelConfig.
+
+    Text that is not JSON, and an unknown, missing or duplicate key, is a
+    :class:`FormatError`; a value the dataclasses refuse raises their
+    :class:`ConfigError` or :class:`ParameterError`.
+    """
     if not isinstance(text, str):
         raise InputError(f"config text must be a str, got {type(text).__name__}")
-    scalars: dict = {}
-    groups: dict[str, dict] = {g: {} for g in _GROUP_TYPES}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if "." in key:
-            group, _, sub = key.partition(".")
-            if group not in _GROUP_TYPES or sub not in _GROUP_TYPES[group]:
-                raise FormatError(f"line {lineno}: unknown key {key!r}")
-            if sub in groups[group]:
-                raise FormatError(f"line {lineno}: duplicate key {key!r}")
-            groups[group][sub] = _parse_value(key, raw, _GROUP_TYPES[group][sub])
-        else:
-            if key not in _SCALAR_TYPES:
-                raise FormatError(f"line {lineno}: unknown key {key!r}")
-            if key in scalars:
-                raise FormatError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = _parse_value(key, raw, _SCALAR_TYPES[key])
-    missing = [k for k in _REQUIRED if k not in scalars]
-    if missing:
-        raise FormatError(f"missing required keys: {', '.join(missing)}")
-    kwargs = dict(scalars)
     try:
-        if groups["moe"]:
-            kwargs["moe"] = MoeConfig(hidden=scalars["hidden"], **groups["moe"])
-        if groups["yarn"]:
-            kwargs["yarn"] = YarnParams(**groups["yarn"])
-        if groups["dca"]:
-            kwargs["dca"] = DcaParams(**groups["dca"])
-    except TypeError as exc:
-        raise FormatError(f"incomplete nested group: {exc}") from None
+        kwargs = _fields(json.loads(text, object_pairs_hook=_unique_keys), ModelConfig, "config")
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"config is not JSON: {exc}") from None
+    for group, cls in _GROUPS.items():
+        if kwargs[group] is not None:
+            kwargs[group] = cls(**_fields(kwargs[group], cls, group))
     return ModelConfig(**kwargs)

@@ -78,9 +78,14 @@ def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSe
     return TokenSeq(tuple(text.split()), source_id)
 
 
+def _seq(seq) -> TokenSeq:
+    """``seq`` as a :class:`TokenSeq`, with id ``""`` unless it is one."""
+    return seq if isinstance(seq, TokenSeq) else TokenSeq(seq)
+
+
 def _tokens(seq) -> tuple[str, ...]:
     """The tokens of ``seq``, checked by :class:`TokenSeq` unless it is one."""
-    return seq.tokens if isinstance(seq, TokenSeq) else TokenSeq(seq).tokens
+    return _seq(seq).tokens
 
 
 def lcs_len(a, b) -> int:
@@ -259,11 +264,13 @@ def filter_corpus(
     sample of any set is removed; per-set rows count training documents
     flagged by that set). test-side-13gram removes test samples matching the
     training n-gram index; kept/removed then hold the flattened samples.
+    A document or sample given as a raw token sequence becomes a
+    :class:`TokenSeq` with id ``""``, so kept/removed hold only those.
 
     ``ngram_n`` must be an int >= 1 and the LCS thresholds as for
     :func:`lcs_contaminated`, in either mode, else :class:`ParameterError`.
     """
-    train_docs = list(train_docs)
+    train_docs = [_seq(doc) for doc in train_docs]
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("ngram_n", ngram_n, 1)
@@ -271,6 +278,8 @@ def filter_corpus(
     _check_fraction("lcs_min_frac", lcs_min_frac)
     if not train_docs or not test_sets or all(not s for s in test_sets.values()):
         raise ParameterError("train corpus and test sets must be nonempty")
+    test_sets = {name: [_seq(sample) for sample in samples]
+                 for name, samples in test_sets.items()}
 
     verdicts: list[SampleVerdict] = []
     if mode == MODE_TRAIN_LCS:
@@ -278,14 +287,14 @@ def filter_corpus(
         # so it is dropped here; the rest keep their order, and so the first
         # matching sample of each set is the same one.
         candidates = {
-            name: [(sample, toks, Counter(toks)) for sample in samples
-                   for toks in (_tokens(sample),) if toks and len(toks) >= lcs_min_len]
+            name: [(sample, sample.tokens, Counter(sample.tokens)) for sample in samples
+                   if sample.tokens and len(sample) >= lcs_min_len]
             for name, samples in test_sets.items()}
         per_set_hits = {name: 0 for name in test_sets}
         kept, removed = [], []
         for doc in train_docs:
             doc_removed = False
-            toks = _tokens(doc)
+            toks = doc.tokens
             counts = Counter(toks)
             for set_name, samples in candidates.items():
                 for sample, s_toks, s_counts in samples:

@@ -1,24 +1,21 @@
-"""Binary weight container.
+"""Binary weight container: a safetensors file.
 
-Layout: magic ``QW2T`` (4 bytes), format version as little-endian u32, a
-little-endian u64 header byte length, the UTF-8 header, the raw payload of
-little-endian float32 tensors, and a trailing little-endian u32 CRC32 of the
-payload.
-
-The header holds a ``[config]`` section in the key = value config format and
-a ``[tensors]`` section with one ``name dim0xdim1 offset`` line per tensor,
-sorted by name; offsets are relative to the payload start and contiguous.
-The tensor names and shapes are the model's weight layout
-(``model._tensor_shapes``); tied models store no ``lm_head`` tensor: the
-embedding is the projection.
-
-Tensors are stored row-major whatever their order in memory. Loaded
-weights take the storage order of ``model._from_tensors``: every matrix
-but the embedding column-major.
+A little-endian u64 header length, a UTF-8 JSON header, then the payload:
+the tensors as little-endian float32, row-major, sorted by name and
+contiguous. The header maps each name to ``{"dtype": "F32", "shape":
+[...], "data_offsets": [begin, end]}`` (offsets from the payload start)
+and ``__metadata__`` to the strings ``config`` (the JSON config format)
+and ``crc32`` (the payload's CRC32 as 8 hex digits). The names and shapes are the weight layout of that config
+(``model._tensor_shapes``), so the config determines the rest of the
+header; a tied model stores no ``lm_head``. Loaded weights take the
+storage order of ``model._from_tensors``: every matrix but the embedding
+column-major.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import struct
 import zlib
@@ -26,11 +23,20 @@ import zlib
 import numpy as np
 
 from .config import ModelConfig, format_config, parse_config
-from .errors import ConfigError, FormatError, NumericError, ParameterError
-from .model import ModelWeights, _check_layout, _from_tensors, _tensors
+from .errors import FormatError, NumericError, QwenKitError
+from .model import ModelWeights, _check_layout, _from_tensors, _tensor_shapes, _tensors
 
-MAGIC = b"QW2T"
-VERSION = 1
+
+def _entries(shapes: dict[str, tuple[int, ...]]) -> dict[str, dict]:
+    """The header entry of each tensor, sorted by name, offsets contiguous."""
+    entries = {}
+    offset = 0
+    for name in sorted(shapes):
+        end = offset + 4 * math.prod(shapes[name])
+        entries[name] = {"dtype": "F32", "shape": list(shapes[name]),
+                         "data_offsets": [offset, end]}
+        offset = end
+    return entries
 
 
 def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
@@ -44,134 +50,87 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     """
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, FormatError)
-    names = sorted(tensors)
-    manifest = []
-    offset = 0
-    for name in names:
-        arr = np.asarray(tensors[name], dtype="<f4")
-        if not np.isfinite(arr).all():
+    for name in sorted(tensors):
+        if not np.isfinite(np.asarray(tensors[name], dtype="<f4")).all():
             raise NumericError(f"tensor {name} holds non-finite values; not saved")
-        dims = "x".join(str(d) for d in arr.shape)
-        manifest.append(f"{name} {dims} {offset}")
-        offset += arr.nbytes
-    header = (
-        "[config]\n" + format_config(cfg) + "[tensors]\n" + "\n".join(manifest) + "\n"
-    ).encode("utf-8")
+    # The CRC is patched in after the payload, so the payload is streamed once.
+    meta = {"crc32": "00000000", "config": format_config(cfg)}
+    header = json.dumps({"__metadata__": meta, **_entries(_tensor_shapes(cfg))},
+                        separators=(",", ":")).encode("utf-8")
+    crc_at = 8 + header.index(b'"crc32":"') + len(b'"crc32":"')
     crc = 0
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         # One row-major copy at a time (none for a row-major float32 tensor),
         # not a payload-sized list of them: each is dropped before the next.
-        for name in names:
+        for name in sorted(tensors):
             arr = np.ascontiguousarray(tensors[name], dtype="<f4")
             fh.write(arr)
             crc = zlib.crc32(arr, crc)
             del arr
-        fh.write(struct.pack("<I", crc))
-
-
-def _parse_header(header: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...], int]]]:
-    lines = header.splitlines()
-    if not lines or lines[0] != "[config]":
-        raise FormatError("header must start with a [config] section")
-    try:
-        split = lines.index("[tensors]")
-    except ValueError:
-        raise FormatError("header is missing the [tensors] section") from None
-    try:
-        cfg = parse_config("\n".join(lines[1:split]))
-    except (ConfigError, FormatError, ParameterError) as exc:
-        raise FormatError(f"[config] section: {exc}") from None
-    manifest = []
-    for line in lines[split + 1 :]:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"bad manifest line: {line!r}")
-        name, dims, off = parts
-        try:
-            shape = tuple(int(d) for d in dims.split("x"))
-            offset = int(off)
-        except ValueError:
-            raise FormatError(f"bad manifest line: {line!r}") from None
-        if any(d < 1 for d in shape) or offset < 0:
-            raise FormatError(f"bad manifest line: {line!r}")
-        manifest.append((name, shape, offset))
-    return cfg, manifest
-
-
-def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.empty(shape, dtype="<f4")
-    if fh.readinto(arr) != arr.nbytes:
-        raise FormatError(f"file truncated inside tensor {name}")
-    return arr
+        fh.seek(crc_at)
+        fh.write(f"{crc:08x}".encode("ascii"))
 
 
 def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
     """Read a weight container back; bit-exact inverse of :func:`save_weights`.
 
-    Any violation of the format raises :class:`FormatError`: bad fixed
-    fields, a ``[config]`` section that does not parse or validate, a tensor
-    set or shape other than the layout of that config, a checksum mismatch,
-    or a tensor holding NaN or inf.
+    Any violation of the format raises :class:`FormatError`, among them a
+    header other than the one :func:`save_weights` writes for the config it
+    holds, a file size other than the payload's end, a checksum mismatch
+    and a tensor holding NaN or inf.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        fixed = fh.read(16)
-        if len(fixed) < 16:
+        fixed = fh.read(8)
+        if len(fixed) < 8:
             raise FormatError(
-                f"file truncated at offset {len(fixed)}: too short for the fixed fields")
-        if fixed[:4] != MAGIC:
-            raise FormatError(f"bad magic at offset 0: expected {MAGIC!r}, got {fixed[:4]!r}")
-        (version,) = struct.unpack_from("<I", fixed, 4)
-        if version != VERSION:
-            raise FormatError(f"unsupported format version {version} at offset 4")
-        (header_len,) = struct.unpack_from("<Q", fixed, 8)
-        header_end = 16 + header_len
-        if header_end > size:
+                f"file truncated at offset {len(fixed)}: too short for the header length")
+        (header_len,) = struct.unpack("<Q", fixed)
+        if header_len > size - 8:
             raise FormatError(
-                f"header length {header_len} at offset 8 overruns file of {size} bytes"
-            )
+                f"header length {header_len} at offset 0 overruns file of {size} bytes")
         try:
-            header = fh.read(header_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"header at offset 16 is not valid UTF-8: {exc}") from None
-        cfg, manifest = _parse_header(header)
-
-        shapes = {name: shape for name, shape, _ in manifest}
-        if [name for name, _, _ in manifest] != sorted(shapes):
-            raise FormatError("manifest is not sorted by tensor name, or repeats one")
-        _check_layout(shapes, cfg, FormatError)
-        offset = 0
-        for name, shape, off in manifest:
-            if off != offset:
-                raise FormatError(f"tensor {name} at offset {off}, expected contiguous {offset}")
-            offset += 4 * int(np.prod(shape))
-        payload_end = header_end + offset
-        if payload_end + 4 > size:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise FormatError(f"header at offset 8 is not UTF-8 JSON: {exc}") from None
+        meta = header.pop("__metadata__", None) if isinstance(header, dict) else None
+        if not (isinstance(meta, dict) and meta.keys() == {"config", "crc32"}
+                and all(isinstance(v, str) for v in meta.values())):
             raise FormatError(
-                f"file truncated: payload and checksum need {payload_end + 4} bytes, "
-                f"file ends at offset {size}"
-            )
+                "header must be a JSON object whose __metadata__ holds the strings "
+                "config and crc32, and nothing else")
+        try:
+            cfg = parse_config(meta["config"])
+        except QwenKitError as exc:
+            raise FormatError(f"config metadata: {exc}") from None
+        shapes = _tensor_shapes(cfg)
+        entries = _entries(shapes)
+        if header != entries:
+            wrong = sorted(k for k in header.keys() | entries.keys()
+                           if header.get(k) != entries.get(k))
+            raise FormatError(f"tensor entries {wrong[:3]} differ from the layout of the config")
+        payload_end = 8 + header_len + 4 * sum(map(math.prod, shapes.values()))
+        if size != payload_end:
+            problem = "truncated" if size < payload_end else "longer than its payload"
+            raise FormatError(
+                f"file of {size} bytes is {problem}, which ends at offset {payload_end}")
 
         # Each tensor is read straight into its own array; the CRC runs over
         # the arrays in payload order. Only the dict refers to them, so
         # _from_tensors frees each one as it converts it.
         arrays = {}
         computed = 0
-        for name, shape, _ in manifest:
-            arrays[name] = _read_tensor(fh, name, shape)
+        for name in entries:
+            arrays[name] = np.empty(shapes[name], dtype="<f4")
+            if fh.readinto(arrays[name]) != arrays[name].nbytes:
+                raise FormatError(f"file truncated inside tensor {name}")
             computed = zlib.crc32(arrays[name], computed)
-        (stored_crc,) = struct.unpack("<I", fh.read(4))
-    if stored_crc != computed:
+    if f"{computed:08x}" != meta["crc32"]:
         raise FormatError(
-            f"checksum mismatch at offset {payload_end}: stored {stored_crc:#010x}, "
-            f"computed {computed:#010x}"
-        )
+            f"checksum mismatch over the payload at offset {8 + header_len}: "
+            f"stored {meta['crc32']!r}, computed {computed:08x}")
     for name in arrays:
         if not np.isfinite(arrays[name]).all():
             raise FormatError(f"tensor {name} holds non-finite values")

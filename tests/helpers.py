@@ -2,6 +2,7 @@
 
 import contextlib
 import ctypes
+import json
 import struct
 import zlib
 from pathlib import Path
@@ -21,22 +22,47 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.asarray(a).size else 0.0
 
 
+# The one dtype qwenkit writes, as the safetensors spec names it.
+_SAFETENSORS_DTYPES = {"F32": "<f4"}
+
+
+def split_safetensors(blob) -> tuple[dict, memoryview]:
+    """The JSON header (``__metadata__`` included) and the payload of the
+    bytes of a safetensors file, read by the spec alone: a little-endian u64
+    header length, the header, then the payload."""
+    (header_len,) = struct.unpack_from("<Q", blob)
+    return json.loads(bytes(blob[8:8 + header_len])), memoryview(blob)[8 + header_len:]
+
+
+def join_safetensors(header: dict, payload) -> bytes:
+    """A safetensors file of ``header`` and ``payload``; the inverse of
+    :func:`split_safetensors` up to the header's whitespace."""
+    text = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(text)) + text + bytes(payload)
+
+
+def safetensors_tensors(blob) -> dict[str, np.ndarray]:
+    """Every tensor of the bytes of a safetensors file, as an array over
+    ``blob`` at its ``data_offsets``; with a bytearray ``blob``, writing to
+    an array edits the bytes."""
+    header, payload = split_safetensors(blob)
+    header.pop("__metadata__", None)
+    tensors = {}
+    for name, entry in header.items():
+        begin, end = entry["data_offsets"]
+        arr = np.frombuffer(payload[begin:end], dtype=_SAFETENSORS_DTYPES[entry["dtype"]])
+        tensors[name] = arr.reshape(entry["shape"])
+    return tensors
+
+
 def plant_in_container(path, tensor: str, value: float) -> None:
     """Overwrite the first scalar of ``tensor`` in a saved weight container
     with ``value`` and refresh the checksum, so only the value is wrong."""
     blob = bytearray(path.read_bytes())
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    start = 16 + header_len
-    for line in blob[16:start].decode("utf-8").splitlines():
-        name, *rest = line.split()
-        if name == tensor:
-            struct.pack_into("<f", blob, start + int(rest[-1]), value)
-            break
-    else:
-        raise KeyError(tensor)
-    end = len(blob) - 4
-    struct.pack_into("<I", blob, end, zlib.crc32(blob[start:end]) & 0xFFFFFFFF)
-    path.write_bytes(bytes(blob))
+    safetensors_tensors(blob)[tensor].flat[0] = value
+    header, payload = split_safetensors(blob)
+    header["__metadata__"]["crc32"] = f"{zlib.crc32(payload):08x}"
+    path.write_bytes(join_safetensors(header, payload))
 
 
 def _numpy_openblas() -> ctypes.CDLL | None:

@@ -312,6 +312,21 @@ class TestFilterCorpus:
         with pytest.raises(ParameterError):
             filter_corpus(train, tests, "fuzzy")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_raw_sequences_become_token_seqs(self, mode):
+        # A raw document or sample is read as a TokenSeq with id "", in
+        # kept, removed and the verdicts alike.
+        kept, removed, report = filter_corpus(
+            [("a", "b"), ["c", "d"]], {"s": [TokenSeq(("a", "b"), "e"), ("x", "y")]}, mode,
+            lcs_min_len=1, ngram_n=2)
+        assert all(type(seq) is TokenSeq for seq in kept + removed)
+        if mode == MODE_TRAIN_LCS:
+            assert (kept, removed) == ([TokenSeq(("c", "d"))], [TokenSeq(("a", "b"))])
+            assert [(v.doc_id, v.counterpart) for v in report.verdicts] == [("", "e")]
+        else:
+            assert (kept, removed) == ([TokenSeq(("x", "y"))], [TokenSeq(("a", "b"), "e")])
+            assert [v.doc_id for v in report.verdicts] == ["e"]
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ParameterError):
             filter_corpus([], {"s": [TokenSeq(("a",))]}, MODE_TRAIN_LCS)

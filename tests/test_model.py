@@ -1,4 +1,5 @@
 import functools
+import json
 import hashlib
 import time
 from dataclasses import fields, replace
@@ -246,28 +247,59 @@ class TestConfigFormat:
                           dca=DcaParams(64, 16))
         assert parse_config(format_config(cfg)) == cfg
 
-    def test_unknown_key_rejected(self):
-        cfg = preset("nano")
-        with pytest.raises(FormatError, match="unknown key"):
-            parse_config(format_config(cfg) + "mystery_field = 3\n")
+    def test_roundtrip_with_every_group(self):
+        cfg = replace(preset("nano-moe"), yarn=YarnParams(4.0, 64), dca=DcaParams(32, 8))
+        assert parse_config(format_config(cfg)) == cfg
 
-    def test_duplicate_key_rejected(self):
-        cfg = preset("nano")
-        with pytest.raises(FormatError, match="duplicate"):
-            parse_config(format_config(cfg) + "hidden = 64\n")
+    def test_numpy_values_roundtrip(self):
+        i64 = np.int64
+        cfg = replace(preset("nano-moe"), n_layers=i64(1), rms_eps=np.float32(1e-6),
+                      moe=replace(preset("nano-moe").moe, n_routed=i64(4)),
+                      yarn=YarnParams(np.float64(4.0), i64(32)))
+        assert parse_config(format_config(cfg)) == cfg
+
+    @staticmethod
+    def _edited(edit) -> str:
+        fields = json.loads(format_config(replace(preset("nano"), yarn=YarnParams(2.0, 64))))
+        edit(fields)
+        return json.dumps(fields)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(FormatError, match=r"unknown keys \['mystery_field'\]"):
+            parse_config(self._edited(lambda f: f.update(mystery_field=3)))
+        with pytest.raises(FormatError, match=r"yarn: unknown keys \['mystery_field'\]"):
+            parse_config(self._edited(lambda f: f["yarn"].update(mystery_field=3)))
+
+    @pytest.mark.parametrize("text", [
+        '{"hidden": 64, "hidden": 64}',
+        '{"yarn": {"scale": 2.0, "scale": 2.0}}',
+    ], ids=["top", "nested"])
+    def test_duplicate_key_rejected(self, text):
+        with pytest.raises(FormatError, match="duplicate key"):
+            parse_config(text)
 
     def test_missing_required_rejected(self):
-        with pytest.raises(FormatError, match="missing required"):
-            parse_config("hidden = 64\n")
+        with pytest.raises(FormatError, match=r"missing keys \['control_tokens'"):
+            parse_config('{"hidden": 64}')
+        with pytest.raises(FormatError, match=r"missing keys \['eot_id'\]"):
+            parse_config(self._edited(lambda f: f.pop("eot_id")))
 
     def test_incomplete_group_rejected(self):
-        cfg = preset("nano")
-        with pytest.raises(FormatError, match="incomplete nested group"):
-            parse_config(format_config(cfg) + "yarn.scale = 2.0\n")
+        missing = r"yarn: unknown keys \[\], missing keys \['beta_fast'"
+        with pytest.raises(FormatError, match=missing):
+            parse_config(self._edited(lambda f: f.update(yarn={"scale": 2.0, "native_ctx": 64})))
+
+    @pytest.mark.parametrize("group", [[], 2.0, "yarn"])
+    def test_group_not_an_object_rejected(self, group):
+        with pytest.raises(FormatError, match="yarn must be a JSON object"):
+            parse_config(self._edited(lambda f: f.update(yarn=group)))
 
     def test_bad_bool_rejected(self):
-        text = format_config(preset("nano")).replace(
-            "tie_embeddings = true", "tie_embeddings = yes")
+        with pytest.raises(ConfigError, match="tie_embeddings must be a bool, got 'yes'"):
+            parse_config(self._edited(lambda f: f.update(tie_embeddings="yes")))
+
+    @pytest.mark.parametrize("text", ["", "hidden = 64", "[" * 200_000, "[]"])
+    def test_not_a_json_object_rejected(self, text):
         with pytest.raises(FormatError):
             parse_config(text)
 

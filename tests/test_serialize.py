@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 import zlib
 from dataclasses import replace
@@ -6,12 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import plant_in_container
-from qwenkit.config import preset
+from helpers import join_safetensors, plant_in_container, safetensors_tensors, split_safetensors
+from qwenkit.config import format_config, preset
 from qwenkit.errors import FormatError, NumericError
 from qwenkit.longctx import YarnParams
-from qwenkit.model import _tensor_shapes, _tensors, build_model
-from qwenkit.serialize import MAGIC, VERSION, load_weights, save_weights
+from qwenkit.model import ModelWeights, _tensor_shapes, _tensors, build_model
+from qwenkit.serialize import load_weights, save_weights
 
 
 def _all_tensors(w):
@@ -46,23 +47,54 @@ def _layouts():
     }
 
 
-# SHA-256 of the container of build_model(cfg, seed=7). They pin the seeded
-# draw order and the .qw2t v1 bytes: a new digest means every seeded model
-# or every saved file has changed.
+# SHA-256 of the container of build_model(cfg, seed=7), and of its payload
+# (the bytes after the header). They pin the seeded draw order and the
+# container bytes: a new payload digest means every seeded model has
+# changed, a new file digest alone that the header has.
 CONTAINER_SHA256 = {
-    "nano": "79e559e1ed2f9d822ffc14abf9c8f10afc47c543a73dc1a6e8f5722a81c341cd",
-    "nano-moe": "b25af977e0bf754fc69a0dd96b420771fc4c744eed6a46f1704ed2b74991b1e3",
-    "nano-untied-nobias": "f1a169113531ac3fb4d8328ced09a9f96a7fc681a7c832bb4058196967981a2f",
-    "nano-moe-noshared": "2b8f804354f397de0cc5bb00b3b089301431124b448fd4c2ed316671dd0db5e1",
+    "nano": "12787361796553ee55bc1c5646924014aeeddddde6fc40504bc2d374e3ba9c7c",
+    "nano-moe": "7a1c54cdf723297c76ce17f5d08ed19efbe58a22ce920a902c8ccbd0c2ce36bb",
+    "nano-untied-nobias": "1fdae04479752b7beb6e0f04e4dfcf872f21a59ac5709bc2ccdafd5b6276bfaa",
+    "nano-moe-noshared": "3a4de21571fe7a83d0554e256c08a066ad22963f7c5b96458bb331a27cf4e633",
 }
+PAYLOAD_SHA256 = {
+    "nano": "2c3f3ee472895308a99fc325b3db6465c5e1f131f2abdeed5b5cd9ff1e48a432",
+    "nano-moe": "9ebc12fc03f2bf26e5fb57f5f4504d6ec3f13702f2fda7f452bc952c1aca6143",
+    "nano-untied-nobias": "291f0b67b54be322ac6cb2a86884da0ccc7cbbd820a54509b7305e43776a47ae",
+    "nano-moe-noshared": "db1109a8bb8e454f02d90584e3ace531e473b4f7bbaff42d5fee7af8f7660b5a",
+}
+
+
+def _saved_blob(tmp_path, name: str) -> tuple[ModelWeights, bytes]:
+    cfg = _layouts()[name]
+    w = build_model(cfg, seed=7)
+    save_weights(w, cfg, tmp_path / "m.safetensors")
+    return w, (tmp_path / "m.safetensors").read_bytes()
 
 
 @pytest.mark.parametrize("name", list(CONTAINER_SHA256))
 def test_container_bytes_pinned(tmp_path, name):
-    cfg = _layouts()[name]
-    path = tmp_path / "m.qw2t"
-    save_weights(build_model(cfg, seed=7), cfg, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CONTAINER_SHA256[name]
+    _, blob = _saved_blob(tmp_path, name)
+    assert hashlib.sha256(blob).hexdigest() == CONTAINER_SHA256[name]
+
+
+@pytest.mark.parametrize("name", list(PAYLOAD_SHA256))
+def test_payload_bytes_pinned(tmp_path, name):
+    _, blob = _saved_blob(tmp_path, name)
+    _, payload = split_safetensors(blob)
+    assert hashlib.sha256(payload).hexdigest() == PAYLOAD_SHA256[name]
+
+
+@pytest.mark.parametrize("name", list(CONTAINER_SHA256))
+def test_spec_reader_sees_the_weights(tmp_path, name):
+    # A reader that knows only the safetensors spec gets every tensor of
+    # the weights, bit for bit.
+    w, blob = _saved_blob(tmp_path, name)
+    got, want = safetensors_tensors(blob), _tensors(w)
+    assert got.keys() == want.keys()
+    for key, arr in want.items():
+        assert got[key].shape == arr.shape, key
+        assert np.array_equal(got[key].view("<u4"), arr.view("<u4")), key
 
 
 @pytest.mark.parametrize("name", list(CONTAINER_SHA256))
@@ -85,7 +117,7 @@ def test_tensors_follow_the_schema(name):
 def test_roundtrip_bit_exact(tmp_path, name):
     cfg = preset(name)
     w = build_model(cfg, seed=11)
-    path = tmp_path / f"{name}.qw2t"
+    path = tmp_path / f"{name}.safetensors"
     save_weights(w, cfg, path)
     w2, cfg2 = load_weights(path)
     assert cfg2 == cfg
@@ -97,7 +129,7 @@ def test_roundtrip_bit_exact(tmp_path, name):
         assert restored[key].dtype == np.float32
 
     # a second save of the same model is byte-identical (canonical layout)
-    path2 = tmp_path / "again.qw2t"
+    path2 = tmp_path / "again.safetensors"
     save_weights(w, cfg, path2)
     assert path.read_bytes() == path2.read_bytes()
 
@@ -105,11 +137,9 @@ def test_roundtrip_bit_exact(tmp_path, name):
 def test_tied_model_stores_no_lm_head(tmp_path):
     cfg = preset("nano")
     w = build_model(cfg, 0)
-    path = tmp_path / "m.qw2t"
+    path = tmp_path / "m.safetensors"
     save_weights(w, cfg, path)
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header = blob[16 : 16 + hlen].decode("utf-8")
+    header, _ = split_safetensors(path.read_bytes())
     assert "lm_head" not in header
     w2, _ = load_weights(path)
     assert w2.lm_head is None
@@ -117,48 +147,41 @@ def test_tied_model_stores_no_lm_head(tmp_path):
 
 
 def test_manifest_sorted_by_name(tmp_path):
+    # Tensors are stored in name order, each right after the one before.
     cfg = preset("nano")
-    save_weights(build_model(cfg, 0), cfg, tmp_path / "m.qw2t")
-    blob = (tmp_path / "m.qw2t").read_bytes()
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header = blob[16 : 16 + hlen].decode("utf-8")
-    names = [line.split()[0] for line in
-             header.split("[tensors]\n", 1)[1].strip().splitlines()]
+    save_weights(build_model(cfg, 0), cfg, tmp_path / "m.safetensors")
+    header, payload = split_safetensors((tmp_path / "m.safetensors").read_bytes())
+    del header["__metadata__"]
+    names = list(header)
     assert names == sorted(names)
-    assert len(names) == len(set(names))
+    offsets = [header[name]["data_offsets"] for name in names]
+    assert [begin for begin, _ in offsets] == [0] + [end for _, end in offsets[:-1]]
+    assert offsets[-1][1] == len(payload)
 
 
 def test_fixed_fields(tmp_path):
     cfg = preset("nano")
-    save_weights(build_model(cfg, 0), cfg, tmp_path / "m.qw2t")
-    blob = (tmp_path / "m.qw2t").read_bytes()
-    assert blob[:4] == MAGIC
-    assert struct.unpack_from("<I", blob, 4)[0] == VERSION
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    payload = blob[16 + hlen : -4]
-    assert struct.unpack_from("<I", blob, len(blob) - 4)[0] == zlib.crc32(payload)
+    save_weights(build_model(cfg, 0), cfg, tmp_path / "m.safetensors")
+    header, payload = split_safetensors((tmp_path / "m.safetensors").read_bytes())
+    assert header["__metadata__"] == {"config": format_config(cfg),
+                                      "crc32": f"{zlib.crc32(payload):08x}"}
+    assert {entry["dtype"] for name, entry in header.items() if name != "__metadata__"} == {"F32"}
+
+
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a saved container's header, in place, and fix its
+    length field; the checksum covers only the payload."""
+    header, payload = split_safetensors(path.read_bytes())
+    edit(header)
+    path.write_bytes(join_safetensors(header, payload))
 
 
 class TestRejection:
     def _saved(self, tmp_path):
         cfg = preset("nano")
-        path = tmp_path / "m.qw2t"
+        path = tmp_path / "m.safetensors"
         save_weights(build_model(cfg, 0), cfg, path)
         return path, bytearray(path.read_bytes())
-
-    def test_corrupted_magic(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        blob[:4] = b"NOPE"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="magic at offset 0"):
-            load_weights(path)
-
-    def test_unsupported_version(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        struct.pack_into("<I", blob, 4, 9)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version 9 at offset 4"):
-            load_weights(path)
 
     def test_truncated_payload(self, tmp_path):
         path, blob = self._saved(tmp_path)
@@ -166,11 +189,17 @@ class TestRejection:
         with pytest.raises(FormatError, match="truncated|overruns"):
             load_weights(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(bytes(blob) + b"\0")
+        with pytest.raises(FormatError, match="longer than its payload"):
+            load_weights(path)
+
     def test_header_overrun(self, tmp_path):
         path, blob = self._saved(tmp_path)
-        struct.pack_into("<Q", blob, 8, 2**40)
+        struct.pack_into("<Q", blob, 0, len(blob) - 7)  # one byte past the end
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="offset 8"):
+        with pytest.raises(FormatError, match="offset 0"):
             load_weights(path)
 
     def test_checksum_mismatch(self, tmp_path):
@@ -181,9 +210,34 @@ class TestRejection:
             load_weights(path)
 
     def test_tiny_file(self, tmp_path):
-        path = tmp_path / "m.qw2t"
+        path = tmp_path / "m.safetensors"
         path.write_bytes(b"QW")
         with pytest.raises(FormatError, match="truncated"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("text", [b"[" * 200_000, b"[{}]", b"\xff{}"],
+                             ids=["deeply-nested", "list", "not-utf8"])
+    def test_header_not_a_json_object(self, tmp_path, text):
+        path, blob = self._saved(tmp_path)
+        _, payload = split_safetensors(blob)
+        path.write_bytes(struct.pack("<Q", len(text)) + text + payload)
+        with pytest.raises(FormatError, match="JSON"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["__metadata__"].update(config=json.loads(h["__metadata__"]["config"])),
+         "strings config and crc32"),
+        (lambda h: h["__metadata__"].pop("crc32"), "strings config and crc32"),
+        (lambda h: h["__metadata__"].update(crc32=None), "strings config and crc32"),
+        (lambda h: h["embedding"].update(dtype="F16"), r"\['embedding'\]"),
+        (lambda h: h.update(extra=h["embedding"]), r"\['extra'\]"),
+        (lambda h: h.pop("embedding"), r"\['embedding'\]"),
+    ], ids=["config-not-str", "crc32-missing", "crc32-null", "f16", "extra-tensor",
+            "missing-tensor"])
+    def test_bad_header(self, tmp_path, edit, message):
+        path, _ = self._saved(tmp_path)
+        _rewrite_header(path, edit)
+        with pytest.raises(FormatError, match=message):
             load_weights(path)
 
     def test_no_partial_model_on_failure(self, tmp_path):
@@ -203,7 +257,7 @@ def test_non_finite_tensor_not_saved(tmp_path, bad):
     cfg = preset("nano")
     w = build_model(cfg, 0)
     w.layers[0].wq[3, 5] = bad
-    path = tmp_path / "m.qw2t"
+    path = tmp_path / "m.safetensors"
     with pytest.raises(NumericError, match="layers.0.wq"):
         save_weights(w, cfg, path)
     assert not path.exists()
@@ -212,7 +266,7 @@ def test_non_finite_tensor_not_saved(tmp_path, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_tensor_rejected_on_load(tmp_path, bad):
     cfg = preset("nano-moe")
-    path = tmp_path / "m.qw2t"
+    path = tmp_path / "m.safetensors"
     save_weights(build_model(cfg, 0), cfg, path)
     plant_in_container(path, "layers.1.moe.routed.2.w_up", bad)
     with pytest.raises(FormatError, match="layers.1.moe.routed.2.w_up"):
@@ -227,33 +281,30 @@ def test_tensor_the_config_does_not_expect_is_not_dropped(tmp_path, weights_cfg,
                                                          extra):
     cfg = preset("nano")
     w = build_model(replace(cfg, **weights_cfg), 0)
-    path = tmp_path / "m.qw2t"
+    path = tmp_path / "m.safetensors"
     with pytest.raises(FormatError, match=extra):
         save_weights(w, replace(cfg, **save_cfg), path)
     assert not path.exists()
 
 
-def _rewrite_header(path, old: str, new: str) -> None:
-    """Replace ``old`` by ``new`` in a saved container's header and fix its
-    length field; the checksum covers only the payload."""
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header = blob[16:16 + hlen].decode("utf-8")
-    assert old in header
-    header = header.replace(old, new, 1).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen:])
-
-
-@pytest.mark.parametrize("old, new", [
-    ("n_kv_heads = 2", "n_kv_heads = 3"),  # valid syntax, fails ModelConfig.validate
-    ("max_ctx = 128", "max_ctx = 0"),
-    ("yarn.scale = 2.0", "yarn.scale = 0.5"),  # fails YarnParams
+@pytest.mark.parametrize("group, key, value", [
+    # valid JSON, fails ModelConfig.validate
+    pytest.param(None, "n_kv_heads", 3, id="n_kv_heads = 2-n_kv_heads = 3"),
+    pytest.param(None, "max_ctx", 0, id="max_ctx = 128-max_ctx = 0"),
+    # fails YarnParams
+    pytest.param("yarn", "scale", 0.5, id="yarn.scale = 2.0-yarn.scale = 0.5"),
 ])
-def test_invalid_config_section_is_a_format_error(tmp_path, old, new):
+def test_invalid_config_section_is_a_format_error(tmp_path, group, key, value):
     cfg = replace(preset("nano"), yarn=YarnParams(scale=2.0, native_ctx=64))
-    path = tmp_path / "m.qw2t"
+    path = tmp_path / "m.safetensors"
     save_weights(build_model(cfg, 0), cfg, path)
     load_weights(path)
-    _rewrite_header(path, old, new)
-    with pytest.raises(FormatError, match=r"\[config\] section"):
+
+    def edit(header):
+        fields = json.loads(header["__metadata__"]["config"])
+        (fields[group] if group else fields)[key] = value
+        header["__metadata__"]["config"] = json.dumps(fields)
+
+    _rewrite_header(path, edit)
+    with pytest.raises(FormatError, match="config metadata"):
         load_weights(path)

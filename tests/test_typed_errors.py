@@ -7,11 +7,13 @@ never a bare ``TypeError``, a NaN array or a wrong answer. Tokens that are
 not hashable are covered in ``test_decontam``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import qwenkit as qk
-from qwenkit.errors import InputError, ParameterError, QwenKitError
+from qwenkit.errors import ConfigError, InputError, ParameterError, QwenKitError
 
 NAN = float("nan")
 _X = np.ones((2, 8), np.float32)
@@ -45,6 +47,13 @@ HOSTILE = [
     ("softmax_rows-text", lambda: qk.softmax_rows("a"), InputError),
     ("rms_norm-ragged", lambda: qk.rms_norm([[1.0], [1.0, 2.0]], _GAMMA), InputError),
     ("parse_config-None", lambda: qk.parse_config(None), InputError),
+    # Config fields that only a bool, or only text, can fill.
+    ("ModelConfig-tie_embeddings-str",
+     lambda: replace(qk.preset("nano"), tie_embeddings="no"), ConfigError),
+    ("ModelConfig-use_qkv_bias-int", lambda: replace(qk.preset("nano"), use_qkv_bias=0),
+     ConfigError),
+    ("ModelConfig-trained_tokens-int", lambda: replace(qk.preset("nano"), trained_tokens=12),
+     ConfigError),
     ("topk_select-text", lambda: qk.topk_select(["a", "b"], 1), InputError),
     # Text where a token sequence is due would read as one token per character.
     ("TokenSeq-text", lambda: qk.TokenSeq("abc"), InputError),
