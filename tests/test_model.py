@@ -270,13 +270,11 @@ class TestConfigFormat:
         with pytest.raises(FormatError, match=r"yarn: unknown keys \['mystery_field'\]"):
             parse_config(self._edited(lambda f: f["yarn"].update(mystery_field=3)))
 
-    @pytest.mark.parametrize("text", [
-        '{"hidden": 64, "hidden": 64}',
-        '{"yarn": {"scale": 2.0, "scale": 2.0}}',
-    ], ids=["top", "nested"])
-    def test_duplicate_key_rejected(self, text):
-        with pytest.raises(FormatError, match="duplicate key"):
-            parse_config(text)
+    def test_duplicate_key_rejected(self):
+        for text in ['{"hidden": 64, "hidden": 64}',
+                     '{"yarn": {"scale": 2.0, "scale": 2.0}}']:
+            with pytest.raises(FormatError, match="duplicate key"):
+                parse_config(text)
 
     def test_missing_required_rejected(self):
         with pytest.raises(FormatError, match=r"missing keys \['control_tokens'"):
