@@ -167,8 +167,14 @@ _GROUPS = {"moe": MoeConfig, "yarn": YarnParams, "dca": DcaParams}
 
 
 def format_config(cfg: ModelConfig) -> str:
-    # A numpy scalar is a valid field value; .item() makes it a Python one.
-    return json.dumps(asdict(cfg), indent=2, default=np.generic.item)
+    """``cfg`` in the JSON config format. An integer field too long for
+    Python to write as text (over 4,300 digits by default) is a
+    :class:`ConfigError`."""
+    try:
+        # A numpy scalar is a valid field value; .item() makes it a Python one.
+        return json.dumps(asdict(cfg), indent=2, default=np.generic.item)
+    except ValueError as exc:
+        raise ConfigError(f"config cannot be written as JSON: {exc}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -8,7 +8,8 @@ rows (a whole prompt, or a decoded token and its draft) to the cache and
 scores them in query blocks, each against the keys up to the block's last
 row. One score buffer per call, sized for the largest block, serves every
 block, and the softmax runs in it in place. Full-sequence attention runs
-it on a fresh cache.
+it on a fresh cache. A long call scores the two halves of the KV heads on
+two threads.
 
 Each public function checks its arguments and then calls its private
 kernel (see ``ops``); the attention kernels take a precomputed rotary
@@ -24,7 +25,17 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParameterError, StateError
-from .ops import _check_int, _check_ints, _check_real, _check_reals, _silu, _softmax_rows, as_f32
+from .ops import (
+    _check_int,
+    _check_ints,
+    _check_real,
+    _check_reals,
+    _halves,
+    _on_halves,
+    _silu,
+    _softmax_rows,
+    as_f32,
+)
 
 if TYPE_CHECKING:
     from .longctx import DcaParams
@@ -448,7 +459,9 @@ def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin
     :func:`~qwenkit.longctx.dca_attention`; vanilla attention is the case of
     one chunk holding everything. ``cos`` and ``sin`` are indexed by position
     (the 2 * chunk_size remapped ones under ``dca``): a new key at t is
-    rotated at t, or t mod chunk_size, and appended to the cache."""
+    rotated at t, or t mod chunk_size, and appended to the cache. Then, for
+    enough rows (:func:`~qwenkit.ops._halves`), the two halves of the KV
+    heads attend on two threads; only this thread writes to the cache."""
     rows = q.shape[1]
     n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
     start = cache.length(layer)
@@ -466,34 +479,48 @@ def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin
     scale = np.float32(scale_mult / math.sqrt(d))
     out = np.empty((rows, params.n_q_heads, d), dtype=np.float32)
     # Every block's scores, then its softmax, fill a prefix of one buffer
-    # sized for the largest block: no block allocates its own.
-    scores = np.empty(n_kv * g * min(rows, ATTN_BLOCK) * end, dtype=np.float32)
-    a = start
-    while a < end:
-        cs = a - a % chunk
-        b = min(a + ATTN_BLOCK, end, cs + chunk)
-        blk = slice(a - start, b - start)
-        logits = scores[:n_kv * g * (b - a) * b].reshape(n_kv, g * (b - a), b)
-        if cs == 0:  # all of vanilla
-            np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, :b], out=logits)
-        else:
-            np.matmul(_group_queries(q_intra[:, blk], n_kv), keys_t[:, :, cs:b],
-                      out=logits[:, :, cs:])
-            q_inter = _rotate(q[:, blk], cos[chunk - 1], sin[chunk - 1])
-            np.matmul(_group_queries(q_inter, n_kv), keys_t[:, :, :cs], out=logits[:, :, :cs])
-            # Keys lo .. cs - 1 of the previous chunk take the successive
-            # score for the rows they are within local_window of.
-            lo = min(cs, a - dca.local_window)
-            if lo < cs:
-                succ_pos = pos_mod[blk] + chunk
-                q_succ = _rotate(q[:, blk], cos[succ_pos], sin[succ_pos])
-                succ = np.matmul(_group_queries(q_succ, n_kv), keys_t[:, :, lo:cs])
-                near = np.arange(a, b)[:, None] - np.arange(lo, cs) <= dca.local_window
-                np.copyto(logits.reshape(n_kv, g, b - a, b)[..., lo:cs],
-                          succ.reshape(n_kv, g, b - a, cs - lo), where=near)
-        block = _attend_causal(logits, values, g, scale)
-        out[blk] = block.reshape(params.n_q_heads, b - a, d).transpose(1, 0, 2)
-        a = b
+    # per KV head, sized for the largest block: no block allocates its own.
+    per_head = g * min(rows, ATTN_BLOCK) * end
+    scores = np.empty(n_kv * per_head, dtype=np.float32)
+
+    def attend(kv: slice) -> None:
+        """Every query block of the query heads that read KV heads ``kv``."""
+        n = kv.stop - kv.start
+        qh = slice(kv.start * g, kv.stop * g)
+        q_h, q_intra_h, keys_h, values_h = q[qh], q_intra[qh], keys_t[kv], values[kv]
+        buf = scores[kv.start * per_head:kv.stop * per_head]
+        a = start
+        while a < end:
+            cs = a - a % chunk
+            b = min(a + ATTN_BLOCK, end, cs + chunk)
+            blk = slice(a - start, b - start)
+            logits = buf[:n * g * (b - a) * b].reshape(n, g * (b - a), b)
+            if cs == 0:  # all of vanilla
+                np.matmul(_group_queries(q_intra_h[:, blk], n), keys_h[:, :, :b], out=logits)
+            else:
+                np.matmul(_group_queries(q_intra_h[:, blk], n), keys_h[:, :, cs:b],
+                          out=logits[:, :, cs:])
+                q_inter = _rotate(q_h[:, blk], cos[chunk - 1], sin[chunk - 1])
+                np.matmul(_group_queries(q_inter, n), keys_h[:, :, :cs], out=logits[:, :, :cs])
+                # Keys lo .. cs - 1 of the previous chunk take the successive
+                # score for the rows they are within local_window of.
+                lo = min(cs, a - dca.local_window)
+                if lo < cs:
+                    succ_pos = pos_mod[blk] + chunk
+                    q_succ = _rotate(q_h[:, blk], cos[succ_pos], sin[succ_pos])
+                    succ = np.matmul(_group_queries(q_succ, n), keys_h[:, :, lo:cs])
+                    near = np.arange(a, b)[:, None] - np.arange(lo, cs) <= dca.local_window
+                    np.copyto(logits.reshape(n, g, b - a, b)[..., lo:cs],
+                              succ.reshape(n, g, b - a, cs - lo), where=near)
+            block = _attend_causal(logits, values_h, g, scale)
+            out[blk, qh] = block.reshape(n * g, b - a, d).transpose(1, 0, 2)
+            a = b
+
+    # Long calls split the KV heads, and with them the score buffer, in two.
+    heads = (slice(0, n_kv),)
+    if n_kv > 1 and len(_halves(rows)) == 2:
+        heads = slice(0, n_kv // 2), slice(n_kv // 2, n_kv)
+    _on_halves(attend, heads)
     return out.reshape(rows, params.n_q_heads * d)
 
 

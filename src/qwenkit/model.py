@@ -10,7 +10,9 @@ copying the text after the latest earlier occurrence of its last tokens,
 verifies the draft in one block call, one logit row at a time, and rolls
 the cache back to the accepted tokens. Both check the weights against the
 layout of the config once per call, so the loop runs the unchecked
-kernels and one rotary table serves every layer.
+kernels and one rotary table serves every layer. A call of enough rows
+runs each block, and ``forward`` its logits, in two halves on two threads
+where the process may use two CPUs, bit for bit as on one.
 When embeddings are tied the output projection *is* the embedding matrix
 (same array object, no copy).
 """
@@ -33,7 +35,7 @@ from .layers import (
 )
 from .longctx import _rotary_table
 from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
-from .ops import Rng, _is_int, sample_normal
+from .ops import Rng, _halves, _is_int, _on_halves, sample_normal
 
 INIT_STD = 0.02
 # Most draft tokens one speculative call of greedy_decode feeds after the
@@ -320,38 +322,62 @@ def _blocks(
     rotated at their position mod chunk_size). ``rotary`` is :func:`_rotary`
     over at least the positions the rows reach. The weights must have
     passed :func:`_check_weights`: every layer runs the unchecked kernels.
+
+    Enough rows run in two halves (:func:`~qwenkit.ops._halves`): the norms,
+    projections, residuals and dense FFN by rows, attention by KV heads once
+    this thread has appended the new keys and values. An expert bank runs
+    on all rows at once, on this thread.
     """
     params = cfg.attention_params()
     cos, sin, scale_mult = rotary
+    eps = cfg.rms_eps
     x = weights.embedding[ids]  # a copy, so the residuals add in place
-    for li, lw in enumerate(weights.layers):
-        h = _rms_norm(x, lw.attn_gamma, cfg.rms_eps)
-        q = h @ lw.wq.T
-        k = h @ lw.wk.T
-        v = h @ lw.wv.T
-        if lw.bq is not None:
-            q += lw.bq
-            k += lw.bk
-            v += lw.bv
-        q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
-        k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
-        v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
-        attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult, cfg.dca)
-        x += attn @ lw.wo.T
-        h2 = _rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
+    halves = _halves(len(ids))
+    # Each layer's halves write their rows of q, k and v here.
+    q = np.empty((len(ids), params.q_values_per_token), np.float32)
+    k = np.empty((len(ids), params.kv_values_per_token), np.float32)
+    v = np.empty_like(k)
+
+    def project(s: slice, lw: LayerWeights) -> None:
+        h = _rms_norm(x[s], lw.attn_gamma, eps)
+        for w, b, out in ((lw.wq, lw.bq, q[s]), (lw.wk, lw.bk, k[s]), (lw.wv, lw.bv, v[s])):
+            np.matmul(h, w.T, out=out)
+            if b is not None:
+                out += b
+
+    def mix(s: slice, lw: LayerWeights, attn: np.ndarray) -> None:
+        xs = x[s]
+        xs += attn[s] @ lw.wo.T
         if lw.ffn is not None:
-            x += _swiglu_ffn(h2, *lw.ffn)
-        else:
-            x += _moe_forward(h2, cfg.moe, lw.moe_bank)
+            xs += _swiglu_ffn(_rms_norm(xs, lw.ffn_gamma, eps), *lw.ffn)
+
+    q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
+    k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
+    v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
+    for li, lw in enumerate(weights.layers):
+        _on_halves(project, halves, lw)
+        attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult, cfg.dca)
+        _on_halves(mix, halves, lw, attn)
+        if lw.moe_bank is not None:
+            x += _moe_forward(_rms_norm(x, lw.ffn_gamma, eps), cfg.moe, lw.moe_bank)
     return x
 
 
 def _logits(weights: ModelWeights, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    h = _rms_norm(x, weights.final_gamma, cfg.rms_eps)
-    logits = h @ weights.output_matrix().T
-    if not np.isfinite(logits).all():
-        raise NumericError("logits hold non-finite values; are the weights finite?")
-    return logits
+    """Logits of the rows of ``x`` [rows, hidden], or of one row [hidden];
+    enough rows are projected in two halves."""
+    out = np.empty(x.shape[:-1] + (cfg.vocab_size,), np.float32)
+
+    def project(s) -> None:
+        o = out[s]
+        np.matmul(_rms_norm(x[s], weights.final_gamma, cfg.rms_eps),
+                  weights.output_matrix().T, out=o)
+        if not np.isfinite(o).all():
+            raise NumericError("logits hold non-finite values; are the weights finite?")
+
+    # One row is projected whole: ``...`` indexes all of it.
+    _on_halves(project, _halves(len(x)) if x.ndim == 2 else (...,))
+    return out
 
 
 def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -> np.ndarray:

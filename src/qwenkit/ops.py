@@ -20,11 +20,19 @@ the math and trusts its inputs. Callers that have checked everything once,
 such as the model's block loop, call the kernels directly. A kernel that
 works in place, such as :func:`_softmax_rows`, says so, and its public
 function hands it a copy.
+
+Long calls run in two halves on two threads (:func:`_halves`,
+:func:`_on_halves`): the model's block loop cuts its rows, and attention
+its KV heads, so each half calls the same single-threaded BLAS and ufuncs
+on a disjoint slice, and the results are bit for bit those of one call.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -290,3 +298,92 @@ def _silu(x: np.ndarray) -> np.ndarray:
     out = expit(x)
     out *= x
     return out
+
+
+# CPUs this process may run on; with fewer than two, nothing is split.
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # a platform without affinity masks
+    _CPUS = os.cpu_count() or 1
+
+
+def _blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS takes from the environment as it
+    loads: the first positive one of the variables it reads, in its order,
+    else None (it then runs a thread per CPU)."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return None
+
+
+# Nothing is split unless BLAS runs one thread. With two OpenBLAS threads
+# its GEMMs already use both CPUs: a split dense forward of 640 rows took
+# 1.25x the time of one unsplit call. Its own split of a call's rows also
+# moves with the row count, so on AVX2 kernels the halves would round
+# differently from one call.
+_BLAS_ONE_THREAD = _blas_threads() == 1
+
+# Fewest rows either half of a split call may get. Handing an empty half
+# to the worker thread and waiting for it took about 90 us on a 2-vCPU VM.
+# There, on the benchmark model (hidden 256, one OpenBLAS thread), a split
+# forward first beat one call at halves of about 60 rows on the dense model
+# and of about 120 rows on the MoE model, whose expert dispatch stays on
+# one thread.
+_MIN_HALF_ROWS = 128
+# A cut falls on a multiple of this many rows. OpenBLAS runs a GEMM in
+# tiles of rows (24 rows for float32 on AVX2) and rounds the last, partial
+# tile of a call differently, so a cut inside a tile would change the rows
+# next to it.
+_ROW_TILE = 24
+
+# The one worker thread, started by the first split call.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    # A forked child holds only the thread that forked: the worker it
+    # inherited never runs, so the child starts its own.
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _halves(n: int) -> tuple[slice, ...]:
+    """Rows ``[0, n)`` as one slice, or as two cut at a multiple of
+    :data:`_ROW_TILE` near the middle when the process may run on two CPUs,
+    BLAS runs one thread and each half has at least :data:`_MIN_HALF_ROWS`
+    rows."""
+    cut = (n + _ROW_TILE) // (2 * _ROW_TILE) * _ROW_TILE
+    if _CPUS < 2 or not _BLAS_ONE_THREAD or min(cut, n - cut) < _MIN_HALF_ROWS:
+        return (slice(0, n),)
+    return slice(0, cut), slice(cut, n)
+
+
+def _on_halves(fn, parts: tuple, *args) -> None:
+    """``fn(part, *args)`` for each of one or two parts, which must touch
+    disjoint outputs: the first part on the calling thread, the second on
+    the worker thread. Returns once both are done; an exception of either
+    is raised then, the calling thread's first."""
+    if len(parts) == 1:
+        fn(parts[0], *args)
+        return
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="qwenkit-half")
+        future = _worker.submit(fn, parts[1], *args)
+    try:
+        fn(parts[0], *args)
+    finally:
+        wait((future,))
+    future.result()

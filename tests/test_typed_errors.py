@@ -7,6 +7,7 @@ never a bare ``TypeError``, a NaN array or a wrong answer. Tokens that are
 not hashable are covered in ``test_decontam``.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,11 @@ HOSTILE = [
     ("ModelConfig-use_qkv_bias-int", lambda: replace(qk.preset("nano"), use_qkv_bias=0),
      ConfigError),
     ("ModelConfig-trained_tokens-int", lambda: replace(qk.preset("nano"), trained_tokens=12),
+     ConfigError),
+    # An int too long to write as text passes validate; writing it fails.
+    ("save_weights-huge-int",
+     lambda: qk.save_weights(qk.build_model(qk.preset("nano"), 0),
+                             replace(qk.preset("nano"), max_ctx=10**5000), os.devnull),
      ConfigError),
     ("topk_select-text", lambda: qk.topk_select(["a", "b"], 1), InputError),
     # Text where a token sequence is due would read as one token per character.
