@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, ParameterError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
-from .ops import _check_ints, _check_reals
+from .ops import _check_int, _check_ints, _check_real
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,25 @@ class ModelConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming the first broken rule; run on
         construction, so every ``ModelConfig`` (``dataclasses.replace``
-        included) is valid."""
-        sizes = ("hidden", "n_layers", "n_q_heads", "n_kv_heads", "head_dim",
-                 "ffn_intermediate", "vocab_size", "max_ctx")
-        _check_ints(self, sizes + ("regular_tokens", "control_tokens"), ConfigError)
-        _check_reals(self, ("rope_base", "rms_eps"), ConfigError)
+        included) is valid. The head layout is
+        :class:`~qwenkit.layers.AttentionParams`' rule and ``rope_base``
+        :class:`~qwenkit.layers.RopeParams`': this builds both and raises
+        their error as a ``ConfigError``. Each group checks its own fields;
+        the rest are checked here."""
+        for name in ("hidden", "n_layers", "ffn_intermediate", "vocab_size", "max_ctx"):
+            _check_int(name, getattr(self, name), 1, ConfigError)
+        _check_ints(self, ("regular_tokens", "control_tokens"), ConfigError)
+        _check_real("rms_eps", self.rms_eps, ConfigError)
         for name in ("tie_embeddings", "use_qkv_bias"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not isinstance(self.trained_tokens, (str, type(None))):
             raise ConfigError(f"trained_tokens must be a str or None, got {self.trained_tokens!r}")
-        for name in sizes:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_q_heads % self.n_kv_heads != 0:
-            raise ConfigError(
-                f"n_q_heads ({self.n_q_heads}) not divisible by "
-                f"n_kv_heads ({self.n_kv_heads})"
-            )
-        if self.head_dim % 2 != 0:
-            raise ConfigError(f"head_dim must be even, got {self.head_dim}")
-        if self.rope_base < 1:
-            raise ConfigError(f"rope_base must be >= 1, got {self.rope_base}")
+        try:
+            self.attention_params()
+            self.rope_params()
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
         if self.rms_eps <= 0:
             raise ConfigError(f"rms_eps must be > 0, got {self.rms_eps}")
         if self.regular_tokens < 1 or self.control_tokens < 0:

@@ -21,11 +21,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _check_fraction, _check_int
+from .ops import _check_fraction, _check_int, _iter_input
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -267,10 +268,13 @@ def filter_corpus(
     A document or sample given as a raw token sequence becomes a
     :class:`TokenSeq` with id ``""``, so kept/removed hold only those.
 
-    ``ngram_n`` must be an int >= 1 and the LCS thresholds as for
-    :func:`lcs_contaminated`, in either mode, else :class:`ParameterError`.
+    ``ngram_n`` must be an int >= 1, the LCS thresholds as for
+    :func:`lcs_contaminated`, in either mode, and ``test_sets`` a mapping,
+    else :class:`ParameterError`.
     """
-    train_docs = [_seq(doc) for doc in train_docs]
+    train_docs = [_seq(doc) for doc in _iter_input(train_docs, "train_docs")]
+    if not isinstance(test_sets, Mapping):
+        raise ParameterError(f"test sets must map names to samples, got {type(test_sets).__name__}")
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("ngram_n", ngram_n, 1)
@@ -278,7 +282,7 @@ def filter_corpus(
     _check_fraction("lcs_min_frac", lcs_min_frac)
     if not train_docs or not test_sets or all(not s for s in test_sets.values()):
         raise ParameterError("train corpus and test sets must be nonempty")
-    test_sets = {name: [_seq(sample) for sample in samples]
+    test_sets = {name: [_seq(sample) for sample in _iter_input(samples, f"test set {name!r}")]
                  for name, samples in test_sets.items()}
 
     verdicts: list[SampleVerdict] = []

@@ -12,8 +12,10 @@ it on a fresh cache. A long call scores the two halves of the KV heads on
 two threads.
 
 Each public function checks its arguments and then calls its private
-kernel (see ``ops``); the attention kernels take a precomputed rotary
-cos/sin table, so a caller can build it once for every layer.
+kernel (see ``ops``); the attention functions, ``longctx.dca_attention``
+too, share one entry check, :func:`_attention_args`. The attention kernels
+take a precomputed rotary cos/sin table, so a caller can build it once for
+every layer.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError, StateError
 from .ops import (
     _check_int,
-    _check_ints,
     _check_real,
-    _check_reals,
     _halves,
     _on_halves,
     _silu,
@@ -62,18 +62,14 @@ class AttentionParams:
     head_dim: int
 
     def __post_init__(self):
-        _check_ints(self, ("n_q_heads", "n_kv_heads", "head_dim"), ParameterError)
-        if self.n_q_heads < 1 or self.n_kv_heads < 1:
-            raise ParameterError(
-                f"head counts must be >= 1, got {self.n_q_heads}/{self.n_kv_heads}"
-            )
+        _check_int("n_q_heads", self.n_q_heads, 1)
+        _check_int("n_kv_heads", self.n_kv_heads, 1)
         if self.n_q_heads % self.n_kv_heads != 0:
             raise ParameterError(
-                f"n_q_heads ({self.n_q_heads}) must be divisible by "
+                f"n_q_heads ({self.n_q_heads}) not divisible by "
                 f"n_kv_heads ({self.n_kv_heads})"
             )
-        if self.head_dim < 1 or self.head_dim % 2 != 0:
-            raise ParameterError(f"head_dim must be positive and even, got {self.head_dim}")
+        _check_head_dim(self.head_dim)
 
     @property
     def group_size(self) -> int:
@@ -97,12 +93,18 @@ class RopeParams:
     head_dim: int
 
     def __post_init__(self):
-        _check_reals(self, ("base",), ParameterError)
-        _check_ints(self, ("head_dim",), ParameterError)
+        # Named as the ModelConfig field that builds it.
+        _check_real("rope_base", self.base)
         if self.base < 1:
-            raise ParameterError(f"rope base must be >= 1, got {self.base}")
-        if self.head_dim < 1 or self.head_dim % 2 != 0:
-            raise ParameterError(f"head_dim must be positive and even, got {self.head_dim}")
+            raise ParameterError(f"rope_base must be >= 1, got {self.base}")
+        _check_head_dim(self.head_dim)
+
+
+def _check_head_dim(head_dim) -> None:
+    # The one head-width rule of AttentionParams and RopeParams.
+    _check_int("head_dim", head_dim, 1)
+    if head_dim % 2 != 0:
+        raise ParameterError(f"head_dim must be even, got {head_dim}")
 
 
 class SwigluWeights(NamedTuple):
@@ -230,28 +232,33 @@ def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
     return _rotate(x, *_rope_table(positions, inv_freq, seq, head_dim))
 
 
-def _check_qkv_shapes(q, k, v, params: AttentionParams):
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise DimensionError(
-            f"q/k/v must be [heads, seq, head_dim], got {q.shape}, {k.shape}, {v.shape}"
-        )
-    if q.shape[0] != params.n_q_heads or q.shape[2] != params.head_dim:
-        raise DimensionError(
-            f"q shape {q.shape} does not match {params.n_q_heads} heads "
-            f"of width {params.head_dim}"
-        )
-    for name, t in (("k", k), ("v", v)):
-        if t.shape[0] != params.n_kv_heads or t.shape[2] != params.head_dim:
-            raise DimensionError(
-                f"{name} shape {t.shape} does not match {params.n_kv_heads} heads "
-                f"of width {params.head_dim}"
-            )
-    if not (q.shape[1] == k.shape[1] == v.shape[1]):
-        raise DimensionError(
-            f"sequence lengths disagree: q {q.shape}, k {k.shape}, v {v.shape}"
-        )
+def _attention_args(q, k, v, params: AttentionParams, rope: RopeParams, scale_mult,
+                    one_row: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry check of every public attention function: q, k and v as
+    float32 [heads, rows, head_dim] blocks of the head layout of ``params``
+    (given as [heads, head_dim] with ``one_row``) with the same, nonzero
+    number of rows, and ``rope`` of the same head width, else
+    :class:`DimensionError`; ``scale_mult`` a finite real, else
+    :class:`ParameterError`."""
+    q, k, v = as_f32(q), as_f32(k), as_f32(v)
+    if one_row:
+        if not q.ndim == k.ndim == v.ndim == 2:
+            raise DimensionError(f"one-row q/k/v must be [heads, head_dim], got "
+                                 f"{q.shape}, {k.shape}, {v.shape}")
+        q, k, v = q[:, None], k[:, None], v[:, None]
+    d = params.head_dim
+    for name, t, heads in (("q", q, params.n_q_heads), ("k", k, params.n_kv_heads),
+                           ("v", v, params.n_kv_heads)):
+        if t.ndim != 3 or t.shape[0] != heads or t.shape[2] != d:
+            raise DimensionError(f"{name} shape {t.shape} is not [{heads}, rows, {d}]")
+    if not q.shape[1] == k.shape[1] == v.shape[1]:
+        raise DimensionError(f"sequence lengths disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     if q.shape[1] == 0:
         raise DimensionError(f"q/k/v hold an empty sequence, q shape {q.shape}")
+    if rope.head_dim != d:
+        raise DimensionError(f"rope head_dim {rope.head_dim} does not match {d}")
+    _check_real("scale_mult", scale_mult)
+    return q, k, v
 
 
 def _group_queries(q: np.ndarray, n_kv: int) -> np.ndarray:
@@ -306,10 +313,7 @@ def gqa_attention(
     cache, so score memory is O(block * seq). Returns
     [seq, n_q_heads * head_dim] with heads concatenated.
     """
-    q = as_f32(q)
-    k = as_f32(k)
-    v = as_f32(v)
-    _check_qkv_shapes(q, k, v, params)
+    q, k, v = _attention_args(q, k, v, params, rope, scale_mult)
     seq = q.shape[1]
     cos, sin = _rope_table(positions, rope_freqs(rope), seq, params.head_dim)
     return _cached_attention(KvCache(1, seq), q, k, v, params, cos, sin, 0, scale_mult)
@@ -337,6 +341,7 @@ class KvCache:
         self._lengths = [0] * n_layers
 
     def _check_layer(self, layer: int) -> None:
+        _check_int("layer", layer)
         if not 0 <= layer < self.n_layers:
             raise ParameterError(f"layer {layer} outside [0, {self.n_layers})")
 
@@ -433,10 +438,13 @@ def cached_attention(
     Entries that do not match the cache's head layout raise
     :class:`DimensionError` and leave the cache unchanged.
     """
-    q = as_f32(q)
-    k = as_f32(k)
-    v = as_f32(v)
-    _check_qkv_shapes(q, k, v, params)
+    q, k, v = _attention_args(q, k, v, params, rope, scale_mult)
+    return _append_attend(cache, q, k, v, params, rope, position, layer, scale_mult)
+
+
+def _append_attend(cache: KvCache, q, k, v, params: AttentionParams, rope: RopeParams,
+                   position: int, layer: int, scale_mult: float) -> np.ndarray:
+    """:func:`cached_attention` after :func:`_attention_args`."""
     cache._check_entries(k, v)
     expected = cache.length(layer)
     if position != expected:
@@ -464,7 +472,7 @@ def _cached_attention(cache: KvCache, q, k, v, params: AttentionParams, cos, sin
     heads attend on two threads; only this thread writes to the cache."""
     rows = q.shape[1]
     n_kv, g, d = params.n_kv_heads, params.group_size, params.head_dim
-    start = cache.length(layer)
+    start = cache._lengths[layer]
     end = start + rows
     if dca is None:
         chunk = end
@@ -544,14 +552,5 @@ def decode_step(
     key and the value, then returns the attention output for the new
     position, [n_q_heads * head_dim], and the cache.
     """
-    new_q = as_f32(new_q)
-    new_k = as_f32(new_k)
-    new_v = as_f32(new_v)
-    if not new_q.ndim == new_k.ndim == new_v.ndim == 2:
-        raise DimensionError(
-            f"new_q/new_k/new_v must be [heads, head_dim], got "
-            f"{new_q.shape}, {new_k.shape}, {new_v.shape}"
-        )
-    out = cached_attention(cache, new_q[:, None], new_k[:, None], new_v[:, None], params,
-                           rope, position=position, layer=layer, scale_mult=scale_mult)
-    return out[0], cache
+    q, k, v = _attention_args(new_q, new_k, new_v, params, rope, scale_mult, one_row=True)
+    return _append_attend(cache, q, k, v, params, rope, position, layer, scale_mult)[0], cache

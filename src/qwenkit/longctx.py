@@ -17,49 +17,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .layers import (
     AttentionParams,
     KvCache,
     RopeParams,
-    as_f32,
     rope_freqs,
+    _attention_args,
     _cached_attention,
-    _check_qkv_shapes,
     _rope_table,
 )
-from .ops import _check_ints, _check_reals
+from .ops import _check_int, _check_real
+
+
+# YaRN's ramp bounds, in turns over the native context, and logit
+# temperature coefficient (see yarn_adjust); Qwen2's YaRN setting leaves
+# them at these defaults.
+_BETA_FAST = 32.0
+_BETA_SLOW = 1.0
+_MSCALE_COEFF = 0.1
 
 
 @dataclass(frozen=True)
 class YarnParams:
-    """Frequency-interpolation parameters.
+    """Frequency-interpolation parameters, the keys ``factor`` and
+    ``original_max_position_embeddings`` of a released YaRN config.
 
-    ``scale`` is target context over native context. Dimensions whose full
-    rotation period is short relative to ``native_ctx`` (fast dimensions,
-    ramp value 1) keep their frequency; slow dimensions are divided by
-    ``scale``; the ramp between ``beta_slow`` and ``beta_fast`` blends the
-    two regimes.
+    ``scale`` is target context over native context, a finite real >= 1,
+    and ``native_ctx`` an integer >= 1; this type owns those two rules.
+    How they rescale the frequencies, with the module's fixed ramp
+    constants, is :func:`yarn_adjust`'s rule.
     """
 
     scale: float
     native_ctx: int
-    beta_fast: float = 32.0
-    beta_slow: float = 1.0
-    mscale_coeff: float = 0.1
 
     def __post_init__(self):
-        _check_reals(self, ("scale", "beta_fast", "beta_slow", "mscale_coeff"),
-                     ParameterError)
+        _check_real("scale", self.scale)
         if self.scale < 1:
             raise ParameterError(f"scale must be >= 1, got {self.scale}")
-        _check_ints(self, ("native_ctx",), ParameterError)
-        if self.native_ctx < 1:
-            raise ParameterError(f"native_ctx must be >= 1, got {self.native_ctx}")
-        if not (self.beta_fast > self.beta_slow > 0):
-            raise ParameterError(
-                f"need beta_fast > beta_slow > 0, got {self.beta_fast}/{self.beta_slow}"
-            )
+        _check_int("native_ctx", self.native_ctx, 1)
 
 
 @dataclass(frozen=True)
@@ -73,12 +70,10 @@ class DcaParams:
     local_window: int | None = None
 
     def __post_init__(self):
-        _check_ints(self, ("chunk_size",), ParameterError)
-        if self.chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        _check_int("chunk_size", self.chunk_size, 1)
         if self.local_window is None:
             object.__setattr__(self, "local_window", max(1, self.chunk_size // 2))
-        _check_ints(self, ("local_window",), ParameterError)
+        _check_int("local_window", self.local_window)
         if not (0 < self.local_window <= self.chunk_size):
             raise ParameterError(
                 f"local_window must be in (0, chunk_size], got "
@@ -91,10 +86,13 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
 
     For each dimension with wavelength lambda = 2 pi / inv_freq, the ratio
     rho = native_ctx / lambda is ramped through
-    gamma = clamp((rho - beta_slow) / (beta_fast - beta_slow), 0, 1) and the
-    frequency becomes inv_freq * (gamma + (1 - gamma) / scale). The returned
-    multiplier (mscale_coeff * ln(scale) + 1)**2 is meant for the
-    ``scale_mult`` argument of attention.
+    gamma = clamp((rho - _BETA_SLOW) / (_BETA_FAST - _BETA_SLOW), 0, 1) and
+    the frequency becomes inv_freq * (gamma + (1 - gamma) / scale). The
+    returned multiplier (_MSCALE_COEFF * ln(scale) + 1)**2 is meant for the
+    ``scale_mult`` argument of attention. The ramp and the multiplier are
+    this function's rules; the ranges of ``scale`` and ``native_ctx`` are
+    :class:`YarnParams`' and those of the base frequencies
+    :class:`~qwenkit.layers.RopeParams`'.
 
     ``scale == 1`` returns the base frequencies bit-identically with
     multiplier 1.0.
@@ -105,11 +103,9 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
     inv64 = inv_freq.astype(np.float64)
     wavelength = 2.0 * np.pi / inv64
     rho = yarn.native_ctx / wavelength
-    gamma = np.clip(
-        (rho - yarn.beta_slow) / (yarn.beta_fast - yarn.beta_slow), 0.0, 1.0
-    )
+    gamma = np.clip((rho - _BETA_SLOW) / (_BETA_FAST - _BETA_SLOW), 0.0, 1.0)
     adjusted = inv64 * (gamma + (1.0 - gamma) / yarn.scale)
-    attn_mult = (yarn.mscale_coeff * math.log(yarn.scale) + 1.0) ** 2
+    attn_mult = (_MSCALE_COEFF * math.log(yarn.scale) + 1.0) ** 2
     return adjusted.astype(np.float32), attn_mult
 
 
@@ -122,6 +118,8 @@ def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     everything farther collapses to (chunk_size - 1) - (j mod chunk_size),
     as seen from a query pinned at the last intra-chunk index.
     """
+    _check_int("i", i)
+    _check_int("j", j)
     if j < 0:
         raise ParameterError(f"positions must be non-negative, got j={j}")
     if j > i:
@@ -188,12 +186,7 @@ def dca_attention(
     position range 2 * chunk_size must fit inside scale * native_ctx, else
     :class:`ParameterError`.
     """
-    q = as_f32(q)
-    k = as_f32(k)
-    v = as_f32(v)
-    _check_qkv_shapes(q, k, v, params)
-    if rope.head_dim != params.head_dim:
-        raise DimensionError(f"rope head_dim {rope.head_dim} does not match {params.head_dim}")
+    q, k, v = _attention_args(q, k, v, params, rope, 1.0)
     cos, sin, scale_mult = _rotary_table(rope, yarn, dca, 0)
     return _cached_attention(KvCache(1, q.shape[1]), q, k, v, params, cos, sin, 0,
                              scale_mult, dca)

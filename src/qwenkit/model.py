@@ -35,7 +35,7 @@ from .layers import (
 )
 from .longctx import _rotary_table
 from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
-from .ops import Rng, _halves, _is_int, _on_halves, sample_normal
+from .ops import Rng, _halves, _is_int, _iter_input, _on_halves, sample_normal
 
 INIT_STD = 0.02
 # Most draft tokens one speculative call of greedy_decode feeds after the
@@ -284,14 +284,21 @@ def upcycle_model(
                                                weights.lm_head)), target), target
 
 
-def _validate_ids(cfg: ModelConfig, token_ids: Sequence[int]) -> list[int]:
+def _checked_ids(weights: ModelWeights, cfg: ModelConfig, token_ids, name: str) -> list[int]:
+    """The entry check of :func:`forward` and :func:`greedy_decode`: the
+    weights by :func:`_check_weights`, then the ids ``token_ids`` yields, as
+    a list. Input that is not iterable, or yields no id or one outside the
+    vocabulary, is an :class:`InputError`."""
+    _check_weights(weights, cfg)
     ids = []
-    for t in token_ids:
+    for t in _iter_input(token_ids, name):
         if not _is_int(t):
             raise InputError(f"token id {t!r} is not an integer")
         if not 0 <= t < cfg.vocab_size:
             raise InputError(f"token id {t} outside vocabulary of {cfg.vocab_size}")
         ids.append(int(t))
+    if not ids:
+        raise InputError(f"{name} must be nonempty")
     return ids
 
 
@@ -392,10 +399,7 @@ def forward(weights: ModelWeights, cfg: ModelConfig, token_ids: Sequence[int]) -
     raises :class:`~qwenkit.errors.ParameterError`. Non-finite logits raise
     :class:`NumericError`.
     """
-    _check_weights(weights, cfg)
-    ids = _validate_ids(cfg, token_ids)
-    if not ids:
-        raise InputError("token_ids must be nonempty")
+    ids = _checked_ids(weights, cfg, token_ids, "token_ids")
     if len(ids) > cfg.max_ctx:
         raise InputError(f"sequence length {len(ids)} exceeds max_ctx {cfg.max_ctx}")
     x = _blocks(weights, cfg, ids, KvCache(cfg.n_layers, capacity=len(ids)),
@@ -430,10 +434,7 @@ def greedy_decode(
     cache, whose keys are then rotated at their position mod chunk_size,
     and gives the argmax loop over :func:`forward` on that config.
     """
-    _check_weights(weights, cfg)
-    ids = _validate_ids(cfg, prompt)
-    if not ids:
-        raise InputError("prompt must be nonempty")
+    ids = _checked_ids(weights, cfg, prompt, "prompt")
     if not _is_int(max_new):
         raise InputError(f"max_new {max_new!r} is not an integer")
     if max_new < 0:

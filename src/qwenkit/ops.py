@@ -97,12 +97,6 @@ def _check_ints(obj, names, error) -> None:
         _check_int(name, getattr(obj, name), error=error)
 
 
-def _check_reals(obj, names, error) -> None:
-    """:func:`_check_real` on each field of ``obj`` in ``names``."""
-    for name in names:
-        _check_real(name, getattr(obj, name), error)
-
-
 def as_f32(x) -> np.ndarray:
     """Coerce array-like input to a contiguous float32 array; input numpy
     cannot convert, such as text or ragged nesting, is an
@@ -111,6 +105,15 @@ def as_f32(x) -> np.ndarray:
         return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected a float32 array, got {type(x).__name__}: {exc}") from None
+
+
+def _iter_input(value, name: str):
+    """An iterator over ``value``; a value that is not iterable, such as
+    None or a number, is an :class:`InputError`."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise InputError(f"{name} must be iterable, got {type(value).__name__}") from None
 
 
 class Rng:

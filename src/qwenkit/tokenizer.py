@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _check_int
+from .ops import _check_int, _iter_input
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
@@ -91,7 +91,7 @@ def _as_bytes(text) -> bytes:
 
 
 def _corpus_bytes(corpus) -> list[bytes]:
-    docs = [_as_bytes(doc) for doc in corpus]
+    docs = [_as_bytes(doc) for doc in _iter_input(corpus, "corpus")]
     if not any(docs):
         raise InputError("corpus must contain at least one nonempty document")
     return docs

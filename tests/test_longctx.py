@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from helpers import max_abs_diff, rand_f32
 from qwenkit.errors import DimensionError, ParameterError
 from qwenkit.layers import AttentionParams, RopeParams, apply_rope, gqa_attention, rope_freqs
-from qwenkit.longctx import DcaParams, YarnParams, dca_attention, dca_relpos, yarn_adjust
+from qwenkit.longctx import (
+    _BETA_FAST,
+    _BETA_SLOW,
+    DcaParams,
+    YarnParams,
+    dca_attention,
+    dca_relpos,
+    yarn_adjust,
+)
 from qwenkit.ops import Rng
 
 HEAD_RATIOS = ((14, 2), (12, 2), (28, 4), (64, 8))
@@ -34,7 +42,7 @@ class TestYarn:
         inv, _ = yarn_adjust(rope, yarn)
         wavelengths = 2.0 * np.pi / base.astype(np.float64)
         rho = yarn.native_ctx / wavelengths
-        fast = rho >= yarn.beta_fast
+        fast = rho >= _BETA_FAST
         assert fast.any(), "fixture must include at least one fast dimension"
         assert np.array_equal(inv[fast], base[fast])
 
@@ -45,17 +53,13 @@ class TestYarn:
         inv, _ = yarn_adjust(rope, yarn)
         wavelengths = 2.0 * np.pi / base.astype(np.float64)
         rho = yarn.native_ctx / wavelengths
-        slow = rho <= yarn.beta_slow
+        slow = rho <= _BETA_SLOW
         assert slow.any(), "fixture must include at least one slow dimension"
         assert np.allclose(inv[slow], base[slow] / yarn.scale, rtol=1e-6)
 
     def test_scale_below_one_rejected(self):
         with pytest.raises(ParameterError):
             YarnParams(0.5, 4096)
-
-    def test_beta_ordering_rejected(self):
-        with pytest.raises(ParameterError):
-            YarnParams(2.0, 4096, beta_fast=1.0, beta_slow=2.0)
 
 
 class TestDcaRelpos:

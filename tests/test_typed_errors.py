@@ -1,7 +1,8 @@
 """Hostile arguments at the public boundary get a typed error.
 
 Each row feeds one public call one hostile value: a float where an int is
-due, NaN, or text where an array or a token sequence is due. The call must
+due, NaN, text where an array or a token sequence is due, or a value that
+is not iterable (or not a mapping) where a collection is due. The call must
 raise exactly the named :class:`~qwenkit.errors.QwenKitError` subclass,
 never a bare ``TypeError``, a NaN array or a wrong answer. Tokens that are
 not hashable are covered in ``test_decontam``.
@@ -21,6 +22,22 @@ _X = np.ones((2, 8), np.float32)
 _GAMMA = np.ones(8, np.float32)
 _INV_FREQ = qk.rope_freqs(qk.RopeParams(1e4, 8))
 _SETS = {"s": [qk.TokenSeq(("a", "b", "c"), "e0")]}
+_NANO = qk.preset("nano")
+_NANO_WEIGHTS = qk.build_model(_NANO, 0)
+_ATTN = qk.AttentionParams(2, 1, 8)
+_ROPE = qk.RopeParams(1e4, 8)
+_Q, _KV = np.ones((2, 3, 8), np.float32), np.ones((1, 3, 8), np.float32)
+
+
+def _attend(scale_mult=1.0, layer=0):
+    return qk.cached_attention(qk.KvCache(1), _Q, _KV, _KV, _ATTN, _ROPE, position=0,
+                               layer=layer, scale_mult=scale_mult)
+
+
+def _decode(scale_mult=1.0, layer=0):
+    return qk.decode_step(qk.KvCache(1), _Q[:, 0], _KV[:, 0], _KV[:, 0], _ATTN, _ROPE,
+                          position=0, layer=layer, scale_mult=scale_mult)
+
 
 HOSTILE = [
     # Integer arguments.
@@ -37,17 +54,45 @@ HOSTILE = [
     ("replication_count-h_ffn", lambda: qk.replication_count(8, 32, 1.5), ParameterError),
     ("apply_rope-positions",
      lambda: qk.apply_rope(np.ones((1, 3, 8)), [0, 1, 2.5], _INV_FREQ), ParameterError),
+    ("KvCache-length-layer", lambda: qk.KvCache(1, 4).length(0.0), ParameterError),
+    ("KvCache-keys-layer", lambda: qk.KvCache(1, 4).keys("0"), ParameterError),
+    ("KvCache-values-layer", lambda: qk.KvCache(1, 4).values(np.float32(0)), ParameterError),
+    ("cached_attention-layer", lambda: _attend(layer="0"), ParameterError),
+    ("decode_step-layer", lambda: _decode(layer=0.0), ParameterError),
+    ("dca_relpos-float", lambda: qk.dca_relpos(1.5, 0, qk.DcaParams(4)), ParameterError),
+    ("dca_relpos-bool", lambda: qk.dca_relpos(True, 0, qk.DcaParams(4)), ParameterError),
     # Reals.
     ("rms_norm-eps", lambda: qk.rms_norm(_X, _GAMMA, eps=NAN), ParameterError),
     ("sample_normal-mean", lambda: qk.sample_normal(qk.Rng(1), 4, NAN, 1.0), ParameterError),
     ("sample_normal-std", lambda: qk.sample_normal(qk.Rng(1), 4, 0.0, NAN), ParameterError),
     ("RopeParams-base", lambda: qk.rope_freqs(qk.RopeParams(base=NAN, head_dim=8)),
      ParameterError),
+    ("gqa_attention-scale_mult-text",
+     lambda: qk.gqa_attention(_Q, _KV, _KV, _ATTN, [0, 1, 2], _ROPE, scale_mult="2"),
+     ParameterError),
+    ("gqa_attention-scale_mult-nan",
+     lambda: qk.gqa_attention(_Q, _KV, _KV, _ATTN, [0, 1, 2], _ROPE, scale_mult=NAN),
+     ParameterError),
+    ("cached_attention-scale_mult-inf", lambda: _attend(scale_mult=float("inf")),
+     ParameterError),
+    ("decode_step-scale_mult-nan", lambda: _decode(scale_mult=NAN), ParameterError),
     # Arrays and text.
     ("silu-text", lambda: qk.silu("a"), InputError),
     ("softmax_rows-text", lambda: qk.softmax_rows("a"), InputError),
     ("rms_norm-ragged", lambda: qk.rms_norm([[1.0], [1.0, 2.0]], _GAMMA), InputError),
     ("parse_config-None", lambda: qk.parse_config(None), InputError),
+    # Inputs that are not iterable at all.
+    ("forward-None", lambda: qk.forward(_NANO_WEIGHTS, _NANO, None), InputError),
+    ("greedy_decode-None", lambda: qk.greedy_decode(_NANO_WEIGHTS, _NANO, None, 2), InputError),
+    ("bpe_train-None", lambda: qk.bpe_train(None, 300), InputError),
+    ("bpe_train-int", lambda: qk.bpe_train(5, 300), InputError),
+    ("compression_rate-None", lambda: qk.compression_rate(qk.base_vocab(), None), InputError),
+    ("filter_corpus-train-None",
+     lambda: qk.filter_corpus(None, _SETS, qk.decontam.MODE_TRAIN_LCS), InputError),
+    ("filter_corpus-set-int",
+     lambda: qk.filter_corpus([("a",)], {"s": 5}, qk.decontam.MODE_TRAIN_LCS), InputError),
+    ("filter_corpus-sets-list",
+     lambda: qk.filter_corpus([("a",)], [["a"]], qk.decontam.MODE_TRAIN_LCS), ParameterError),
     # Config fields that only a bool, or only text, can fill.
     ("ModelConfig-tie_embeddings-str",
      lambda: replace(qk.preset("nano"), tie_embeddings="no"), ConfigError),
