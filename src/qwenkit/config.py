@@ -19,7 +19,12 @@ from .errors import ConfigError, FormatError, InputError, ParameterError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
-from .ops import _check_int, _check_ints, _check_real
+from .ops import _check_int, _check_ints, _check_real, _check_type
+
+# The optional parameter groups of a ModelConfig and their types. In the
+# JSON config format a set group is an object of its fields, an unset one
+# null.
+_GROUPS = {"moe": MoeConfig, "yarn": YarnParams, "dca": DcaParams}
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,8 @@ class ModelConfig:
         included) is valid. The head layout is
         :class:`~qwenkit.layers.AttentionParams`' rule and ``rope_base``
         :class:`~qwenkit.layers.RopeParams`': this builds both and raises
-        their error as a ``ConfigError``. Each group checks its own fields;
-        the rest are checked here."""
+        their error as a ``ConfigError``. Each group checks its own fields
+        and must be of its type or None; the rest are checked here."""
         for name in ("hidden", "n_layers", "ffn_intermediate", "vocab_size", "max_ctx"):
             _check_int(name, getattr(self, name), 1, ConfigError)
         _check_ints(self, ("regular_tokens", "control_tokens"), ConfigError)
@@ -77,6 +82,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not isinstance(self.trained_tokens, (str, type(None))):
             raise ConfigError(f"trained_tokens must be a str or None, got {self.trained_tokens!r}")
+        for name, cls in _GROUPS.items():
+            _check_type(name, getattr(self, name), cls, ConfigError, optional=True)
         try:
             self.attention_params()
             self.rope_params()
@@ -156,11 +163,6 @@ def preset(name: str) -> ModelConfig:
 
 def preset_names() -> list[str]:
     return list(_PRESETS)
-
-
-# The JSON config format: every field of ModelConfig, and of each group
-# that is set; an unset group is null.
-_GROUPS = {"moe": MoeConfig, "yarn": YarnParams, "dca": DcaParams}
 
 
 def format_config(cfg: ModelConfig) -> str:

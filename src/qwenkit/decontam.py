@@ -62,21 +62,37 @@ class TokenSeq:
         return len(self.tokens)
 
 
-def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSeq:
-    """Lowercase, strip punctuation (P*) and symbol (S*) characters, split
-    on whitespace runs.
+# Characters of text a loader cleans in one pass (see _load_lines): a
+# fixed budget, so the joined copy stays small whatever the file's size.
+_BATCH_CHARS = 16_384
+# The ASCII punctuation (P*) and symbol (S*) characters, escaped for a
+# character class: always deleted, so only a text's other characters need
+# classifying.
+_ASCII_DROPPED = re.escape("".join(ch for ch in map(chr, range(128))
+                                   if unicodedata.category(ch)[0] in "PS"))
+_ASCII_RUNS = re.compile(r"[\x00-\x7f]+")
 
-    Each distinct character of the text is classified once; one regex pass
-    then deletes the dropped ones.
+
+def _clean(text: str, lowercase: bool = True) -> str:
+    """``text`` lowercased, unless ``lowercase`` is false, with its
+    punctuation (P*) and symbol (S*) characters deleted.
+
+    Each distinct non-ASCII character is classified once; one regex pass
+    then deletes the dropped ones. Both steps act per character, and
+    neither makes nor removes a ``"\\n"``.
     """
-    if not isinstance(text, str):
-        raise InputError(f"text must be a str, got {type(text).__name__}")
     if lowercase:
         text = text.lower()
-    dropped = [ch for ch in set(text) if unicodedata.category(ch)[0] in "PS"]
-    if dropped:
-        text = re.sub("[" + "".join(map(re.escape, dropped)) + "]", "", text)
-    return TokenSeq(tuple(text.split()), source_id)
+    dropped = [ch for ch in set(_ASCII_RUNS.sub("", text)) if unicodedata.category(ch)[0] in "PS"]
+    return re.sub("[" + _ASCII_DROPPED + "".join(map(re.escape, dropped)) + "]", "", text)
+
+
+def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSeq:
+    """Lowercase, strip punctuation (P*) and symbol (S*) characters, split
+    on whitespace runs."""
+    if not isinstance(text, str):
+        raise InputError(f"text must be a str, got {type(text).__name__}")
+    return TokenSeq(tuple(_clean(text, lowercase).split()), source_id)
 
 
 def _seq(seq) -> TokenSeq:
@@ -364,15 +380,34 @@ def _read_text(path: Path) -> str:
 
 def _load_lines(path: Path) -> list[TokenSeq]:
     """One :class:`TokenSeq` per nonempty line of a file, with id
-    ``name:lineno``."""
-    return [normalize(line, source_id=f"{path.name}:{lineno}")
-            for lineno, line in enumerate(_read_text(path).splitlines(), 1)
-            if line.strip()]
+    ``name:lineno``, each as :func:`normalize` gives it.
+
+    Lines are cleaned a batch at a time: consecutive lines, joined with
+    ``"\\n"`` until they reach ``_BATCH_CHARS`` characters, are cleaned at
+    once and split back. Cleaning keeps every ``"\\n"``, and lowercasing a
+    final sigma looks no further than one, so each line comes out as it
+    would alone.
+    """
+    lines = [(lineno, line) for lineno, line in enumerate(_read_text(path).splitlines(), 1)
+             if line.strip()]
+    seqs = []
+    start = 0
+    while start < len(lines):
+        stop, size = start, 0
+        while stop < len(lines) and size < _BATCH_CHARS:
+            size += len(lines[stop][1]) + 1
+            stop += 1
+        batch = lines[start:stop]
+        cleaned = _clean("\n".join(line for _, line in batch)).split("\n")
+        seqs += [TokenSeq(tuple(text.split()), f"{path.name}:{lineno}")
+                 for (lineno, _), text in zip(batch, cleaned)]
+        start = stop
+    return seqs
 
 
 def load_docs(path) -> list[TokenSeq]:
     """Load one document per nonempty line of a file, or one per file in a
-    directory, each normalized (and so lowercased) by :func:`normalize`."""
+    directory, each normalized (and so lowercased) as by :func:`normalize`."""
     p = Path(path)
     try:
         if not p.is_dir():

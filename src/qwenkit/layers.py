@@ -30,6 +30,7 @@ from .errors import DimensionError, ParameterError, StateError
 from .ops import (
     _check_int,
     _check_real,
+    _check_type,
     _halves,
     _on_halves,
     _silu,
@@ -234,12 +235,15 @@ def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
 
 def _attention_args(q, k, v, params: AttentionParams, rope: RopeParams, scale_mult,
                     one_row: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entry check of every public attention function: q, k and v as
-    float32 [heads, rows, head_dim] blocks of the head layout of ``params``
-    (given as [heads, head_dim] with ``one_row``) with the same, nonzero
-    number of rows, and ``rope`` of the same head width, else
-    :class:`DimensionError`; ``scale_mult`` a finite real, else
-    :class:`ParameterError`."""
+    """The entry check of every public attention function: ``params`` an
+    :class:`AttentionParams`, ``rope`` a :class:`RopeParams` and
+    ``scale_mult`` a finite real, else :class:`ParameterError`; q, k and v
+    as float32 [heads, rows, head_dim] blocks of the head layout of
+    ``params`` (given as [heads, head_dim] with ``one_row``) with the same,
+    nonzero number of rows, and ``rope`` of the same head width, else
+    :class:`DimensionError`."""
+    _check_type("params", params, AttentionParams)
+    _check_type("rope", rope, RopeParams)
     q, k, v = as_f32(q), as_f32(k), as_f32(v)
     if one_row:
         if not q.ndim == k.ndim == v.ndim == 2:

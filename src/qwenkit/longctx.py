@@ -27,7 +27,7 @@ from .layers import (
     _cached_attention,
     _rope_table,
 )
-from .ops import _check_int, _check_real
+from .ops import _check_int, _check_real, _check_type
 
 
 # YaRN's ramp bounds, in turns over the native context, and logit
@@ -95,8 +95,10 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
     :class:`~qwenkit.layers.RopeParams`'.
 
     ``scale == 1`` returns the base frequencies bit-identically with
-    multiplier 1.0.
+    multiplier 1.0. A ``yarn`` that is not a :class:`YarnParams` is a
+    :class:`ParameterError`.
     """
+    _check_type("yarn", yarn, YarnParams)
     inv_freq = rope_freqs(rope)
     if yarn.scale == 1.0:
         return inv_freq, 1.0
@@ -184,9 +186,12 @@ def dca_attention(
     :func:`~qwenkit.layers.gqa_attention`. When ``yarn`` is given, its
     rescaled frequencies and attention multiplier are used; the remapped
     position range 2 * chunk_size must fit inside scale * native_ctx, else
-    :class:`ParameterError`.
+    :class:`ParameterError`, as is a ``dca`` that is not a
+    :class:`DcaParams` or a ``yarn`` that is not a :class:`YarnParams`.
     """
     q, k, v = _attention_args(q, k, v, params, rope, 1.0)
+    _check_type("dca", dca, DcaParams)
+    _check_type("yarn", yarn, YarnParams, optional=True)
     cos, sin, scale_mult = _rotary_table(rope, yarn, dca, 0)
     return _cached_attention(KvCache(1, q.shape[1]), q, k, v, params, cos, sin, 0,
                              scale_mult, dca)

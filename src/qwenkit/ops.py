@@ -97,6 +97,16 @@ def _check_ints(obj, names, error) -> None:
         _check_int(name, getattr(obj, name), error=error)
 
 
+def _check_type(name: str, value, cls: type, error=ParameterError,
+                optional: bool = False) -> None:
+    """Raise ``error`` unless ``value`` is a ``cls`` (or None, if
+    ``optional``): a parameter group of another type would only fail
+    later, as a bare ``AttributeError`` deep inside a call."""
+    if not (isinstance(value, cls) or optional and value is None):
+        want = f"{cls.__name__} or None" if optional else cls.__name__
+        raise error(f"{name} must be {want}, got {type(value).__name__}")
+
+
 def as_f32(x) -> np.ndarray:
     """Coerce array-like input to a contiguous float32 array; input numpy
     cannot convert, such as text or ragged nesting, is an

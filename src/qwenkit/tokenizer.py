@@ -91,6 +91,10 @@ def _as_bytes(text) -> bytes:
 
 
 def _corpus_bytes(corpus) -> list[bytes]:
+    # One text would read as one document per character or byte.
+    if isinstance(corpus, (str, bytes, bytearray)):
+        raise InputError(f"corpus must be a collection of documents, got one "
+                         f"{type(corpus).__name__}; wrap it in a list")
     docs = [_as_bytes(doc) for doc in _iter_input(corpus, "corpus")]
     if not any(docs):
         raise InputError("corpus must contain at least one nonempty document")
@@ -137,8 +141,9 @@ def bpe_train(corpus, target_vocab: int) -> BpeVocab:
     strings; it holds the three :data:`DEFAULT_CONTROL_TOKENS`.
 
     Documents are ``str`` (as UTF-8), ``bytes`` or ``bytearray``, else
-    :class:`InputError`; a ``str`` with a lone surrogate too, and a corpus
-    with no nonempty document. ``target_vocab`` must be a Python or numpy
+    :class:`InputError`; a ``str`` with a lone surrogate too, a corpus
+    given as one text rather than a collection of them, and a corpus with
+    no nonempty document. ``target_vocab`` must be a Python or numpy
     integer (not bool) of at least 256 plus the control tokens, else
     :class:`ParameterError`.
 

@@ -1,6 +1,9 @@
 import itertools
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +55,13 @@ class TestNormalize:
 
     def test_source_id_carried(self):
         assert normalize("x", source_id="doc9").source_id == "doc9"
+
+    def test_every_ascii_character_matches_oracle(self):
+        # The ASCII punctuation and symbols are deleted from a fixed class,
+        # the other characters classified one by one.
+        text = " ".join(f"a{chr(c)}b" for c in range(128))
+        for lowercase in (True, False):
+            assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
 
 
 class TestLcsLen:
@@ -465,6 +475,60 @@ _tricky = st.sampled_from("]\\^-[ ,.!?$+©…—“”İΣẞ \x1c\xa0")
 @settings(max_examples=400, deadline=None)
 def test_normalize_matches_oracle(text, lowercase):
     assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
+
+
+# The loaders clean a batch of lines at once; each line must come out as
+# the per-line reference normalizes it. Lines mix final-sigma contexts,
+# dotted capital I, combining and case-ignorable marks, P*/S* characters
+# and non-BMP ones; some hold only punctuation or only whitespace.
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+_PIECES = ["ΟΔΟΣ", "Σ", "ΑΣ'", "Σα", "ς", "İ", "e\u0301", "Ä\u0345Σ", "𝔘𝔫", "😀", "Word",
+           "x", "—", "!", "…", "©", "$", "'", " ", "\t", "\xa0"]
+_line = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_PIECES), st.characters(blacklist_categories=("Cs",))),
+             max_size=12).map("".join),
+    st.text(st.sampled_from("!?.,…—©$+"), min_size=1, max_size=4),
+    st.text(st.sampled_from(" \t\xa0\u3000"), max_size=3),
+)
+_file_text = st.builds(
+    lambda lines, seps, tail: "".join(line + sep for line, sep in zip(lines, seps)) + tail,
+    st.lists(_line, max_size=12), st.lists(st.sampled_from(_SEPARATORS), min_size=12,
+                                           max_size=12), _line)
+
+
+def _per_line(name: str, text: str) -> list[TokenSeq]:
+    return [oracle.normalize(line, f"{name}:{lineno}")
+            for lineno, line in enumerate(text.splitlines(), 1) if line.strip()]
+
+
+@given(st.lists(_file_text, min_size=1, max_size=3), st.sampled_from([1, 5, 40, None]))
+@settings(max_examples=200, deadline=None)
+def test_loaders_match_per_line_normalize(texts, budget):
+    # Small budgets cut the files into many batches, and many lines are
+    # longer than the budget; None keeps the module's budget.
+    budget = budget or decontam._BATCH_CHARS
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(decontam, "_BATCH_CHARS", budget):
+        d = Path(tmp)
+        for i, text in enumerate(texts):
+            (d / f"s{i}.txt").write_bytes(text.encode("utf-8"))
+        assert load_docs(d / "s0.txt") == _per_line("s0.txt", texts[0])
+        assert load_test_sets(d) == {f"s{i}": _per_line(f"s{i}.txt", text)
+                                     for i, text in enumerate(texts)}
+
+
+def test_loader_batches_at_module_budget_match_per_line_normalize(tmp_path):
+    # Several batches of the module's budget, and one line longer than it.
+    budget = decontam._BATCH_CHARS
+    pieces = itertools.cycle(_PIECES)
+    lines = [" ".join(next(pieces) for _ in range(1 + i % 17)) for i in range(3 * budget // 40)]
+    lines.insert(len(lines) // 2, "ΟΔΟΣ İ e\u0301! " * (budget // 8))
+    text = "".join(line + sep for line, sep in zip(lines, itertools.cycle(_SEPARATORS)))
+    assert len(text) > 3 * budget
+    p = tmp_path / "train.txt"
+    p.write_bytes(text.encode("utf-8"))
+    assert load_docs(p) == _per_line("train.txt", text)
 
 
 _tokens = st.sampled_from(["a", "b", "c", "d", "e"])

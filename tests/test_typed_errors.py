@@ -93,6 +93,32 @@ HOSTILE = [
      lambda: qk.filter_corpus([("a",)], {"s": 5}, qk.decontam.MODE_TRAIN_LCS), InputError),
     ("filter_corpus-sets-list",
      lambda: qk.filter_corpus([("a",)], [["a"]], qk.decontam.MODE_TRAIN_LCS), ParameterError),
+    # Parameter groups of another type.
+    ("ModelConfig-moe-int", lambda: replace(_NANO, moe=1), ConfigError),
+    ("ModelConfig-yarn-float", lambda: replace(_NANO, yarn=2.0), ConfigError),
+    ("ModelConfig-dca-dict", lambda: replace(_NANO, dca={"chunk_size": 4}), ConfigError),
+    ("gqa_attention-params-None",
+     lambda: qk.gqa_attention(_Q, _KV, _KV, None, [0, 1, 2], _ROPE), ParameterError),
+    ("gqa_attention-rope-None",
+     lambda: qk.gqa_attention(_Q, _KV, _KV, _ATTN, [0, 1, 2], None), ParameterError),
+    ("cached_attention-params-tuple",
+     lambda: qk.cached_attention(qk.KvCache(1), _Q, _KV, _KV, (2, 1, 8), _ROPE, position=0,
+                                 layer=0), ParameterError),
+    ("decode_step-rope-float",
+     lambda: qk.decode_step(qk.KvCache(1), _Q[:, 0], _KV[:, 0], _KV[:, 0], _ATTN, 1e4,
+                            position=0, layer=0), ParameterError),
+    ("dca_attention-dca-None",
+     lambda: qk.dca_attention(_Q, _KV, _KV, _ATTN, None, _ROPE), ParameterError),
+    ("dca_attention-yarn-float",
+     lambda: qk.dca_attention(_Q, _KV, _KV, _ATTN, qk.DcaParams(4), _ROPE, 2.0), ParameterError),
+    ("yarn_adjust-yarn-None", lambda: qk.yarn_adjust(_ROPE, None), ParameterError),
+    # One text where a corpus of documents is due would read as one
+    # document per character or byte.
+    ("bpe_train-str", lambda: qk.bpe_train("hello hello", 300), InputError),
+    ("bpe_train-bytes", lambda: qk.bpe_train(b"hello hello", 300), InputError),
+    ("compression_rate-str", lambda: qk.compression_rate(qk.base_vocab(), "abc"), InputError),
+    ("compression_rate-bytearray",
+     lambda: qk.compression_rate(qk.base_vocab(), bytearray(b"abc")), InputError),
     # Config fields that only a bool, or only text, can fill.
     ("ModelConfig-tie_embeddings-str",
      lambda: replace(qk.preset("nano"), tie_embeddings="no"), ConfigError),
