@@ -65,26 +65,35 @@ class TokenSeq:
 # Characters of text a loader cleans in one pass (see _load_lines): a
 # fixed budget, so the joined copy stays small whatever the file's size.
 _BATCH_CHARS = 16_384
-# The ASCII punctuation (P*) and symbol (S*) characters, escaped for a
-# character class: always deleted, so only a text's other characters need
-# classifying.
-_ASCII_DROPPED = re.escape("".join(ch for ch in map(chr, range(128))
-                                   if unicodedata.category(ch)[0] in "PS"))
-_ASCII_RUNS = re.compile(r"[\x00-\x7f]+")
+# The 128 ASCII bytes, and the 32 of them that are punctuation (P*) or
+# symbol (S*) characters: those are always deleted, so only a text's other
+# characters need classifying.
+_ASCII = bytes(range(128))
+_ASCII_DROPPED = bytes(c for c in _ASCII if unicodedata.category(chr(c))[0] in "PS")
 
 
 def _clean(text: str, lowercase: bool = True) -> str:
     """``text`` lowercased, unless ``lowercase`` is false, with its
     punctuation (P*) and symbol (S*) characters deleted.
 
-    Each distinct non-ASCII character is classified once; one regex pass
-    then deletes the dropped ones. Both steps act per character, and
-    neither makes nor removes a ``"\\n"``.
+    Lowercasing stays on the text, since a final sigma lowers by its
+    context and some characters lower to two. The rest works on the UTF-8
+    bytes, where every non-ASCII character, and under ``surrogatepass``
+    every lone surrogate, is made of bytes >= 0x80 only, so deleting ASCII
+    bytes never cuts one. One ``bytes.translate`` deletes the ASCII
+    punctuation and symbols; another leaves the non-ASCII characters, each
+    distinct one classified once, and a regex pass deletes those dropped.
+    No step makes or removes a ``"\\n"``.
     """
     if lowercase:
         text = text.lower()
-    dropped = [ch for ch in set(_ASCII_RUNS.sub("", text)) if unicodedata.category(ch)[0] in "PS"]
-    return re.sub("[" + _ASCII_DROPPED + "".join(map(re.escape, dropped)) + "]", "", text)
+    data = text.encode("utf-8", "surrogatepass")
+    others = set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
+    text = data.translate(None, _ASCII_DROPPED).decode("utf-8", "surrogatepass")
+    dropped = [ch for ch in others if unicodedata.category(ch)[0] in "PS"]
+    if dropped:
+        text = re.sub("[" + "".join(map(re.escape, dropped)) + "]", "", text)
+    return text
 
 
 def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSeq:
@@ -390,6 +399,7 @@ def _load_lines(path: Path) -> list[TokenSeq]:
     """
     lines = [(lineno, line) for lineno, line in enumerate(_read_text(path).splitlines(), 1)
              if line.strip()]
+    name = path.name
     seqs = []
     start = 0
     while start < len(lines):
@@ -399,7 +409,7 @@ def _load_lines(path: Path) -> list[TokenSeq]:
             stop += 1
         batch = lines[start:stop]
         cleaned = _clean("\n".join(line for _, line in batch)).split("\n")
-        seqs += [TokenSeq(tuple(text.split()), f"{path.name}:{lineno}")
+        seqs += [TokenSeq(tuple(text.split()), f"{name}:{lineno}")
                  for (lineno, _), text in zip(batch, cleaned)]
         start = stop
     return seqs

@@ -131,9 +131,12 @@ def rms_norm(x, gamma, eps: float = 1e-6) -> np.ndarray:
 
 
 def _rms_norm(x: np.ndarray, gamma: np.ndarray, eps: float) -> np.ndarray:
-    # One fresh buffer holds the squares and then the result.
+    # One fresh buffer holds the squares and then the result. The mean of
+    # squares is the sum and in-place divide np.mean makes for float32,
+    # without its Python wrapper.
     out = np.square(x)
-    ms = np.mean(out, axis=-1, keepdims=True)
+    ms = np.add.reduce(out, axis=-1, keepdims=True)
+    ms /= x.shape[-1]
     np.multiply(x, gamma, out=out)
     out /= np.sqrt(ms + np.float32(eps))
     return out

@@ -531,6 +531,33 @@ def test_loader_batches_at_module_budget_match_per_line_normalize(tmp_path):
     assert load_docs(p) == _per_line("train.txt", text)
 
 
+# Cleaning deletes on the UTF-8 bytes: removing ASCII bytes must never cut
+# a character, lone surrogates must pass through, and the non-ASCII P*/S*
+# characters (those of a batch's last line too) still go.
+_PAIR = chr(0xD83D) + chr(0xDE00)  # the UTF-16 pair of "😀", as two code points
+
+
+@pytest.mark.parametrize("text", [
+    f"Grin{_PAIR}! ({_PAIR}){_PAIR}, Éa😀.",
+    "“Quoted”—and… ‘so’ on",
+    "你好，世界。東京，大阪。",
+], ids=["surrogate-pair", "only-dropped-non-ascii", "cjk"])
+def test_byte_path_matches_oracle(text):
+    for lowercase in (True, False):
+        assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
+
+
+@pytest.mark.parametrize("lines", [
+    ["Short, first.", "ΟΔΟΣ É—x, 你好。" * (decontam._BATCH_CHARS // 8), "Énd…"],
+    ["All ASCII, here!", "Still ASCII: yes.", "Only here — a dash…"],
+], ids=["line-longer-than-batch", "dropped-only-in-last-line"])
+def test_loader_byte_path_matches_per_line_normalize(tmp_path, lines):
+    text = "\n".join(lines) + "\n"
+    p = tmp_path / "train.txt"
+    p.write_bytes(text.encode("utf-8"))
+    assert load_docs(p) == _per_line("train.txt", text)
+
+
 _tokens = st.sampled_from(["a", "b", "c", "d", "e"])
 
 
