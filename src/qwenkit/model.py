@@ -34,8 +34,24 @@ from .layers import (
     _swiglu_ffn,
 )
 from .longctx import _rotary_table
-from .moe import ExpertBank, MoeConfig, _empty_stack, _moe_forward, upcycle_from_dense
-from .ops import Rng, _halves, _is_int, _iter_input, _on_halves, sample_normal
+from .moe import (
+    ExpertBank,
+    MoeConfig,
+    _empty_stack,
+    _moe_forward,
+    _upcycle_draws,
+    upcycle_from_dense,
+)
+from .ops import (
+    Rng,
+    _check_type,
+    _draw_halves,
+    _halves,
+    _is_int,
+    _iter_input,
+    _normal_draws,
+    _on_halves,
+)
 
 INIT_STD = 0.02
 # Most draft tokens one speculative call of greedy_decode feeds after the
@@ -87,11 +103,6 @@ class ModelWeights:
 
     def output_matrix(self) -> np.ndarray:
         return self.embedding if self.lm_head is None else self.lm_head
-
-
-def _draw(rng: Rng, *shape: int) -> np.ndarray:
-    n = int(np.prod(shape))
-    return sample_normal(rng, n, 0.0, INIT_STD).reshape(shape)
 
 
 # LayerWeights arrays in draw order; container names are ``layers.{i}.{field}``.
@@ -157,6 +168,8 @@ def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
     """The entry check of :func:`forward` and :func:`greedy_decode`: weights
     of the config's layout held as float32 arrays, else :class:`ConfigError`
     naming the tensor."""
+    _check_type("weights", weights, ModelWeights, ConfigError)
+    _check_type("cfg", cfg, ModelConfig, ConfigError)
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, ConfigError)
     for name, arr in tensors.items():
@@ -242,11 +255,27 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelWeights:
     then per layer the attention norm, q/k/v projections with biases,
     output projection, FFN norm, and the FFN (dense triple, or router then
     routed then shared experts), then the final norm and the untied output
-    projection.
+    projection. A tensor of n scalars consumes n + n % 2 raw outputs of
+    ``Rng(seed)``, so each starts at the sum of those before it. A large
+    enough model is drawn as two groups of whole tensors on two threads,
+    each group from the stream advanced to its first tensor's offset
+    (:func:`~qwenkit.ops._draw_halves`), into arrays this thread
+    allocates; one thread or two give the same bytes.
     """
+    _check_type("cfg", cfg, ModelConfig, ConfigError)
     rng = Rng(seed)
-    return _from_tensors({name: _draw(rng, *shape)
-                          for name, shape in _tensor_shapes(cfg).items()}, cfg)
+    arrays = {name: np.empty(shape, np.float32) for name, shape in _tensor_shapes(cfg).items()}
+    # Names, not arrays: _from_tensors frees each array as it places it.
+    names = list(arrays)
+
+    def draw(part: tuple[slice, int]) -> None:
+        tensors, offset = part
+        part_rng = rng._ahead(offset)
+        for name in names[tensors]:
+            part_rng._fill_normals(arrays[name].reshape(-1), 0.0, INIT_STD)
+
+    _on_halves(draw, _draw_halves([_normal_draws(arrays[name].size) for name in names]))
+    return _from_tensors(arrays, cfg)
 
 
 def upcycle_model(
@@ -260,28 +289,56 @@ def upcycle_model(
     Attention, norm and embedding weights are taken from ``weights``; every
     FFN is replaced by the bank :func:`~qwenkit.moe.upcycle_from_dense`
     draws from it, all from one ``Rng(seed)``, so only the upcycling draws
-    consume the seed. Returns the weights and ``dense_cfg`` with ``moe``
+    consume the seed. Layer i starts at the sum of
+    :func:`~qwenkit.moe._upcycle_draws` over the layers before it, so with
+    enough layers and draws the first and second half of the layers are
+    upcycled on two threads, each from the stream advanced to its first
+    layer's offset (:func:`~qwenkit.ops._draw_halves`); one thread or two
+    give the same bytes. Returns the weights and ``dense_cfg`` with ``moe``
     set. Weights of another layer count, or with a layer that is not dense,
     raise :class:`ConfigError`.
     """
+    _check_type("weights", weights, ModelWeights, ConfigError)
+    _check_type("dense_cfg", dense_cfg, ModelConfig, ConfigError)
+    _check_type("moe", moe, MoeConfig, ConfigError)
     target = replace(dense_cfg, moe=moe, ffn_intermediate=moe.expert_dim)
     if len(weights.layers) != target.n_layers:
         raise ConfigError(
             f"source has {len(weights.layers)} layers, target wants {target.n_layers}"
         )
-    rng = Rng(seed)
-    layers = []
     for li, src in enumerate(weights.layers):
         if src.ffn is None:
             raise ConfigError(f"source layer {li} is not dense; cannot upcycle")
-        bank = upcycle_from_dense(src.ffn.w_gate, src.ffn.w_up, src.ffn.w_down, moe, rng)
-        layers.append(LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk,
-                                   src.wv, src.bv, src.wo, src.ffn_gamma,
-                                   moe_bank=bank))
+    rng = Rng(seed)
+    banks: list[ExpertBank | None] = [None] * len(weights.layers)
+
+    def upcycle(part: tuple[slice, int]) -> None:
+        layers, offset = part
+        part_rng = rng._ahead(offset)
+        for li in range(len(banks))[layers]:
+            ffn = weights.layers[li].ffn
+            banks[li] = upcycle_from_dense(ffn.w_gate, ffn.w_up, ffn.w_down, moe, part_rng)
+
+    _on_halves(upcycle, _draw_halves([_upcycle_draws(moe, _channels(src.ffn.w_gate))
+                                      for src in weights.layers]))
+    layers = [LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk, src.wv, src.bv,
+                           src.wo, src.ffn_gamma, moe_bank=bank)
+              for src, bank in zip(weights.layers, banks)]
     # Through _from_tensors, so that a row-major source gives the stored
     # layout too.
     return _from_tensors(_tensors(ModelWeights(weights.embedding, layers, weights.final_gamma,
                                                weights.lm_head)), target), target
+
+
+def _channels(w_gate) -> int:
+    """The channel count of a dense FFN's gate, for its upcycling draw
+    count. A gate that :func:`~qwenkit.moe.upcycle_from_dense` refuses may
+    get a wrong count: only the layers before a cut set an offset, and the
+    calling thread upcycles them in order and raises the first refusal."""
+    try:
+        return max(len(w_gate), 1)
+    except TypeError:
+        return 1
 
 
 def _checked_ids(weights: ModelWeights, cfg: ModelConfig, token_ids, name: str) -> list[int]:

@@ -21,7 +21,18 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, ParameterError
 from .layers import SwigluWeights, _swiglu_ffn
-from .ops import Rng, _check_int, _check_ints, _softmax_rows, as_f32, sample_normal, softmax_rows
+from .ops import (
+    Rng,
+    _check_int,
+    _check_ints,
+    _check_type,
+    _normal_draws,
+    _permutation_draws,
+    _softmax_rows,
+    as_f32,
+    sample_normal,
+    softmax_rows,
+)
 
 # Standard deviation of every fresh draw of upcycling (upcycle_from_dense).
 REINIT_STD = 0.02
@@ -278,8 +289,10 @@ def upcycle_from_dense(w_gate, w_up, w_down, cfg: MoeConfig, rng: Rng) -> Expert
 
     The rng is consumed in a pinned order: copy permutations, then per routed
     expert one selection permutation plus its redraws, then per shared
-    expert its gate, up and down, then the router.
+    expert its gate, up and down, then the router: :func:`_upcycle_draws`
+    raw outputs in all.
     """
+    _check_type("rng", rng, Rng)
     routed, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, rng)
     for e in range(cfg.n_routed):
         _reinit_half(routed, e, rng)
@@ -290,3 +303,13 @@ def upcycle_from_dense(w_gate, w_up, w_down, cfg: MoeConfig, rng: Rng) -> Expert
     router = np.asfortranarray(sample_normal(rng, cfg.n_routed * cfg.hidden, 0.0, REINIT_STD)
                                .reshape(cfg.n_routed, cfg.hidden))
     return ExpertBank(routed=routed, shared=shared, router=router)
+
+
+def _upcycle_draws(cfg: MoeConfig, h_ffn: int) -> int:
+    """Raw outputs one :func:`upcycle_from_dense` call consumes from its
+    rng, for a dense FFN of ``h_ffn`` channels, in its draw order."""
+    count = 3 * cfg.expert_dim * cfg.hidden  # scalars of one expert
+    return (replication_count(cfg.n_routed, cfg.expert_dim, h_ffn) * _permutation_draws(h_ffn)
+            + cfg.n_routed * (_permutation_draws(count) + _normal_draws(count // 2))
+            + cfg.n_shared * 3 * _normal_draws(cfg.expert_dim * cfg.hidden)
+            + _normal_draws(cfg.n_routed * cfg.hidden))

@@ -29,6 +29,7 @@ on a disjoint slice, and the results are bit for bit those of one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -110,8 +111,12 @@ def _check_type(name: str, value, cls: type, error=ParameterError,
 def as_f32(x) -> np.ndarray:
     """Coerce array-like input to a contiguous float32 array; input numpy
     cannot convert, such as text or ragged nesting, is an
-    :class:`InputError`."""
+    :class:`InputError`, and so is a None in it, which numpy would read as
+    NaN."""
     try:
+        if not isinstance(x, np.ndarray) or x.dtype == object:
+            if any(v is None for v in np.asarray(x, dtype=object).flat):
+                raise TypeError("None is not a number")
         return np.ascontiguousarray(np.asarray(x, dtype=np.float32))
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected a float32 array, got {type(x).__name__}: {exc}") from None
@@ -133,11 +138,24 @@ class Rng:
     draws are vectorized over numpy uint64 (which wraps mod 2**64) while the
     running state stays a Python int. Identical seeds give identical streams
     regardless of how draws are batched.
+
+    For the same reason :meth:`_ahead` positions a stream any number of raw
+    outputs ahead without drawing, so a range of the stream can be drawn on
+    its own. Each draw states what it consumes (:func:`_normal_draws`,
+    :func:`_permutation_draws`); ``model.build_model`` and
+    ``model.upcycle_model`` draw two ranges at once on two threads
+    (:func:`_draw_halves`), and one thread or two give the same bytes.
     """
 
     def __init__(self, seed: int):
         _check_int("seed", seed)
         self._state = seed & _MASK64
+
+    def _ahead(self, n: int) -> Rng:
+        """A new stream ``n`` raw outputs ahead of this one, made without
+        drawing: its first output is the one this stream gives after ``n``
+        more. This stream does not move."""
+        return Rng(self._state + _GOLDEN * n)
 
     def uint64s(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
@@ -267,6 +285,11 @@ class Rng:
         return perm
 
 
+def _permutation_draws(n: int) -> int:
+    """Raw outputs :meth:`Rng.permutation` of ``n`` consumes: one per swap."""
+    return max(n - 1, 0)
+
+
 def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
     """``count`` draws from Normal(mean, std) as float32."""
     _check_int("count", count, 0)
@@ -277,6 +300,13 @@ def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
     out = np.empty(count, dtype=np.float32)
     rng._fill_normals(out, mean, std)
     return out
+
+
+def _normal_draws(n: int) -> int:
+    """Raw outputs ``n`` normals consume (:func:`sample_normal`,
+    :meth:`Rng.normals`): a (u1, u2) pair per two, so an odd count discards
+    one."""
+    return n + n % 2
 
 
 def softmax_rows(x) -> np.ndarray:
@@ -348,6 +378,12 @@ _BLAS_ONE_THREAD = _blas_threads() == 1
 # and of about 120 rows on the MoE model, whose expert dispatch stays on
 # one thread.
 _MIN_HALF_ROWS = 128
+# Fewest raw outputs either part of a split draw may consume. On a 2-vCPU
+# VM, normals drawn in 16 equal tensors on two threads took 1.04-1.08x the
+# time of one thread at 65,536 draws a part, and 0.92-0.94x at 98,304 and
+# 131,072 (medians of 60). This minimum keeps both nano presets (107,072
+# and 119,872 scalars) on one thread.
+_MIN_HALF_DRAWS = 1 << 17
 # A cut falls on a multiple of this many rows. OpenBLAS runs a GEMM in
 # tiles of rows (24 rows for float32 on AVX2) and rounds the last, partial
 # tile of a call differently, so a cut inside a tile would change the rows
@@ -380,6 +416,20 @@ def _halves(n: int) -> tuple[slice, ...]:
     if _CPUS < 2 or not _BLAS_ONE_THREAD or min(cut, n - cut) < _MIN_HALF_ROWS:
         return (slice(0, n),)
     return slice(0, cut), slice(cut, n)
+
+
+def _draw_halves(draws: list[int]) -> tuple[tuple[slice, int], ...]:
+    """Items that consume ``draws`` raw outputs each, in stream order, as
+    one part or two: each part a slice of the items and the stream offset
+    of its first. Two parts, cut between items where the draws split most
+    evenly, when the process may run on two CPUs and each part draws at
+    least :data:`_MIN_HALF_DRAWS`; BLAS plays no part in a draw."""
+    offsets = list(itertools.accumulate(draws, initial=0))
+    total = offsets[-1]
+    cut = min(range(len(offsets)), key=lambda i: abs(2 * offsets[i] - total))
+    if _CPUS < 2 or min(offsets[cut], total - offsets[cut]) < _MIN_HALF_DRAWS:
+        return ((slice(0, len(draws)), 0),)
+    return (slice(0, cut), 0), (slice(cut, len(draws)), offsets[cut])
 
 
 def _on_halves(fn, parts: tuple, *args) -> None:

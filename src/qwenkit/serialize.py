@@ -23,8 +23,9 @@ import zlib
 import numpy as np
 
 from .config import ModelConfig, format_config, parse_config
-from .errors import FormatError, NumericError, QwenKitError
+from .errors import ConfigError, FormatError, NumericError, QwenKitError
 from .model import ModelWeights, _check_layout, _from_tensors, _tensor_shapes, _tensors
+from .ops import _check_type
 
 
 def _entries(shapes: dict[str, tuple[int, ...]]) -> dict[str, dict]:
@@ -45,9 +46,13 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     Every tensor ``weights`` holds is written, so a set that differs from
     the layout ``cfg`` implies (a missing tensor, or an extra one such as
     an untied ``lm_head`` under a tied config) raises :class:`FormatError`
-    naming the difference, as does a wrong shape. A tensor holding NaN or
-    inf raises :class:`NumericError`. Both happen before the file is opened.
+    naming the difference, as does a wrong shape or ``weights`` that are not
+    a :class:`ModelWeights`; a ``cfg`` that is not a :class:`ModelConfig`
+    raises :class:`ConfigError`. A tensor holding NaN or inf raises
+    :class:`NumericError`. All happen before the file is opened.
     """
+    _check_type("weights", weights, ModelWeights, FormatError)
+    _check_type("cfg", cfg, ModelConfig, ConfigError)
     tensors = _tensors(weights)
     _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, FormatError)
     for name in sorted(tensors):

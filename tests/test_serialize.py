@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from helpers import join_safetensors, plant_in_container, safetensors_tensors, split_safetensors
+from test_weight_layout import BENCH_CFG, BENCH_MOE
 from qwenkit.config import format_config, preset
 from qwenkit.errors import FormatError, NumericError
 from qwenkit.longctx import YarnParams
-from qwenkit.model import ModelWeights, _tensor_shapes, _tensors, build_model
+from qwenkit.model import ModelWeights, _tensor_shapes, _tensors, build_model, upcycle_model
 from qwenkit.serialize import load_weights, save_weights
 
 
@@ -65,6 +66,17 @@ PAYLOAD_SHA256 = {
 }
 
 
+# SHA-256 of the payload of the benchmark-size model, build_model(BENCH_CFG,
+# seed=20240710), and of its upcycle_model(..., BENCH_MOE, seed=20240711).
+# Unlike the nano layouts above, these are drawn on two threads where the
+# process may use two CPUs; on one CPU (taskset -c 0) they are drawn inline,
+# and the digests are the same.
+BENCH_PAYLOAD_SHA256 = {
+    "dense": "1d78afd82ee2fce8d09d09ee227adf2596c1733f23e363fc1c38671c01776c3b",
+    "moe": "9c0e88c76dbb22f73989ab57548e302135754348b7743b4716cac8f3af516004",
+}
+
+
 def _saved_blob(tmp_path, name: str) -> tuple[ModelWeights, bytes]:
     cfg = _layouts()[name]
     w = build_model(cfg, seed=7)
@@ -83,6 +95,16 @@ def test_payload_bytes_pinned(tmp_path, name):
     _, blob = _saved_blob(tmp_path, name)
     _, payload = split_safetensors(blob)
     assert hashlib.sha256(payload).hexdigest() == PAYLOAD_SHA256[name]
+
+
+def test_bench_payload_bytes_pinned(tmp_path):
+    dense = build_model(BENCH_CFG, seed=20240710)
+    models = {"dense": (dense, BENCH_CFG),
+              "moe": upcycle_model(dense, BENCH_CFG, BENCH_MOE, seed=20240711)}
+    for name, (w, cfg) in models.items():
+        save_weights(w, cfg, tmp_path / name)
+        _, payload = split_safetensors((tmp_path / name).read_bytes())
+        assert hashlib.sha256(payload).hexdigest() == BENCH_PAYLOAD_SHA256[name], name
 
 
 @pytest.mark.parametrize("name", list(CONTAINER_SHA256))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qwenkit as qk
-from qwenkit.errors import ConfigError, InputError, ParameterError, QwenKitError
+from qwenkit.errors import ConfigError, FormatError, InputError, ParameterError, QwenKitError
 
 NAN = float("nan")
 _X = np.ones((2, 8), np.float32)
@@ -27,6 +27,9 @@ _NANO_WEIGHTS = qk.build_model(_NANO, 0)
 _ATTN = qk.AttentionParams(2, 1, 8)
 _ROPE = qk.RopeParams(1e4, 8)
 _Q, _KV = np.ones((2, 3, 8), np.float32), np.ones((1, 3, 8), np.float32)
+_NANO_MOE = qk.preset("nano-moe").moe
+_FFN = _NANO_WEIGHTS.layers[0].ffn
+_W2 = np.ones((2, 2), np.float32)
 
 
 def _attend(scale_mult=1.0, layer=0):
@@ -80,6 +83,13 @@ HOSTILE = [
     ("silu-text", lambda: qk.silu("a"), InputError),
     ("softmax_rows-text", lambda: qk.softmax_rows("a"), InputError),
     ("rms_norm-ragged", lambda: qk.rms_norm([[1.0], [1.0, 2.0]], _GAMMA), InputError),
+    # numpy reads None as NaN, which would give a NaN answer.
+    ("silu-None", lambda: qk.silu(None), InputError),
+    ("silu-None-item", lambda: qk.silu([None, 1.0]), InputError),
+    ("rms_norm-None-item", lambda: qk.rms_norm([None, 1.0], [1.0, 1.0]), InputError),
+    ("softmax_rows-None-item", lambda: qk.softmax_rows([[None, 1.0]]), InputError),
+    ("swiglu_ffn-None-item", lambda: qk.swiglu_ffn([None, 1.0], _W2, _W2, _W2), InputError),
+    ("gate_probs-None-item", lambda: qk.gate_probs([None, 1.0], _W2), InputError),
     ("parse_config-None", lambda: qk.parse_config(None), InputError),
     # Inputs that are not iterable at all.
     ("forward-None", lambda: qk.forward(_NANO_WEIGHTS, _NANO, None), InputError),
@@ -112,6 +122,22 @@ HOSTILE = [
     ("dca_attention-yarn-float",
      lambda: qk.dca_attention(_Q, _KV, _KV, _ATTN, qk.DcaParams(4), _ROPE, 2.0), ParameterError),
     ("yarn_adjust-yarn-None", lambda: qk.yarn_adjust(_ROPE, None), ParameterError),
+    ("build_model-cfg-None", lambda: qk.build_model(None, 1), ConfigError),
+    ("upcycle_model-weights-None", lambda: qk.upcycle_model(None, _NANO, _NANO_MOE, 1),
+     ConfigError),
+    ("upcycle_model-dense_cfg-None",
+     lambda: qk.upcycle_model(_NANO_WEIGHTS, None, _NANO_MOE, 1), ConfigError),
+    ("upcycle_model-moe-None", lambda: qk.upcycle_model(_NANO_WEIGHTS, _NANO, None, 1),
+     ConfigError),
+    ("upcycle_from_dense-rng-None",
+     lambda: qk.upcycle_from_dense(_FFN.w_gate, _FFN.w_up, _FFN.w_down, _NANO_MOE, None),
+     ParameterError),
+    ("forward-weights-None", lambda: qk.forward(None, _NANO, [1, 2]), ConfigError),
+    ("forward-cfg-None", lambda: qk.forward(_NANO_WEIGHTS, None, [1, 2]), ConfigError),
+    ("save_weights-weights-None", lambda: qk.save_weights(None, _NANO, os.devnull),
+     FormatError),
+    ("save_weights-cfg-None", lambda: qk.save_weights(_NANO_WEIGHTS, None, os.devnull),
+     ConfigError),
     # One text where a corpus of documents is due would read as one
     # document per character or byte.
     ("bpe_train-str", lambda: qk.bpe_train("hello hello", 300), InputError),
