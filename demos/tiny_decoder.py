@@ -32,7 +32,7 @@ n_params = weights.embedding.size + weights.final_gamma.size
 for lw in weights.layers:
     parts = [lw.attn_gamma, lw.wq, lw.bq, lw.wk, lw.bk, lw.wv, lw.bv, lw.wo,
              lw.ffn_gamma, *lw.ffn]
-    n_params += sum(arr.size for arr in parts if arr is not None)
+    n_params += sum(arr.size for arr in parts)
 print(f"parameters: {n_params:,}")
 
 # Logits come back per position; only the last row matters for decoding.

@@ -39,7 +39,6 @@ class ModelConfig:
     regular_tokens: int
     control_tokens: int = 3
     tie_embeddings: bool = False
-    use_qkv_bias: bool = True
     rope_base: float = 1_000_000.0
     rms_eps: float = 1e-6
     max_ctx: int = 32_768
@@ -77,9 +76,8 @@ class ModelConfig:
             _check_int(name, getattr(self, name), 1, ConfigError)
         _check_ints(self, ("regular_tokens", "control_tokens"), ConfigError)
         _check_real("rms_eps", self.rms_eps, ConfigError)
-        for name in ("tie_embeddings", "use_qkv_bias"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.tie_embeddings, bool):
+            raise ConfigError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
         if not isinstance(self.trained_tokens, (str, type(None))):
             raise ConfigError(f"trained_tokens must be a str or None, got {self.trained_tokens!r}")
         for name, cls in _GROUPS.items():
@@ -168,7 +166,8 @@ def preset_names() -> list[str]:
 def format_config(cfg: ModelConfig) -> str:
     """``cfg`` in the JSON config format. An integer field too long for
     Python to write as text (over 4,300 digits by default) is a
-    :class:`ConfigError`."""
+    :class:`ConfigError`, as is a ``cfg`` that is not a :class:`ModelConfig`."""
+    _check_type("cfg", cfg, ModelConfig, ConfigError)
     try:
         # A numpy scalar is a valid field value; .item() makes it a Python one.
         return json.dumps(asdict(cfg), indent=2, default=np.generic.item)

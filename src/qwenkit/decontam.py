@@ -72,9 +72,9 @@ _ASCII = bytes(range(128))
 _ASCII_DROPPED = bytes(c for c in _ASCII if unicodedata.category(chr(c))[0] in "PS")
 
 
-def _clean(text: str, lowercase: bool = True) -> str:
-    """``text`` lowercased, unless ``lowercase`` is false, with its
-    punctuation (P*) and symbol (S*) characters deleted.
+def _clean(text: str) -> str:
+    """``text`` lowercased, with its punctuation (P*) and symbol (S*)
+    characters deleted.
 
     Lowercasing stays on the text, since a final sigma lowers by its
     context and some characters lower to two. The rest works on the UTF-8
@@ -85,9 +85,7 @@ def _clean(text: str, lowercase: bool = True) -> str:
     distinct one classified once, and a regex pass deletes those dropped.
     No step makes or removes a ``"\\n"``.
     """
-    if lowercase:
-        text = text.lower()
-    data = text.encode("utf-8", "surrogatepass")
+    data = text.lower().encode("utf-8", "surrogatepass")
     others = set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
     text = data.translate(None, _ASCII_DROPPED).decode("utf-8", "surrogatepass")
     dropped = [ch for ch in others if unicodedata.category(ch)[0] in "PS"]
@@ -96,12 +94,12 @@ def _clean(text: str, lowercase: bool = True) -> str:
     return text
 
 
-def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSeq:
+def normalize(text: str, source_id: str = "") -> TokenSeq:
     """Lowercase, strip punctuation (P*) and symbol (S*) characters, split
     on whitespace runs."""
     if not isinstance(text, str):
         raise InputError(f"text must be a str, got {type(text).__name__}")
-    return TokenSeq(tuple(_clean(text, lowercase).split()), source_id)
+    return TokenSeq(tuple(_clean(text).split()), source_id)
 
 
 def _seq(seq) -> TokenSeq:

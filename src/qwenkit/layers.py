@@ -173,6 +173,7 @@ def _swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
 
 def rope_freqs(params: RopeParams) -> np.ndarray:
     """Inverse frequencies base**(-2i/head_dim) for i in 0..head_dim/2."""
+    _check_type("params", params, RopeParams)
     half = params.head_dim // 2
     exponents = -2.0 * np.arange(half, dtype=np.float64) / params.head_dim
     return (params.base ** exponents).astype(np.float32)

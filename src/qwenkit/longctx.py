@@ -95,13 +95,12 @@ def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
     :class:`~qwenkit.layers.RopeParams`'.
 
     ``scale == 1`` returns the base frequencies bit-identically with
-    multiplier 1.0. A ``yarn`` that is not a :class:`YarnParams` is a
-    :class:`ParameterError`.
+    multiplier 1.0: every factor gamma + (1 - gamma) / 1 is exactly 1. A
+    ``rope`` or ``yarn`` that is not a :class:`~qwenkit.layers.RopeParams`
+    or :class:`YarnParams` is a :class:`ParameterError`.
     """
     _check_type("yarn", yarn, YarnParams)
     inv_freq = rope_freqs(rope)
-    if yarn.scale == 1.0:
-        return inv_freq, 1.0
     inv64 = inv_freq.astype(np.float64)
     wavelength = 2.0 * np.pi / inv64
     rho = yarn.native_ctx / wavelength
@@ -118,8 +117,10 @@ def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     a key in the immediately preceding chunk within ``local_window`` of the
     query also keeps the true distance (exact locality across the boundary);
     everything farther collapses to (chunk_size - 1) - (j mod chunk_size),
-    as seen from a query pinned at the last intra-chunk index.
+    as seen from a query pinned at the last intra-chunk index. A ``dca``
+    that is not a :class:`DcaParams` is a :class:`ParameterError`.
     """
+    _check_type("dca", dca, DcaParams)
     _check_int("i", i)
     _check_int("j", j)
     if j < 0:

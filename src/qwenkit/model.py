@@ -75,11 +75,11 @@ class LayerWeights:
 
     attn_gamma: np.ndarray
     wq: np.ndarray  # [n_q_heads * head_dim, hidden]
-    bq: np.ndarray | None
+    bq: np.ndarray  # [n_q_heads * head_dim]
     wk: np.ndarray  # [n_kv_heads * head_dim, hidden]
-    bk: np.ndarray | None
+    bk: np.ndarray  # [n_kv_heads * head_dim]
     wv: np.ndarray
-    bv: np.ndarray | None
+    bv: np.ndarray
     wo: np.ndarray  # [hidden, n_q_heads * head_dim]
     ffn_gamma: np.ndarray
     ffn: SwigluWeights | None = None
@@ -125,8 +125,7 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "attn_gamma"] = (cfg.hidden,)
         for x, width in (("q", q_width), ("k", kv_width), ("v", kv_width)):
             shapes[f"{p}w{x}"] = (width, cfg.hidden)
-            if cfg.use_qkv_bias:
-                shapes[f"{p}b{x}"] = (width,)
+            shapes[f"{p}b{x}"] = (width,)
         shapes[p + "wo"] = (cfg.hidden, q_width)
         shapes[p + "ffn_gamma"] = (cfg.hidden,)
         if cfg.moe is None:
@@ -165,9 +164,9 @@ def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
 
 
 def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
-    """The entry check of :func:`forward` and :func:`greedy_decode`: weights
-    of the config's layout held as float32 arrays, else :class:`ConfigError`
-    naming the tensor."""
+    """The entry check of :func:`forward`, :func:`greedy_decode` and
+    :func:`upcycle_model`: weights of the config's layout held as float32
+    arrays, else :class:`ConfigError` naming the tensor."""
     _check_type("weights", weights, ModelWeights, ConfigError)
     _check_type("cfg", cfg, ModelConfig, ConfigError)
     tensors = _tensors(weights)
@@ -182,13 +181,13 @@ def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
     """Every tensor ``weights`` holds, keyed by container name.
 
     Read from the object, not from a config, so a tensor the config does
-    not expect (an untied ``lm_head``, q/k/v biases) still shows up.
+    not expect (an untied ``lm_head``) still shows up, and every layer
+    array is listed, even a None one, which :func:`_check_layout` names.
     """
     out = {"embedding": weights.embedding}
     for i, lw in enumerate(weights.layers):
         p = f"layers.{i}."
-        out.update((p + name, getattr(lw, name)) for name in _LAYER_ARRAYS
-                   if getattr(lw, name) is not None)
+        out.update((p + name, getattr(lw, name)) for name in _LAYER_ARRAYS)
         bank = lw.moe_bank
         if bank is None:
             triples = [(p + "ffn.", lw.ffn)]
@@ -289,26 +288,23 @@ def upcycle_model(
     Attention, norm and embedding weights are taken from ``weights``; every
     FFN is replaced by the bank :func:`~qwenkit.moe.upcycle_from_dense`
     draws from it, all from one ``Rng(seed)``, so only the upcycling draws
-    consume the seed. Layer i starts at the sum of
-    :func:`~qwenkit.moe._upcycle_draws` over the layers before it, so with
-    enough layers and draws the first and second half of the layers are
-    upcycled on two threads, each from the stream advanced to its first
-    layer's offset (:func:`~qwenkit.ops._draw_halves`); one thread or two
-    give the same bytes. Returns the weights and ``dense_cfg`` with ``moe``
-    set. Weights of another layer count, or with a layer that is not dense,
-    raise :class:`ConfigError`.
+    consume the seed. Every layer draws
+    :func:`~qwenkit.moe._upcycle_draws` raw outputs, so with enough layers
+    and draws the first and second half of the layers are upcycled on two
+    threads, each from the stream advanced to its first layer's offset
+    (:func:`~qwenkit.ops._draw_halves`); one thread or two give the same
+    bytes. Returns the weights and ``dense_cfg`` with ``moe`` set.
+
+    The source is checked once, at entry, as :func:`forward` checks it:
+    weights that are not float32 arrays of the layout ``dense_cfg`` implies
+    raise :class:`ConfigError` naming the tensor, and so does a
+    ``dense_cfg`` that already holds a MoE model.
     """
-    _check_type("weights", weights, ModelWeights, ConfigError)
-    _check_type("dense_cfg", dense_cfg, ModelConfig, ConfigError)
+    _check_weights(weights, dense_cfg)
+    if dense_cfg.moe is not None:
+        raise ConfigError("dense_cfg already holds a MoE model; cannot upcycle")
     _check_type("moe", moe, MoeConfig, ConfigError)
     target = replace(dense_cfg, moe=moe, ffn_intermediate=moe.expert_dim)
-    if len(weights.layers) != target.n_layers:
-        raise ConfigError(
-            f"source has {len(weights.layers)} layers, target wants {target.n_layers}"
-        )
-    for li, src in enumerate(weights.layers):
-        if src.ffn is None:
-            raise ConfigError(f"source layer {li} is not dense; cannot upcycle")
     rng = Rng(seed)
     banks: list[ExpertBank | None] = [None] * len(weights.layers)
 
@@ -319,8 +315,8 @@ def upcycle_model(
             ffn = weights.layers[li].ffn
             banks[li] = upcycle_from_dense(ffn.w_gate, ffn.w_up, ffn.w_down, moe, part_rng)
 
-    _on_halves(upcycle, _draw_halves([_upcycle_draws(moe, _channels(src.ffn.w_gate))
-                                      for src in weights.layers]))
+    _on_halves(upcycle, _draw_halves([_upcycle_draws(moe, dense_cfg.ffn_intermediate)]
+                                     * len(banks)))
     layers = [LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk, src.wv, src.bv,
                            src.wo, src.ffn_gamma, moe_bank=bank)
               for src, bank in zip(weights.layers, banks)]
@@ -328,17 +324,6 @@ def upcycle_model(
     # layout too.
     return _from_tensors(_tensors(ModelWeights(weights.embedding, layers, weights.final_gamma,
                                                weights.lm_head)), target), target
-
-
-def _channels(w_gate) -> int:
-    """The channel count of a dense FFN's gate, for its upcycling draw
-    count. A gate that :func:`~qwenkit.moe.upcycle_from_dense` refuses may
-    get a wrong count: only the layers before a cut set an offset, and the
-    calling thread upcycles them in order and raises the first refusal."""
-    try:
-        return max(len(w_gate), 1)
-    except TypeError:
-        return 1
 
 
 def _checked_ids(weights: ModelWeights, cfg: ModelConfig, token_ids, name: str) -> list[int]:
@@ -406,8 +391,7 @@ def _blocks(
         h = _rms_norm(x[s], lw.attn_gamma, eps)
         for w, b, out in ((lw.wq, lw.bq, q[s]), (lw.wk, lw.bk, k[s]), (lw.wv, lw.bv, v[s])):
             np.matmul(h, w.T, out=out)
-            if b is not None:
-                out += b
+            out += b
 
     def mix(s: slice, lw: LayerWeights, attn: np.ndarray) -> None:
         xs = x[s]

@@ -115,8 +115,11 @@ def _empty_stack(n: int, cfg: MoeConfig) -> SwigluWeights:
 
 
 def validate_bank(cfg: MoeConfig, bank: ExpertBank) -> None:
-    """Raise :class:`ConfigError` unless each of the seven arrays of ``bank``
-    has the shape ``cfg`` implies."""
+    """Raise :class:`ConfigError` unless ``cfg`` is a :class:`MoeConfig`,
+    ``bank`` an :class:`ExpertBank` and each of its seven arrays has the
+    shape ``cfg`` implies."""
+    _check_type("cfg", cfg, MoeConfig, ConfigError)
+    _check_type("bank", bank, ExpertBank, ConfigError)
     for kind, n in (("routed", cfg.n_routed), ("shared", cfg.n_shared)):
         stack = getattr(bank, kind)
         for name, shape in zip(SwigluWeights._fields, _stack_shapes(n, cfg)):
@@ -231,7 +234,12 @@ def replicate_and_slice(
     :class:`ExpertBank`; each expert column-major) together with the dense
     channel each of their intermediate rows came from, [n_routed,
     expert_dim] (channels can repeat when an expert straddles two copies).
+    A ``cfg`` that is not a :class:`MoeConfig` is a :class:`ConfigError`,
+    an ``rng`` that is not an :class:`~qwenkit.ops.Rng` a
+    :class:`ParameterError`.
     """
+    _check_type("cfg", cfg, MoeConfig, ConfigError)
+    _check_type("rng", rng, Rng)
     w_gate = as_f32(w_gate)
     w_up = as_f32(w_up)
     w_down = as_f32(w_down)
@@ -290,9 +298,9 @@ def upcycle_from_dense(w_gate, w_up, w_down, cfg: MoeConfig, rng: Rng) -> Expert
     The rng is consumed in a pinned order: copy permutations, then per routed
     expert one selection permutation plus its redraws, then per shared
     expert its gate, up and down, then the router: :func:`_upcycle_draws`
-    raw outputs in all.
+    raw outputs in all. Its arguments are checked as by
+    :func:`replicate_and_slice`.
     """
-    _check_type("rng", rng, Rng)
     routed, _ = replicate_and_slice(w_gate, w_up, w_down, cfg, rng)
     for e in range(cfg.n_routed):
         _reinit_half(routed, e, rng)

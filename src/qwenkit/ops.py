@@ -292,6 +292,7 @@ def _permutation_draws(n: int) -> int:
 
 def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
     """``count`` draws from Normal(mean, std) as float32."""
+    _check_type("rng", rng, Rng)
     _check_int("count", count, 0)
     _check_real("mean", mean)
     _check_real("std", std)

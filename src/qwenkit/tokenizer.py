@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _check_int, _iter_input
+from .ops import _check_int, _check_type, _iter_input
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
@@ -274,8 +274,11 @@ def encode(vocab: BpeVocab, text) -> list[int]:
     rank. The ids of each distinct word are cached on the vocabulary, which
     so grows by one entry per distinct word it has encoded. A vocabulary
     from :func:`bpe_train` starts out holding every distinct training word,
-    so the training documents encode by lookups alone.
+    so the training documents encode by lookups alone. A ``vocab`` that is
+    not a :class:`BpeVocab` is a :class:`ParameterError`, here and in
+    :func:`decode`, :func:`compression_rate` and :func:`save_vocab`.
     """
+    _check_type("vocab", vocab, BpeVocab)
     cache = vocab._words
     out: list[int] = []
     for word in split_words(_as_bytes(text)):
@@ -294,6 +297,7 @@ def decode(vocab: BpeVocab, ids) -> bytes:
     refused although they iterate as ints or keys: ``b"hi"`` is not a list
     of ids.
     """
+    _check_type("vocab", vocab, BpeVocab)
     if isinstance(ids, (str, bytes, bytearray, memoryview, Mapping)):
         raise InputError(f"ids must be an iterable of token ids, got {type(ids).__name__}")
     try:
@@ -326,6 +330,7 @@ def compression_rate(vocab: BpeVocab, corpus) -> float:
 def save_vocab(vocab: BpeVocab, path) -> None:
     """Serialize as UTF-8 lines: a version header, one merge per line as hex
     byte strings, then control token names."""
+    _check_type("vocab", vocab, BpeVocab)
     lines = ["qwenkit-bpe v1"]
     for left, right in vocab.merges:
         lines.append(

@@ -128,11 +128,9 @@ def blocks(weights, cfg, ids, cache, rotary):
     x = weights.embedding[ids]
     for li, lw in enumerate(weights.layers):
         h = rms_norm(x, lw.attn_gamma, cfg.rms_eps)
-        q = h @ lw.wq.T
-        k = h @ lw.wk.T
-        v = h @ lw.wv.T
-        if lw.bq is not None:
-            q, k, v = q + lw.bq, k + lw.bk, v + lw.bv
+        q = h @ lw.wq.T + lw.bq
+        k = h @ lw.wk.T + lw.bk
+        v = h @ lw.wv.T + lw.bv
         q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
         k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)

@@ -20,12 +20,10 @@ from qwenkit.decontam import (
 )
 
 
-def normalize(text: str, source_id: str = "", lowercase: bool = True) -> TokenSeq:
+def normalize(text: str, source_id: str = "") -> TokenSeq:
     """Lowercase, drop every P* and S* character, split on whitespace runs."""
-    if lowercase:
-        text = text.lower()
     kept = []
-    for ch in text:
+    for ch in text.lower():
         if unicodedata.category(ch)[0] in ("P", "S"):
             continue
         kept.append(ch)

@@ -50,9 +50,6 @@ class TestNormalize:
         again = normalize(" ".join(seq.tokens))
         assert again.tokens == seq.tokens
 
-    def test_lowercase_flag(self):
-        assert normalize("ABC", lowercase=False).tokens == ("ABC",)
-
     def test_source_id_carried(self):
         assert normalize("x", source_id="doc9").source_id == "doc9"
 
@@ -60,8 +57,7 @@ class TestNormalize:
         # The ASCII punctuation and symbols are deleted from a fixed class,
         # the other characters classified one by one.
         text = " ".join(f"a{chr(c)}b" for c in range(128))
-        for lowercase in (True, False):
-            assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
+        assert normalize(text, "s") == oracle.normalize(text, "s")
 
 
 class TestLcsLen:
@@ -470,11 +466,10 @@ class TestLoaders:
 _tricky = st.sampled_from("]\\^-[ ,.!?$+©…—“”İΣẞ \x1c\xa0")
 
 
-@given(st.text(st.one_of(st.characters(blacklist_categories=()), _tricky), max_size=80),
-       st.booleans())
+@given(st.text(st.one_of(st.characters(blacklist_categories=()), _tricky), max_size=80))
 @settings(max_examples=400, deadline=None)
-def test_normalize_matches_oracle(text, lowercase):
-    assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
+def test_normalize_matches_oracle(text):
+    assert normalize(text, "s") == oracle.normalize(text, "s")
 
 
 # The loaders clean a batch of lines at once; each line must come out as
@@ -543,8 +538,7 @@ _PAIR = chr(0xD83D) + chr(0xDE00)  # the UTF-16 pair of "😀", as two code poin
     "你好，世界。東京，大阪。",
 ], ids=["surrogate-pair", "only-dropped-non-ascii", "cjk"])
 def test_byte_path_matches_oracle(text):
-    for lowercase in (True, False):
-        assert normalize(text, "s", lowercase) == oracle.normalize(text, "s", lowercase)
+    assert normalize(text, "s") == oracle.normalize(text, "s")
 
 
 @pytest.mark.parametrize("lines", [

@@ -50,11 +50,11 @@ def _inline():
         yield
 
 
-def _cfg(hidden=8, n_layers=2, tie=True, bias=True, moe=None, vocab=40):
+def _cfg(hidden=8, n_layers=2, tie=True, moe=None, vocab=40):
     return ModelConfig(hidden=hidden, n_layers=n_layers, n_q_heads=2, n_kv_heads=1,
                        head_dim=4, ffn_intermediate=moe.expert_dim if moe else 12,
                        vocab_size=vocab, regular_tokens=vocab - 3, tie_embeddings=tie,
-                       use_qkv_bias=bias, rope_base=10_000.0, max_ctx=64, moe=moe)
+                       rope_base=10_000.0, max_ctx=64, moe=moe)
 
 
 def _assert_same_bytes(got: ModelWeights, want: ModelWeights) -> None:
@@ -200,11 +200,11 @@ def test_split_upcycle_of_preset_matches_inline():
 
 @st.composite
 def _layouts(draw):
-    """A small dense config, tied or untied, with biases on or off, and an
-    expert layout of 0 to 2 shared experts for it."""
+    """A small dense config, tied or untied, and an expert layout of 0 to 2
+    shared experts for it."""
     hidden = draw(st.integers(3, 9))
     cfg = _cfg(hidden=hidden, n_layers=draw(st.integers(1, 4)), tie=draw(st.booleans()),
-               bias=draw(st.booleans()), vocab=draw(st.integers(8, 40)))
+               vocab=draw(st.integers(8, 40)))
     n_routed = draw(st.integers(1, 5))
     moe = MoeConfig(n_routed=n_routed, k_active=draw(st.integers(1, n_routed)),
                     n_shared=draw(st.integers(0, 2)), expert_dim=draw(st.integers(1, 16)),
@@ -233,7 +233,7 @@ def test_first_non_dense_layer_is_named_before_any_split():
     layers = [dense.layers[0], *banked.layers[1:]]
     mixed = ModelWeights(dense.embedding, layers, dense.final_gamma, dense.lm_head)
     with _split(), mock.patch.object(model, "_on_halves") as on_halves:
-        with pytest.raises(ConfigError, match="source layer 1 is not dense"):
+        with pytest.raises(ConfigError, match=r"missing \['layers\.1\.ffn\.w_down'"):
             upcycle_model(mixed, cfg, moe, 3)
     on_halves.assert_not_called()
 
@@ -243,8 +243,8 @@ def test_refused_layer_before_the_cut_raises_as_inline():
     moe = MoeConfig(n_routed=4, k_active=2, n_shared=1, expert_dim=6, hidden=8)
     dense = build_model(cfg, 1)
     layers = list(dense.layers)
-    # Layer 1, before the cut, gets a 1-D gate, whose draw count is wrong;
-    # layer 3, after it, a gate of another width.
+    # Layer 1, before the cut, gets a 1-D gate; layer 3, after it, a gate
+    # of another width. The entry check names layer 1 on either path.
     for li, gate in ((1, np.ones(5, np.float32)), (3, np.ones((12, 5), np.float32))):
         layers[li] = replace(layers[li], ffn=layers[li].ffn._replace(w_gate=gate))
     bad = ModelWeights(dense.embedding, layers, dense.final_gamma, dense.lm_head)
@@ -254,6 +254,7 @@ def test_refused_layer_before_the_cut_raises_as_inline():
             upcycle_model(bad, cfg, moe, 3)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
+    assert "layers.1.ffn.w_gate" in errors[0][1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -49,14 +49,14 @@ def _cpus(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _model(variant: str, n_kv: int, bias: bool):
+def _model(variant: str, n_kv: int):
     """A small dense or MoE model with unit norm gains; callers must not
     modify it."""
     moe = MoeConfig(n_routed=4, k_active=2, n_shared=1, expert_dim=32, hidden=64)
     cfg = ModelConfig(hidden=64, n_layers=2, n_q_heads=4, n_kv_heads=n_kv, head_dim=16,
                       ffn_intermediate=32 if variant == "moe" else 96, vocab_size=256,
                       regular_tokens=253, rope_base=10_000.0, max_ctx=MAX_CTX,
-                      use_qkv_bias=bias, moe=moe if variant == "moe" else None)
+                      moe=moe if variant == "moe" else None)
     w = build_model(cfg, 11)
     for lw in w.layers:
         lw.attn_gamma[:] = 1.0
@@ -68,10 +68,9 @@ def _model(variant: str, n_kv: int, bias: bool):
 @st.composite
 def _models(draw):
     """A dense, MoE or dual-chunk (YaRN on or off) model with 1 or 2 KV
-    heads, biases on or off."""
+    heads."""
     variant = draw(st.sampled_from(["dense", "moe", "dca"]))
-    w, cfg = _model("dense" if variant == "dca" else variant,
-                    draw(st.sampled_from([1, 2])), draw(st.booleans()))
+    w, cfg = _model("dense" if variant == "dca" else variant, draw(st.sampled_from([1, 2])))
     if variant == "dca":
         cfg = draw(_with_dca(cfg))
     return w, cfg
@@ -224,7 +223,7 @@ def test_worker_error_keeps_its_type_and_both_halves_finish():
 
 
 def test_non_finite_logits_raise_from_the_worker_half():
-    w, cfg = _model("dense", 2, True)
+    w, cfg = _model("dense", 2)
     w = replace(w, embedding=w.embedding.copy())
     ids = [j % 200 for j in range(MAX_CTX - 1)] + [250]
     # The inf row spreads to the rows of its query block only, all in the
@@ -238,7 +237,7 @@ def test_non_finite_logits_raise_from_the_worker_half():
 
 
 def test_concurrent_callers_share_one_worker():
-    w, cfg = _model("dense", 2, True)
+    w, cfg = _model("dense", 2)
     ids = [[(7 * i + j) % cfg.regular_tokens for j in range(MAX_CTX - i)] for i in range(6)]
     with one_blas_thread():
         with _cpus(1):
@@ -316,7 +315,7 @@ def _child(conn, w, cfg, ids):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_runs_long_forward():
-    w, cfg = _model("dense", 2, True)
+    w, cfg = _model("dense", 2)
     ids = [j % cfg.regular_tokens for j in range(MAX_CTX)]
     with _cpus(2):
         want = _digest(w, cfg, ids)  # the parent's worker now exists

@@ -289,6 +289,13 @@ class TestConfigFormat:
         with pytest.raises(FormatError, match=r"yarn: unknown keys \['mystery_field'\]"):
             parse_config(self._edited(lambda f: f["yarn"].update(mystery_field=3)))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_qkv_bias_switch_rejected(self, value):
+        # Every Qwen2 block has q/k/v biases; a config that still names the
+        # old switch is refused, whichever way it is set.
+        with pytest.raises(FormatError, match=r"unknown keys \['use_qkv_bias'\]"):
+            parse_config(self._edited(lambda f: f.update(use_qkv_bias=value)))
+
     def test_duplicate_key_rejected(self):
         for text in ['{"hidden": 64, "hidden": 64}',
                      '{"yarn": {"scale": 2.0, "scale": 2.0}}']:
@@ -468,13 +475,29 @@ class TestUpcycleModel:
 
     def test_moe_source_rejected(self):
         cfg = preset("nano-moe")
-        with pytest.raises(ConfigError, match="source layer 0 is not dense"):
+        with pytest.raises(ConfigError, match="dense_cfg already holds a MoE model"):
             upcycle_model(build_model(cfg, 0), cfg, self.MOE, 1)
 
     def test_layer_count_mismatch_rejected(self):
         cfg = preset("nano")
-        with pytest.raises(ConfigError, match="source has 2 layers, target wants 3"):
+        with pytest.raises(ConfigError, match=r"missing \['layers\.2\.attn_gamma'"):
             upcycle_model(build_model(cfg, 0), replace(cfg, n_layers=3), self.MOE, 1)
+
+    def test_attention_of_another_head_layout_rejected(self):
+        # The FFN tensors fit this config; the attention projections do not,
+        # and must be refused here rather than at the next forward.
+        cfg = preset("nano")
+        with pytest.raises(ConfigError, match=r"tensor layers\.0\.wq has shape \(64, 64\), "
+                                              r"expected \(32, 64\)"):
+            upcycle_model(build_model(cfg, 0), replace(cfg, n_q_heads=2, n_kv_heads=1),
+                          self.MOE, 1)
+
+    def test_float64_tensor_rejected(self):
+        cfg = preset("nano")
+        w = build_model(cfg, 0)
+        w.layers[1].bv = w.layers[1].bv.astype(np.float64)
+        with pytest.raises(ConfigError, match="tensor layers.1.bv must be a float32 array"):
+            upcycle_model(w, cfg, self.MOE, 1)
 
 
 class TestGreedyDecode:

@@ -43,7 +43,7 @@ def _layouts():
     return {
         "nano": nano,
         "nano-moe": moe,
-        "nano-untied-nobias": replace(nano, tie_embeddings=False, use_qkv_bias=False),
+        "nano-untied": replace(nano, tie_embeddings=False),
         "nano-moe-noshared": replace(moe, moe=replace(moe.moe, n_shared=0)),
     }
 
@@ -53,15 +53,15 @@ def _layouts():
 # container bytes: a new payload digest means every seeded model has
 # changed, a new file digest alone that the header has.
 CONTAINER_SHA256 = {
-    "nano": "12787361796553ee55bc1c5646924014aeeddddde6fc40504bc2d374e3ba9c7c",
-    "nano-moe": "7a1c54cdf723297c76ce17f5d08ed19efbe58a22ce920a902c8ccbd0c2ce36bb",
-    "nano-untied-nobias": "1fdae04479752b7beb6e0f04e4dfcf872f21a59ac5709bc2ccdafd5b6276bfaa",
-    "nano-moe-noshared": "3a4de21571fe7a83d0554e256c08a066ad22963f7c5b96458bb331a27cf4e633",
+    "nano": "c15aff6d7305ed1e07a13298ad8c4ef8c438ad4912a0438d6351360cce4a040e",
+    "nano-moe": "cb63ddb45a18a185ee04f2de35b548da3297583eef7440a6af4e2c9b6a477393",
+    "nano-untied": "94f3c92bb5f135b0b0e32cbc92bfb4f5c7667557b5dfe95051bbabb08d453cb1",
+    "nano-moe-noshared": "a07ec5b4b8a0254ea9679997db25d398fe6e51cad729579517c8aeeddbe2f58e",
 }
 PAYLOAD_SHA256 = {
     "nano": "2c3f3ee472895308a99fc325b3db6465c5e1f131f2abdeed5b5cd9ff1e48a432",
     "nano-moe": "9ebc12fc03f2bf26e5fb57f5f4504d6ec3f13702f2fda7f452bc952c1aca6143",
-    "nano-untied-nobias": "291f0b67b54be322ac6cb2a86884da0ccc7cbbd820a54509b7305e43776a47ae",
+    "nano-untied": "f37ce71000534c5551c99b536fa81ec961ba522448b0d42287a24892060eff8d",
     "nano-moe-noshared": "db1109a8bb8e454f02d90584e3ace531e473b4f7bbaff42d5fee7af8f7660b5a",
 }
 
@@ -297,8 +297,7 @@ def test_non_finite_tensor_rejected_on_load(tmp_path, bad):
 
 @pytest.mark.parametrize("weights_cfg, save_cfg, extra", [
     (dict(tie_embeddings=False), {}, r"extra \['lm_head'\]"),
-    ({}, dict(use_qkv_bias=False), r"extra \['layers.0.bk', 'layers.0.bq', 'layers.0.bv'"),
-], ids=["untied-lm-head", "qkv-biases"])
+], ids=["untied-lm-head"])
 def test_tensor_the_config_does_not_expect_is_not_dropped(tmp_path, weights_cfg, save_cfg,
                                                          extra):
     cfg = preset("nano")
@@ -307,6 +306,33 @@ def test_tensor_the_config_does_not_expect_is_not_dropped(tmp_path, weights_cfg,
     with pytest.raises(FormatError, match=extra):
         save_weights(w, replace(cfg, **save_cfg), path)
     assert not path.exists()
+
+
+def test_weights_without_biases_are_refused(tmp_path):
+    # Every Qwen2 block has q/k/v biases, so no config lays out a block
+    # without them.
+    cfg = preset("nano")
+    w = build_model(cfg, 0)
+    for lw in w.layers:
+        lw.bq = lw.bk = lw.bv = None
+    path = tmp_path / "m.safetensors"
+    with pytest.raises(FormatError, match=r"tensor layers\.0\.bq has shape \(\), expected"):
+        save_weights(w, cfg, path)
+    assert not path.exists()
+
+
+def test_container_config_with_a_qkv_bias_switch_is_refused(tmp_path):
+    cfg = preset("nano")
+    path = tmp_path / "m.safetensors"
+    save_weights(build_model(cfg, 0), cfg, path)
+
+    def edit(header):
+        fields = json.loads(header["__metadata__"]["config"])
+        header["__metadata__"]["config"] = json.dumps({**fields, "use_qkv_bias": True})
+
+    _rewrite_header(path, edit)
+    with pytest.raises(FormatError, match=r"config metadata: .*unknown keys \['use_qkv_bias'\]"):
+        load_weights(path)
 
 
 @pytest.mark.parametrize("group, key, value", [

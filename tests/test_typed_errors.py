@@ -30,6 +30,8 @@ _Q, _KV = np.ones((2, 3, 8), np.float32), np.ones((1, 3, 8), np.float32)
 _NANO_MOE = qk.preset("nano-moe").moe
 _FFN = _NANO_WEIGHTS.layers[0].ffn
 _W2 = np.ones((2, 2), np.float32)
+_ROW = np.ones(64, np.float32)
+_BANK = qk.upcycle_model(_NANO_WEIGHTS, _NANO, _NANO_MOE, 1)[0].layers[0].moe_bank
 
 
 def _attend(scale_mult=1.0, layer=0):
@@ -132,6 +134,26 @@ HOSTILE = [
     ("upcycle_from_dense-rng-None",
      lambda: qk.upcycle_from_dense(_FFN.w_gate, _FFN.w_up, _FFN.w_down, _NANO_MOE, None),
      ParameterError),
+    ("rope_freqs-params-None", lambda: qk.rope_freqs(None), ParameterError),
+    ("yarn_adjust-rope-None", lambda: qk.yarn_adjust(None, qk.YarnParams(2.0, 8)),
+     ParameterError),
+    ("dca_relpos-dca-None", lambda: qk.dca_relpos(5, 3, None), ParameterError),
+    ("sample_normal-rng-None", lambda: qk.sample_normal(None, 3, 0.0, 1.0), ParameterError),
+    ("replicate_and_slice-rng-None",
+     lambda: qk.moe.replicate_and_slice(*_FFN, _NANO_MOE, None), ParameterError),
+    ("replicate_and_slice-cfg-None",
+     lambda: qk.moe.replicate_and_slice(*_FFN, None, qk.Rng(1)), ConfigError),
+    ("upcycle_from_dense-cfg-None",
+     lambda: qk.upcycle_from_dense(*_FFN, None, qk.Rng(1)), ConfigError),
+    ("moe_forward-cfg-None", lambda: qk.moe_forward(_ROW, None, _BANK), ConfigError),
+    ("moe_forward-bank-None", lambda: qk.moe_forward(_ROW, _NANO_MOE, None),
+     ConfigError),
+    ("validate_bank-cfg-None", lambda: qk.moe.validate_bank(None, _BANK), ConfigError),
+    ("encode-vocab-None", lambda: qk.encode(None, "a"), ParameterError),
+    ("decode-vocab-None", lambda: qk.decode(None, [1]), ParameterError),
+    ("compression_rate-vocab-None", lambda: qk.compression_rate(None, ["a"]), ParameterError),
+    ("save_vocab-vocab-None", lambda: qk.save_vocab(None, os.devnull), ParameterError),
+    ("format_config-None", lambda: qk.format_config(None), ConfigError),
     ("forward-weights-None", lambda: qk.forward(None, _NANO, [1, 2]), ConfigError),
     ("forward-cfg-None", lambda: qk.forward(_NANO_WEIGHTS, None, [1, 2]), ConfigError),
     ("save_weights-weights-None", lambda: qk.save_weights(None, _NANO, os.devnull),
@@ -148,8 +170,6 @@ HOSTILE = [
     # Config fields that only a bool, or only text, can fill.
     ("ModelConfig-tie_embeddings-str",
      lambda: replace(qk.preset("nano"), tie_embeddings="no"), ConfigError),
-    ("ModelConfig-use_qkv_bias-int", lambda: replace(qk.preset("nano"), use_qkv_bias=0),
-     ConfigError),
     ("ModelConfig-trained_tokens-int", lambda: replace(qk.preset("nano"), trained_tokens=12),
      ConfigError),
     # An int too long to write as text passes validate; writing it fails.
@@ -179,3 +199,9 @@ def test_hostile_call_raises_its_typed_error(call, error):
     with pytest.raises(QwenKitError) as info:
         call()
     assert type(info.value) is error
+
+
+def test_save_vocab_of_another_type_writes_no_file(tmp_path):
+    with pytest.raises(ParameterError):
+        qk.save_vocab(None, tmp_path / "v.txt")
+    assert not (tmp_path / "v.txt").exists()
