@@ -10,7 +10,7 @@ from qwenkit import (
     KvCache,
     RopeParams,
     Rng,
-    decode_step,
+    cached_attention,
     gqa_attention,
 )
 
@@ -42,15 +42,15 @@ v = rand(rng, 2, seq, 16)
 full = gqa_attention(q, k, v, params, list(range(seq)), rope)
 print(f"full attention output: {full.shape}")
 
-# ...and the same sequence decoded token by token through the cache. The two
-# paths agree to float32 noise; that equivalence is what makes incremental
-# decoding trustworthy.
+# ...and the same sequence decoded token by token through the cache: each
+# call appends one row at the position the cache has reached. The two paths
+# agree to float32 noise; that equivalence is what makes incremental decoding
+# trustworthy.
 cache = KvCache(n_layers=1)
 worst = 0.0
 for t in range(seq):
-    out, cache = decode_step(cache, q[:, t], k[:, t], v[:, t], params, rope,
-                             position=t)
-    worst = max(worst, float(np.max(np.abs(out - full[t]))))
+    out = cached_attention(cache, q[:, t:t + 1], k[:, t:t + 1], v[:, t:t + 1], params, rope)
+    worst = max(worst, float(np.max(np.abs(out - full[t:t + 1]))))
 print(f"cache length          : {cache.length()} entries")
 print(f"max |cached - full|   : {worst:.2e}")
 

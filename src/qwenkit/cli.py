@@ -19,7 +19,7 @@ from pathlib import Path
 from . import decontam as dc
 from . import tokenizer as tok
 from .config import format_config, preset, preset_names
-from .errors import ConfigError, ParameterError, QwenKitError
+from .errors import ParameterError, QwenKitError
 from .model import _tensor_shapes, build_model, greedy_decode, upcycle_model
 from .moe import MoeConfig
 from .serialize import load_weights, save_weights
@@ -269,8 +269,6 @@ def _cmd_tok_stats(args, run: _Run) -> int:
 
 def _cmd_moe_upcycle(args, run: _Run) -> int:
     weights, dense_cfg = load_weights(args.in_path)
-    if dense_cfg.moe is not None:
-        raise ConfigError(f"{args.in_path} already holds a MoE model")
     moe_cfg = MoeConfig(n_routed=args.experts, k_active=args.activated,
                         n_shared=args.shared, expert_dim=args.expert_dim,
                         hidden=dense_cfg.hidden)

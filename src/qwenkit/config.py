@@ -5,7 +5,9 @@ qwen2-57b-a14b) plus two desk-scale smoke models (nano, nano-moe). The
 vocabulary is stored twice on purpose: ``vocab_size`` is the embedding row
 count while ``regular_tokens`` + ``control_tokens`` is the token inventory;
 the former may be padded larger, never smaller. A ``ModelConfig`` checks
-itself when it is constructed, so every instance is valid.
+itself when it is constructed, so every instance is valid. It holds no
+RMSNorm epsilon: every model uses ``layers.RMS_EPS``, and a config that
+names ``rms_eps`` has an unknown key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import ConfigError, FormatError, InputError, ParameterError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
-from .ops import _check_int, _check_ints, _check_real, _check_type
+from .ops import _check_int, _check_ints, _check_type
 
 # The optional parameter groups of a ModelConfig and their types. In the
 # JSON config format a set group is an object of its fields, an unset one
@@ -40,7 +42,6 @@ class ModelConfig:
     control_tokens: int = 3
     tie_embeddings: bool = False
     rope_base: float = 1_000_000.0
-    rms_eps: float = 1e-6
     max_ctx: int = 32_768
     eot_id: int | None = None
     trained_tokens: str | None = None  # metadata only, e.g. "12T"
@@ -75,7 +76,6 @@ class ModelConfig:
         for name in ("hidden", "n_layers", "ffn_intermediate", "vocab_size", "max_ctx"):
             _check_int(name, getattr(self, name), 1, ConfigError)
         _check_ints(self, ("regular_tokens", "control_tokens"), ConfigError)
-        _check_real("rms_eps", self.rms_eps, ConfigError)
         if not isinstance(self.tie_embeddings, bool):
             raise ConfigError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
         if not isinstance(self.trained_tokens, (str, type(None))):
@@ -87,8 +87,6 @@ class ModelConfig:
             self.rope_params()
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-        if self.rms_eps <= 0:
-            raise ConfigError(f"rms_eps must be > 0, got {self.rms_eps}")
         if self.regular_tokens < 1 or self.control_tokens < 0:
             raise ConfigError(
                 f"token inventory invalid: {self.regular_tokens} regular, "

@@ -18,6 +18,7 @@ Reports mirror a per-test-set "percent contaminated" table.
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from collections import Counter
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _check_fraction, _check_int, _iter_input
+from .ops import _check_fraction, _check_int, _file_errors, _iter_input
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -415,25 +416,22 @@ def _load_lines(path: Path) -> list[TokenSeq]:
 
 def load_docs(path) -> list[TokenSeq]:
     """Load one document per nonempty line of a file, or one per file in a
-    directory, each normalized (and so lowercased) as by :func:`normalize`."""
-    p = Path(path)
-    try:
+    directory, each normalized (and so lowercased) as by :func:`normalize`.
+    A path that cannot be read is an :class:`InputError`."""
+    with _file_errors(path, "read"):
+        p = Path(os.fsdecode(path))
         if not p.is_dir():
             return _load_lines(p)
         return [normalize(_read_text(child), source_id=child.name)
                 for child in sorted(p.iterdir()) if child.is_file()]
-    except OSError as exc:
-        raise InputError(f"cannot read {p}: {exc}") from exc
 
 
 def load_test_sets(path) -> dict[str, list[TokenSeq]]:
     """Each file in the directory is one test set, one sample per line,
     normalized (and so lowercased) as by :func:`load_docs`."""
-    p = Path(path)
-    try:
+    with _file_errors(path, "read"):
+        p = Path(os.fsdecode(path))
         if not p.is_dir():
             raise InputError(f"test sets path {p} must be a directory of text files")
         return {child.stem: _load_lines(child)
                 for child in sorted(p.iterdir()) if child.is_file()}
-    except OSError as exc:
-        raise InputError(f"cannot read {p}: {exc}") from exc

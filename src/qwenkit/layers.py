@@ -1,15 +1,16 @@
 """Dense decoder-block primitives.
 
-RMSNorm, the SwiGLU feed-forward, rotary position embedding, grouped-query
-attention with additive QKV bias handled at the projection site, and the
-KV cache: a preallocated per-layer buffer of rotated keys and values.
-Cached attention is the one causal kernel, dual-chunk or not. It appends new
-rows (a whole prompt, or a decoded token and its draft) to the cache and
-scores them in query blocks, each against the keys up to the block's last
-row. One score buffer per call, sized for the largest block, serves every
-block, and the softmax runs in it in place. Full-sequence attention runs
-it on a fresh cache. A long call scores the two halves of the KV heads on
-two threads.
+RMSNorm (its one epsilon is :data:`RMS_EPS`), the SwiGLU feed-forward,
+rotary position embedding, grouped-query attention with additive QKV bias
+handled at the projection site, and the KV cache: a preallocated per-layer
+buffer of rotated keys and values. Cached attention is the one causal
+kernel, dual-chunk or not. It appends new rows (a whole prompt, or a
+decoded token and its draft) to the cache, at the positions that continue
+what it holds, and scores them in query blocks, each against the keys up
+to the block's last row. One score buffer per call, sized for the largest
+block, serves every block, and the softmax runs in it in place.
+Full-sequence attention runs it on a fresh cache. A long call scores the
+two halves of the KV heads on two threads.
 
 Each public function checks its arguments and then calls its private
 kernel (see ``ops``); the attention functions, ``longctx.dca_attention``
@@ -44,6 +45,10 @@ if TYPE_CHECKING:
 # Causal mask sentinel: large-negative float32 whose exp underflows to exactly 0,
 # so masked positions can never leak into earlier rows.
 MASK_SENTINEL = np.float32(-3.4e38)
+
+# RMSNorm's epsilon: the default of rms_norm and the value every model block
+# and the final norm use.
+RMS_EPS = 1e-6
 
 # Most query rows one attention block scores at a time. A block's scores are
 # [n_kv_heads, group_size * ATTN_BLOCK, keys up to the block's last row].
@@ -116,7 +121,7 @@ class SwigluWeights(NamedTuple):
     w_down: np.ndarray  # [hidden, intermediate]
 
 
-def rms_norm(x, gamma, eps: float = 1e-6) -> np.ndarray:
+def rms_norm(x, gamma, eps: float = RMS_EPS) -> np.ndarray:
     """x * gamma / sqrt(mean(x^2) + eps), mean over the last dimension."""
     x = as_f32(x)
     gamma = as_f32(gamma)
@@ -237,23 +242,17 @@ def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
     return _rotate(x, *_rope_table(positions, inv_freq, seq, head_dim))
 
 
-def _attention_args(q, k, v, params: AttentionParams, rope: RopeParams, scale_mult,
-                    one_row: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _attention_args(q, k, v, params: AttentionParams, rope: RopeParams,
+                    scale_mult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entry check of every public attention function: ``params`` an
     :class:`AttentionParams`, ``rope`` a :class:`RopeParams` and
     ``scale_mult`` a finite real, else :class:`ParameterError`; q, k and v
     as float32 [heads, rows, head_dim] blocks of the head layout of
-    ``params`` (given as [heads, head_dim] with ``one_row``) with the same,
-    nonzero number of rows, and ``rope`` of the same head width, else
-    :class:`DimensionError`."""
+    ``params`` with the same, nonzero number of rows, and ``rope`` of the
+    same head width, else :class:`DimensionError`."""
     _check_type("params", params, AttentionParams)
     _check_type("rope", rope, RopeParams)
     q, k, v = as_f32(q), as_f32(k), as_f32(v)
-    if one_row:
-        if not q.ndim == k.ndim == v.ndim == 2:
-            raise DimensionError(f"one-row q/k/v must be [heads, head_dim], got "
-                                 f"{q.shape}, {k.shape}, {v.shape}")
-        q, k, v = q[:, None], k[:, None], v[:, None]
     d = params.head_dim
     for name, t, heads in (("q", q, params.n_q_heads), ("k", k, params.n_kv_heads),
                            ("v", v, params.n_kv_heads)):
@@ -426,46 +425,35 @@ def cached_attention(
     params: AttentionParams,
     rope: RopeParams,
     *,
-    position: int,
     layer: int = 0,
     scale_mult: float = 1.0,
 ) -> np.ndarray:
     """Causal grouped-query attention of new positions against one cached layer.
 
     q is [n_q_heads, rows, head_dim]; k and v are [n_kv_heads, rows, head_dim]
-    for positions ``position`` .. ``position + rows - 1``, and ``position``
-    must equal the layer's cache length (contiguous decoding). Rotates q and
-    k with one cos/sin table and appends the rotated keys and the values to
-    the cache. The new rows then go in query blocks of at most
-    :data:`ATTN_BLOCK` rows, and a block scores only the keys up to its
+    for the positions that continue the layer's cache, ``cache.length(layer)``
+    on. Rotates q and k with one cos/sin table and appends the rotated keys
+    and the values to the cache. The new rows then go in query blocks of at
+    most :data:`ATTN_BLOCK` rows, and a block scores only the keys up to its
     last row, so the causal upper triangle beyond the block is never
     computed. Within the block, keys after a row are masked with
     :data:`MASK_SENTINEL`, and one exact softmax per row over its causal
     prefix feeds the value aggregation. Returns [rows, n_q_heads * head_dim]:
     the matching rows of :func:`gqa_attention` over the whole sequence.
-    Entries that do not match the cache's head layout raise
+    A ``cache`` that is not a :class:`KvCache` is a :class:`ParameterError`;
+    entries that do not match the cache's head layout raise
     :class:`DimensionError` and leave the cache unchanged.
     """
+    _check_type("cache", cache, KvCache)
     q, k, v = _attention_args(q, k, v, params, rope, scale_mult)
-    return _append_attend(cache, q, k, v, params, rope, position, layer, scale_mult)
-
-
-def _append_attend(cache: KvCache, q, k, v, params: AttentionParams, rope: RopeParams,
-                   position: int, layer: int, scale_mult: float) -> np.ndarray:
-    """:func:`cached_attention` after :func:`_attention_args`."""
     cache._check_entries(k, v)
-    expected = cache.length(layer)
-    if position != expected:
-        raise StateError(
-            f"non-contiguous decode: cache layer {layer} holds {expected} positions "
-            f"but got position {position}"
-        )
+    start = cache.length(layer)
     rows = q.shape[1]
-    # The kernel reads the table by position and never reads rows before ``position``.
-    cos = np.empty((position + rows, params.head_dim // 2), dtype=np.float32)
+    # The kernel reads the table by position and never reads rows before ``start``.
+    cos = np.empty((start + rows, params.head_dim // 2), dtype=np.float32)
     sin = np.empty_like(cos)
-    cos[position:], sin[position:] = _rope_table(range(position, position + rows),
-                                                 rope_freqs(rope), rows, params.head_dim)
+    cos[start:], sin[start:] = _rope_table(range(start, start + rows), rope_freqs(rope), rows,
+                                           params.head_dim)
     return _cached_attention(cache, q, k, v, params, cos, sin, layer, scale_mult)
 
 
@@ -548,17 +536,19 @@ def decode_step(
     params: AttentionParams,
     rope: RopeParams,
     *,
-    position: int,
     layer: int = 0,
     scale_mult: float = 1.0,
 ) -> tuple[np.ndarray, KvCache]:
     """Attend one new token against the cached history of one layer.
 
-    The one-row form of :func:`cached_attention`: new_q is
-    [n_q_heads, head_dim]; new_k and new_v are [n_kv_heads, head_dim].
-    ``position`` must equal the current cache length. Appends the rotated
-    key and the value, then returns the attention output for the new
+    The one-row call of :func:`cached_attention`: new_q is
+    [n_q_heads, head_dim]; new_k and new_v are [n_kv_heads, head_dim],
+    else :class:`DimensionError`. Returns the attention output for the new
     position, [n_q_heads * head_dim], and the cache.
     """
-    q, k, v = _attention_args(new_q, new_k, new_v, params, rope, scale_mult, one_row=True)
-    return _append_attend(cache, q, k, v, params, rope, position, layer, scale_mult)[0], cache
+    q, k, v = as_f32(new_q), as_f32(new_k), as_f32(new_v)
+    if not q.ndim == k.ndim == v.ndim == 2:
+        raise DimensionError(f"one-row q/k/v must be [heads, head_dim], got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    return cached_attention(cache, q[:, None], k[:, None], v[:, None], params, rope,
+                            layer=layer, scale_mult=scale_mult)[0], cache

@@ -27,6 +27,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import ConfigError, InputError, NumericError, QwenKitError
 from .layers import (
+    RMS_EPS,
     KvCache,
     SwigluWeights,
     _cached_attention,
@@ -48,7 +49,7 @@ from .ops import (
     _draw_halves,
     _halves,
     _is_int,
-    _iter_input,
+    _iter_ids,
     _normal_draws,
     _on_halves,
 )
@@ -163,10 +164,11 @@ def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
             raise error(f"tensor {name} has shape {shape}, expected {expected[name]}")
 
 
-def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
-    """The entry check of :func:`forward`, :func:`greedy_decode` and
-    :func:`upcycle_model`: weights of the config's layout held as float32
-    arrays, else :class:`ConfigError` naming the tensor."""
+def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """The entry check of :func:`forward`, :func:`greedy_decode`,
+    :func:`upcycle_model` and ``serialize.save_weights``: weights of the
+    config's layout held as float32 arrays, else :class:`ConfigError`
+    naming the tensor. Returns their :func:`_tensors`."""
     _check_type("weights", weights, ModelWeights, ConfigError)
     _check_type("cfg", cfg, ModelConfig, ConfigError)
     tensors = _tensors(weights)
@@ -175,6 +177,7 @@ def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> None:
         dtype = getattr(arr, "dtype", None)
         if dtype != np.float32:
             raise ConfigError(f"tensor {name} must be a float32 array, got dtype {dtype}")
+    return tensors
 
 
 def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
@@ -329,11 +332,12 @@ def upcycle_model(
 def _checked_ids(weights: ModelWeights, cfg: ModelConfig, token_ids, name: str) -> list[int]:
     """The entry check of :func:`forward` and :func:`greedy_decode`: the
     weights by :func:`_check_weights`, then the ids ``token_ids`` yields, as
-    a list. Input that is not iterable, or yields no id or one outside the
-    vocabulary, is an :class:`InputError`."""
+    a list. Input that is not iterable, text or a mapping
+    (:func:`~qwenkit.ops._iter_ids`), or that yields no id or one outside
+    the vocabulary, is an :class:`InputError`."""
     _check_weights(weights, cfg)
     ids = []
-    for t in _iter_input(token_ids, name):
+    for t in _iter_ids(token_ids, name):
         if not _is_int(t):
             raise InputError(f"token id {t!r} is not an integer")
         if not 0 <= t < cfg.vocab_size:
@@ -379,7 +383,6 @@ def _blocks(
     """
     params = cfg.attention_params()
     cos, sin, scale_mult = rotary
-    eps = cfg.rms_eps
     x = weights.embedding[ids]  # a copy, so the residuals add in place
     halves = _halves(len(ids))
     # Each layer's halves write their rows of q, k and v here.
@@ -388,7 +391,7 @@ def _blocks(
     v = np.empty_like(k)
 
     def project(s: slice, lw: LayerWeights) -> None:
-        h = _rms_norm(x[s], lw.attn_gamma, eps)
+        h = _rms_norm(x[s], lw.attn_gamma, RMS_EPS)
         for w, b, out in ((lw.wq, lw.bq, q[s]), (lw.wk, lw.bk, k[s]), (lw.wv, lw.bv, v[s])):
             np.matmul(h, w.T, out=out)
             out += b
@@ -397,7 +400,7 @@ def _blocks(
         xs = x[s]
         xs += attn[s] @ lw.wo.T
         if lw.ffn is not None:
-            xs += _swiglu_ffn(_rms_norm(xs, lw.ffn_gamma, eps), *lw.ffn)
+            xs += _swiglu_ffn(_rms_norm(xs, lw.ffn_gamma, RMS_EPS), *lw.ffn)
 
     q3 = _split_heads(q, cfg.n_q_heads, cfg.head_dim)
     k3 = _split_heads(k, cfg.n_kv_heads, cfg.head_dim)
@@ -407,7 +410,7 @@ def _blocks(
         attn = _cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult, cfg.dca)
         _on_halves(mix, halves, lw, attn)
         if lw.moe_bank is not None:
-            x += _moe_forward(_rms_norm(x, lw.ffn_gamma, eps), cfg.moe, lw.moe_bank)
+            x += _moe_forward(_rms_norm(x, lw.ffn_gamma, RMS_EPS), cfg.moe, lw.moe_bank)
     return x
 
 
@@ -418,7 +421,7 @@ def _logits(weights: ModelWeights, cfg: ModelConfig, x: np.ndarray) -> np.ndarra
 
     def project(s) -> None:
         o = out[s]
-        np.matmul(_rms_norm(x[s], weights.final_gamma, cfg.rms_eps),
+        np.matmul(_rms_norm(x[s], weights.final_gamma, RMS_EPS),
                   weights.output_matrix().T, out=o)
         if not np.isfinite(o).all():
             raise NumericError("logits hold non-finite values; are the weights finite?")

@@ -33,7 +33,9 @@ import itertools
 import math
 import os
 import threading
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -129,6 +131,36 @@ def _iter_input(value, name: str):
         return iter(value)
     except TypeError:
         raise InputError(f"{name} must be iterable, got {type(value).__name__}") from None
+
+
+def _iter_ids(ids, name: str):
+    """An iterator over the token ids ``ids``; a value that is not iterable
+    is an :class:`InputError`, and so are text and mappings, although they
+    iterate as ints or keys: ``b"hi"`` is not a list of ids."""
+    if not isinstance(ids, (str, bytes, bytearray, memoryview, Mapping)):
+        try:
+            return iter(ids)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an iterable of token ids, got {type(ids).__name__}")
+
+
+@contextmanager
+def _file_errors(path, verb: str):
+    """Run the body, which opens ``path`` to ``verb`` ("read" or "write")
+    it. A ``path`` that is not a str, bytes or ``os.PathLike`` (an int
+    would open a file descriptor) or that holds a NUL, and an
+    :class:`OSError` the body raises, are an :class:`InputError`: "cannot
+    read" or "cannot write" the path."""
+    try:
+        if "\0" in os.fsdecode(path):
+            raise ValueError("embedded null byte")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"cannot {verb} {path!r}: {exc}") from None
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot {verb} {path}: {exc}") from exc
 
 
 class Rng:

@@ -23,9 +23,9 @@ import zlib
 import numpy as np
 
 from .config import ModelConfig, format_config, parse_config
-from .errors import ConfigError, FormatError, NumericError, QwenKitError
-from .model import ModelWeights, _check_layout, _from_tensors, _tensor_shapes, _tensors
-from .ops import _check_type
+from .errors import FormatError, NumericError, QwenKitError
+from .model import ModelWeights, _check_weights, _from_tensors, _tensor_shapes
+from .ops import _file_errors
 
 
 def _entries(shapes: dict[str, tuple[int, ...]]) -> dict[str, dict]:
@@ -43,20 +43,18 @@ def _entries(shapes: dict[str, tuple[int, ...]]) -> dict[str, dict]:
 def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
     """Write model weights and config; tensors are sorted by name.
 
-    Every tensor ``weights`` holds is written, so a set that differs from
-    the layout ``cfg`` implies (a missing tensor, or an extra one such as
-    an untied ``lm_head`` under a tied config) raises :class:`FormatError`
-    naming the difference, as does a wrong shape or ``weights`` that are not
-    a :class:`ModelWeights`; a ``cfg`` that is not a :class:`ModelConfig`
-    raises :class:`ConfigError`. A tensor holding NaN or inf raises
-    :class:`NumericError`. All happen before the file is opened.
+    The weights pass the entry check of ``model.forward`` first: weights
+    or a ``cfg`` of another type, a tensor set other than the layout ``cfg``
+    implies (a missing tensor, or an extra one such as an untied
+    ``lm_head`` under a tied config), a wrong shape and a tensor that is
+    not a float32 array each raise :class:`ConfigError` naming the
+    difference. A tensor holding NaN or inf raises :class:`NumericError`.
+    All happen before the file is opened; a ``path`` that cannot be
+    written is an :class:`InputError`.
     """
-    _check_type("weights", weights, ModelWeights, FormatError)
-    _check_type("cfg", cfg, ModelConfig, ConfigError)
-    tensors = _tensors(weights)
-    _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, FormatError)
+    tensors = _check_weights(weights, cfg)
     for name in sorted(tensors):
-        if not np.isfinite(np.asarray(tensors[name], dtype="<f4")).all():
+        if not np.isfinite(tensors[name]).all():
             raise NumericError(f"tensor {name} holds non-finite values; not saved")
     # The CRC is patched in after the payload, so the payload is streamed once.
     meta = {"crc32": "00000000", "config": format_config(cfg)}
@@ -64,7 +62,7 @@ def save_weights(weights: ModelWeights, cfg: ModelConfig, path) -> None:
                         separators=(",", ":")).encode("utf-8")
     crc_at = 8 + header.index(b'"crc32":"') + len(b'"crc32":"')
     crc = 0
-    with open(path, "wb") as fh:
+    with _file_errors(path, "write"), open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         # One row-major copy at a time (none for a row-major float32 tensor),
@@ -84,9 +82,10 @@ def load_weights(path) -> tuple[ModelWeights, ModelConfig]:
     Any violation of the format raises :class:`FormatError`, among them a
     header other than the one :func:`save_weights` writes for the config it
     holds, a file size other than the payload's end, a checksum mismatch
-    and a tensor holding NaN or inf.
+    and a tensor holding NaN or inf. A ``path`` that cannot be read is an
+    :class:`InputError`.
     """
-    with open(path, "rb") as fh:
+    with _file_errors(path, "read"), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         fixed = fh.read(8)
         if len(fixed) < 8:

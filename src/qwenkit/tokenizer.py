@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import repeat
@@ -23,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _check_int, _check_type, _iter_input
+from .ops import _check_int, _check_type, _file_errors, _iter_ids, _iter_input
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
@@ -298,12 +297,7 @@ def decode(vocab: BpeVocab, ids) -> bytes:
     of ids.
     """
     _check_type("vocab", vocab, BpeVocab)
-    if isinstance(ids, (str, bytes, bytearray, memoryview, Mapping)):
-        raise InputError(f"ids must be an iterable of token ids, got {type(ids).__name__}")
-    try:
-        ids = iter(ids)
-    except TypeError:
-        raise InputError(f"ids must be an iterable of token ids, got {ids!r}") from None
+    ids = _iter_ids(ids, "ids")
     n_regular, vocab_size, token_bytes = vocab.n_regular, vocab.vocab_size, vocab.token_bytes
     parts = []
     for t in ids:
@@ -329,7 +323,8 @@ def compression_rate(vocab: BpeVocab, corpus) -> float:
 
 def save_vocab(vocab: BpeVocab, path) -> None:
     """Serialize as UTF-8 lines: a version header, one merge per line as hex
-    byte strings, then control token names."""
+    byte strings, then control token names. A path that cannot be written
+    is an :class:`InputError`."""
     _check_type("vocab", vocab, BpeVocab)
     lines = ["qwenkit-bpe v1"]
     for left, right in vocab.merges:
@@ -338,12 +333,15 @@ def save_vocab(vocab: BpeVocab, path) -> None:
         )
     for name in vocab.control_names:
         lines.append(f"control {name}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_vocab(path) -> BpeVocab:
-    with open(path, "rb") as fh:
+    """Read a vocabulary file back. A fault of the file is a
+    :class:`FormatError` naming its line; a path that cannot be read is an
+    :class:`InputError`."""
+    with _file_errors(path, "read"), open(path, "rb") as fh:
         data = fh.read()
     try:
         lines = data.decode("utf-8").splitlines()

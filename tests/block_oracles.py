@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from qwenkit.layers import ATTN_BLOCK, MASK_SENTINEL, KvCache, _group_queries
+from qwenkit.layers import ATTN_BLOCK, MASK_SENTINEL, RMS_EPS, KvCache, _group_queries
 from qwenkit.model import _rotary, _split_heads
 from qwenkit.moe import _topk_rows
 
@@ -127,7 +127,7 @@ def blocks(weights, cfg, ids, cache, rotary):
     cos, sin, scale_mult = rotary
     x = weights.embedding[ids]
     for li, lw in enumerate(weights.layers):
-        h = rms_norm(x, lw.attn_gamma, cfg.rms_eps)
+        h = rms_norm(x, lw.attn_gamma, RMS_EPS)
         q = h @ lw.wq.T + lw.bq
         k = h @ lw.wk.T + lw.bk
         v = h @ lw.wv.T + lw.bv
@@ -136,7 +136,7 @@ def blocks(weights, cfg, ids, cache, rotary):
         v3 = _split_heads(v, cfg.n_kv_heads, cfg.head_dim)
         attn = cached_attention(cache, q3, k3, v3, params, cos, sin, li, scale_mult, cfg.dca)
         x = x + attn @ lw.wo.T
-        h2 = rms_norm(x, lw.ffn_gamma, cfg.rms_eps)
+        h2 = rms_norm(x, lw.ffn_gamma, RMS_EPS)
         if lw.ffn is not None:
             x = x + swiglu_ffn(h2, *lw.ffn)
         else:
@@ -147,4 +147,4 @@ def blocks(weights, cfg, ids, cache, rotary):
 def forward(weights, cfg, ids):
     """Logits of ``ids`` through :func:`blocks` on a fresh cache."""
     x = blocks(weights, cfg, list(ids), KvCache(cfg.n_layers, len(ids)), _rotary(cfg, len(ids)))
-    return rms_norm(x, weights.final_gamma, cfg.rms_eps) @ weights.output_matrix().T
+    return rms_norm(x, weights.final_gamma, RMS_EPS) @ weights.output_matrix().T

@@ -67,9 +67,9 @@ def test_cached_call_after_held_prefix_matches_dense_oracle(prefix, rows, ratio,
     cache = KvCache(1)
     if prefix:
         cached_attention(cache, q[:, :prefix], k[:, :prefix], v[:, :prefix], params, rope,
-                         position=0, scale_mult=scale_mult)
+                         scale_mult=scale_mult)
     got = cached_attention(cache, q[:, prefix:], k[:, prefix:], v[:, prefix:], params, rope,
-                           position=prefix, scale_mult=scale_mult)
+                           scale_mult=scale_mult)
     want = dense_gqa(q, k, v, params, list(range(seq)), rope, scale_mult=scale_mult)
     assert max_abs_diff(got, want[prefix:]) <= 1e-5
 
@@ -119,10 +119,8 @@ def test_dca_kernel_fed_in_pieces_matches_dense_oracle(data, seq, ratio, dca, us
 def _cached_after_prefix(q, k, v, params, rope, prefix=5):
     """Rows 0 .. prefix - 1 held in a cache, then the rest in one cached call."""
     cache = KvCache(1)
-    head = cached_attention(cache, q[:, :prefix], k[:, :prefix], v[:, :prefix], params,
-                            rope, position=0)
-    tail = cached_attention(cache, q[:, prefix:], k[:, prefix:], v[:, prefix:], params,
-                            rope, position=prefix)
+    head = cached_attention(cache, q[:, :prefix], k[:, :prefix], v[:, :prefix], params, rope)
+    tail = cached_attention(cache, q[:, prefix:], k[:, prefix:], v[:, prefix:], params, rope)
     return np.concatenate([head, tail])
 
 
@@ -197,5 +195,5 @@ class TestEmptySequence:
         q, k, v = _qkv(1, self.params, 0)
         cache = KvCache(1)
         with pytest.raises(DimensionError, match="empty sequence"):
-            cached_attention(cache, q, k, v, self.params, self.rope, position=0)
+            cached_attention(cache, q, k, v, self.params, self.rope)
         assert cache.length() == 0

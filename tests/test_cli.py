@@ -146,6 +146,10 @@ HOSTILE_INPUTS = [
     pytest.param(["moe", "upcycle", "--in", "{empty}", "--out", "{out}", "--experts", "4",
                   "--expert-dim", "32"], 1, "file truncated at offset 0",
                  id="upcycle-empty-container"),
+    pytest.param(["moe", "upcycle", "--in", "{missing}", "--out", "{out}", "--experts", "4",
+                  "--expert-dim", "32"], 1, "cannot read", id="upcycle-missing-container"),
+    pytest.param(["moe", "upcycle", "--in", "{dir}", "--out", "{out}", "--experts", "4",
+                  "--expert-dim", "32"], 1, "cannot read", id="upcycle-directory-as-container"),
     pytest.param(["decontam", "scan", "--train", "{empty}", "--tests", "{dir}",
                   "--mode", "train-side-lcs"], 1, "must be nonempty", id="scan-empty-corpus"),
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{missing}",
@@ -330,6 +334,9 @@ class TestMoeUpcycle:
         assert main(["moe", "upcycle", "--in", str(path), "--out",
                      str(tmp_path / "x.qw2t"), "--experts", "2",
                      "--expert-dim", "16"]) == 1
+        # upcycle_model's entry check refuses the MoE source.
+        assert "already holds a MoE model" in capsys.readouterr().err
+        assert not (tmp_path / "x.qw2t").exists()
 
 
     def test_upcycling_non_finite_input_fails(self, tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_attention_leaves_inputs_untouched(rows):
     rope = RopeParams(10_000.0, HEAD_DIM)
     q, k, v = _qkv(8, params, rows)
     _assert_untouched(lambda *a: gqa_attention(*a, list(range(rows)), rope), q, k, v, params)
-    _assert_untouched(lambda *a: cached_attention(KvCache(1), *a, rope, position=0),
+    _assert_untouched(lambda *a: cached_attention(KvCache(1), *a, rope),
                       q, k, v, params)
 
 

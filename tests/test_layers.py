@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import max_abs_diff, rand_f32
-from qwenkit.errors import DimensionError, ParameterError, StateError
+from qwenkit.errors import DimensionError, ParameterError
 from qwenkit.layers import (
     AttentionParams,
     KvCache,
     RopeParams,
+    _cached_attention,
+    _rope_table,
     apply_rope,
     cached_attention,
     decode_step,
@@ -238,47 +240,73 @@ class TestKvCache:
             full = gqa_attention(q, k, v, params, list(range(32)), rope)
             cache = KvCache(1)
             for t in range(32):
-                out, cache = decode_step(cache, q[:, t], k[:, t], v[:, t], params,
-                                         rope, position=t)
-                assert max_abs_diff(out, full[t]) <= 1e-5
+                out = cached_attention(cache, q[:, t:t + 1], k[:, t:t + 1], v[:, t:t + 1],
+                                       params, rope)
+                assert max_abs_diff(out, full[t:t + 1]) <= 1e-5
 
     def test_cache_grows_by_one(self):
         params, rope, q, k, v = self._setup()
         cache = KvCache(1)
         for t in range(5):
             assert cache.length() == t
-            _, cache = decode_step(cache, q[:, t], k[:, t], v[:, t], params, rope,
-                                   position=t)
+            cached_attention(cache, q[:, t:t + 1], k[:, t:t + 1], v[:, t:t + 1], params, rope)
             assert cache.length() == t + 1
 
     def test_first_step_equals_length_one_attention(self):
         params, rope, q, k, v = self._setup()
-        out, _ = decode_step(KvCache(1), q[:, 0], k[:, 0], v[:, 0], params, rope,
-                             position=0)
+        out = cached_attention(KvCache(1), q[:, :1], k[:, :1], v[:, :1], params, rope)
         full = gqa_attention(q[:, :1], k[:, :1], v[:, :1], params, [0], rope)
-        assert max_abs_diff(out, full[0]) <= 1e-6
-
-    def test_non_contiguous_position_rejected(self):
-        params, rope, q, k, v = self._setup()
-        cache = KvCache(1)
-        with pytest.raises(StateError):
-            decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope, position=3)
+        assert max_abs_diff(out, full) <= 1e-6
 
     def test_cache_stores_kv_head_count(self):
         params, rope, q, k, v = self._setup()
         cache = KvCache(1)
-        _, cache = decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope,
-                               position=0)
+        cached_attention(cache, q[:, :1], k[:, :1], v[:, :1], params, rope)
         assert cache.keys().shape == (2, 1, 16)
         assert cache.keys().size == params.kv_values_per_token
 
     def test_layers_are_independent(self):
         params, rope, q, k, v = self._setup()
         cache = KvCache(2)
-        _, cache = decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope,
-                               position=0, layer=0)
+        cached_attention(cache, q[:, :1], k[:, :1], v[:, :1], params, rope, layer=0)
         assert cache.length(0) == 1
         assert cache.length(1) == 0
+
+    @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "block"])
+    def test_new_rows_continue_at_each_layers_cache_length(self, rows):
+        # Each layer's rows are rotated at the positions its own cache length
+        # gives: bit for bit the kernel fed a rope table of those positions.
+        params, rope, q, k, v = self._setup(seq=12, nq=4, nkv=2, hd=16)
+        cache, twin = KvCache(2), KvCache(2)
+        for layer, held in ((0, 3), (1, 6)):
+            cached_attention(cache, q[:, :held], k[:, :held], v[:, :held], params, rope,
+                             layer=layer)
+            cached_attention(twin, q[:, :held], k[:, :held], v[:, :held], params, rope,
+                             layer=layer)
+        for layer, held in ((0, 3), (1, 6)):
+            new = slice(held, held + rows)
+            got = cached_attention(cache, q[:, new], k[:, new], v[:, new], params, rope,
+                                   layer=layer, scale_mult=1.5)
+            cos = np.empty((held + rows, 8), np.float32)
+            sin = np.empty_like(cos)
+            cos[held:], sin[held:] = _rope_table(range(held, held + rows), rope_freqs(rope),
+                                                 rows, 16)
+            want = _cached_attention(twin, q[:, new], k[:, new], v[:, new], params, cos, sin,
+                                     layer, 1.5)
+            assert np.array_equal(got, want)
+            assert cache.length(layer) == held + rows
+            assert np.array_equal(cache.keys(layer), twin.keys(layer))
+
+    def test_decode_step_is_the_one_row_call(self):
+        params, rope, q, k, v = self._setup()
+        cache, twin = KvCache(1), KvCache(1)
+        for t in range(4):
+            out, returned = decode_step(cache, q[:, t], k[:, t], v[:, t], params, rope)
+            want = cached_attention(twin, q[:, t:t + 1], k[:, t:t + 1], v[:, t:t + 1],
+                                    params, rope)
+            assert returned is cache
+            assert np.array_equal(out, want[0])
+        assert np.array_equal(cache.keys(), twin.keys())
 
     @pytest.mark.parametrize("bounds", [(0, 32), (0, 1, 32), (0, 5, 6, 19, 32), (0, 31, 32)])
     def test_chunked_equals_full(self, bounds):
@@ -286,8 +314,7 @@ class TestKvCache:
         full = gqa_attention(q, k, v, params, list(range(32)), rope)
         cache = KvCache(1)
         for a, b in zip(bounds, bounds[1:]):
-            out = cached_attention(cache, q[:, a:b], k[:, a:b], v[:, a:b], params, rope,
-                                   position=a)
+            out = cached_attention(cache, q[:, a:b], k[:, a:b], v[:, a:b], params, rope)
             assert max_abs_diff(out, full[a:b]) <= 1e-5
         assert cache.length() == 32
 
@@ -309,7 +336,7 @@ class TestKvCache:
         """A cache holding 3 positions of 2 KV heads of width 8."""
         params, rope, q, k, v = self._setup(nq=2, nkv=2, hd=8)
         cache = KvCache(1)
-        cached_attention(cache, q[:, :3], k[:, :3], v[:, :3], params, rope, position=0)
+        cached_attention(cache, q[:, :3], k[:, :3], v[:, :3], params, rope)
         return cache
 
     # Entries of 1 KV head, and of 2 KV heads of width 4, against a cache
@@ -321,9 +348,9 @@ class TestKvCache:
         params, rope, q, k, v = self._setup(seq=1, nq=2, nkv=nkv, hd=hd)
         with pytest.raises(DimensionError, match="cache holds 2 heads of width 8"):
             if one_row:
-                decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope, position=3)
+                decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope)
             else:
-                cached_attention(cache, q, k, v, params, rope, position=3)
+                cached_attention(cache, q, k, v, params, rope)
         assert cache.length() == 3
 
     # One-row entries of another rank, head count or width, as (entry,
@@ -338,8 +365,7 @@ class TestKvCache:
         entries = {"q": q[:, 0], "k": k[:, 0], "v": v[:, 0]}
         entries[entry] = np.ones(shape, np.float32)
         with pytest.raises(DimensionError):
-            decode_step(cache, entries["q"], entries["k"], entries["v"], params, rope,
-                        position=3)
+            decode_step(cache, entries["q"], entries["k"], entries["v"], params, rope)
         assert cache.length() == 3
 
     @pytest.mark.parametrize("layer", [3, 1, -1])
@@ -347,8 +373,7 @@ class TestKvCache:
         params, rope, q, k, v = self._setup()
         cache = KvCache(1)
         with pytest.raises(ParameterError):
-            decode_step(cache, q[:, 0], k[:, 0], v[:, 0], params, rope, position=0,
-                        layer=layer)
+            cached_attention(cache, q[:, :1], k[:, :1], v[:, :1], params, rope, layer=layer)
         assert cache.length(0) == 0
 
 

@@ -10,7 +10,7 @@ import pytest
 from helpers import join_safetensors, plant_in_container, safetensors_tensors, split_safetensors
 from test_weight_layout import BENCH_CFG, BENCH_MOE
 from qwenkit.config import format_config, preset
-from qwenkit.errors import FormatError, NumericError
+from qwenkit.errors import ConfigError, FormatError, NumericError
 from qwenkit.longctx import YarnParams
 from qwenkit.model import ModelWeights, _tensor_shapes, _tensors, build_model, upcycle_model
 from qwenkit.serialize import load_weights, save_weights
@@ -53,10 +53,10 @@ def _layouts():
 # container bytes: a new payload digest means every seeded model has
 # changed, a new file digest alone that the header has.
 CONTAINER_SHA256 = {
-    "nano": "c15aff6d7305ed1e07a13298ad8c4ef8c438ad4912a0438d6351360cce4a040e",
-    "nano-moe": "cb63ddb45a18a185ee04f2de35b548da3297583eef7440a6af4e2c9b6a477393",
-    "nano-untied": "94f3c92bb5f135b0b0e32cbc92bfb4f5c7667557b5dfe95051bbabb08d453cb1",
-    "nano-moe-noshared": "a07ec5b4b8a0254ea9679997db25d398fe6e51cad729579517c8aeeddbe2f58e",
+    "nano": "66d954fb00aedd9c9bd6289320fbc5190622994d4aebbfbce8755f8c12839115",
+    "nano-moe": "1c931a70374d66c772f1adf41a5d6e839dc8c0fcb51e61ff66355747af78179a",
+    "nano-untied": "3b8c806d892c413e29108434ecba8d3b1212511178a143961640d4d7cb124298",
+    "nano-moe-noshared": "615fd8c1be70cfcffcdc308992370fb767a7c653e18b9cf0d9999917431aa185",
 }
 PAYLOAD_SHA256 = {
     "nano": "2c3f3ee472895308a99fc325b3db6465c5e1f131f2abdeed5b5cd9ff1e48a432",
@@ -303,7 +303,7 @@ def test_tensor_the_config_does_not_expect_is_not_dropped(tmp_path, weights_cfg,
     cfg = preset("nano")
     w = build_model(replace(cfg, **weights_cfg), 0)
     path = tmp_path / "m.safetensors"
-    with pytest.raises(FormatError, match=extra):
+    with pytest.raises(ConfigError, match=extra):
         save_weights(w, replace(cfg, **save_cfg), path)
     assert not path.exists()
 
@@ -316,7 +316,19 @@ def test_weights_without_biases_are_refused(tmp_path):
     for lw in w.layers:
         lw.bq = lw.bk = lw.bv = None
     path = tmp_path / "m.safetensors"
-    with pytest.raises(FormatError, match=r"tensor layers\.0\.bq has shape \(\), expected"):
+    with pytest.raises(ConfigError, match=r"tensor layers\.0\.bq has shape \(\), expected"):
+        save_weights(w, cfg, path)
+    assert not path.exists()
+
+
+def test_float64_tensor_is_refused_not_cast(tmp_path):
+    # save_weights holds weights to the entry check of forward, which takes
+    # only float32 arrays: a float64 tensor is refused, not cast.
+    cfg = preset("nano")
+    w = build_model(cfg, 0)
+    w.layers[1].wo = w.layers[1].wo.astype(np.float64)
+    path = tmp_path / "m.safetensors"
+    with pytest.raises(ConfigError, match=r"tensor layers\.1\.wo must be a float32 array"):
         save_weights(w, cfg, path)
     assert not path.exists()
 
@@ -332,6 +344,22 @@ def test_container_config_with_a_qkv_bias_switch_is_refused(tmp_path):
 
     _rewrite_header(path, edit)
     with pytest.raises(FormatError, match=r"config metadata: .*unknown keys \['use_qkv_bias'\]"):
+        load_weights(path)
+
+
+def test_container_config_with_an_rms_eps_is_refused(tmp_path):
+    # Every model normalizes with layers.RMS_EPS, so a container written
+    # while the config held an epsilon names a key the config no longer has.
+    cfg = preset("nano")
+    path = tmp_path / "m.safetensors"
+    save_weights(build_model(cfg, 0), cfg, path)
+
+    def edit(header):
+        fields = json.loads(header["__metadata__"]["config"])
+        header["__metadata__"]["config"] = json.dumps({**fields, "rms_eps": 1e-06})
+
+    _rewrite_header(path, edit)
+    with pytest.raises(FormatError, match=r"config metadata: .*unknown keys \['rms_eps'\]"):
         load_weights(path)
 
 

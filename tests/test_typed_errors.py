@@ -1,11 +1,12 @@
 """Hostile arguments at the public boundary get a typed error.
 
 Each row feeds one public call one hostile value: a float where an int is
-due, NaN, text where an array or a token sequence is due, or a value that
-is not iterable (or not a mapping) where a collection is due. The call must
-raise exactly the named :class:`~qwenkit.errors.QwenKitError` subclass,
-never a bare ``TypeError``, a NaN array or a wrong answer. Tokens that are
-not hashable are covered in ``test_decontam``.
+due, NaN, text where an array, a token sequence or token ids are due, a
+value that is not iterable (or not a mapping) where a collection is due, or
+a path that cannot be read or written. The call must raise exactly the
+named :class:`~qwenkit.errors.QwenKitError` subclass, never a bare
+``TypeError`` or ``OSError``, a NaN array or a wrong answer. Tokens that
+are not hashable are covered in ``test_decontam``.
 """
 
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import qwenkit as qk
-from qwenkit.errors import ConfigError, FormatError, InputError, ParameterError, QwenKitError
+from qwenkit.errors import ConfigError, InputError, ParameterError, QwenKitError
 
 NAN = float("nan")
 _X = np.ones((2, 8), np.float32)
@@ -32,16 +33,19 @@ _FFN = _NANO_WEIGHTS.layers[0].ffn
 _W2 = np.ones((2, 2), np.float32)
 _ROW = np.ones(64, np.float32)
 _BANK = qk.upcycle_model(_NANO_WEIGHTS, _NANO, _NANO_MOE, 1)[0].layers[0].moe_bank
+# A directory, and a file in it that does not exist.
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_MISSING = os.path.join(_HERE, "no-such-file.safetensors")
 
 
 def _attend(scale_mult=1.0, layer=0):
-    return qk.cached_attention(qk.KvCache(1), _Q, _KV, _KV, _ATTN, _ROPE, position=0,
-                               layer=layer, scale_mult=scale_mult)
+    return qk.cached_attention(qk.KvCache(1), _Q, _KV, _KV, _ATTN, _ROPE, layer=layer,
+                               scale_mult=scale_mult)
 
 
 def _decode(scale_mult=1.0, layer=0):
     return qk.decode_step(qk.KvCache(1), _Q[:, 0], _KV[:, 0], _KV[:, 0], _ATTN, _ROPE,
-                          position=0, layer=layer, scale_mult=scale_mult)
+                          layer=layer, scale_mult=scale_mult)
 
 
 HOSTILE = [
@@ -114,11 +118,13 @@ HOSTILE = [
     ("gqa_attention-rope-None",
      lambda: qk.gqa_attention(_Q, _KV, _KV, _ATTN, [0, 1, 2], None), ParameterError),
     ("cached_attention-params-tuple",
-     lambda: qk.cached_attention(qk.KvCache(1), _Q, _KV, _KV, (2, 1, 8), _ROPE, position=0,
-                                 layer=0), ParameterError),
+     lambda: qk.cached_attention(qk.KvCache(1), _Q, _KV, _KV, (2, 1, 8), _ROPE, layer=0),
+     ParameterError),
+    ("cached_attention-cache-None",
+     lambda: qk.cached_attention(None, _Q, _KV, _KV, _ATTN, _ROPE), ParameterError),
     ("decode_step-rope-float",
      lambda: qk.decode_step(qk.KvCache(1), _Q[:, 0], _KV[:, 0], _KV[:, 0], _ATTN, 1e4,
-                            position=0, layer=0), ParameterError),
+                            layer=0), ParameterError),
     ("dca_attention-dca-None",
      lambda: qk.dca_attention(_Q, _KV, _KV, _ATTN, None, _ROPE), ParameterError),
     ("dca_attention-yarn-float",
@@ -157,7 +163,7 @@ HOSTILE = [
     ("forward-weights-None", lambda: qk.forward(None, _NANO, [1, 2]), ConfigError),
     ("forward-cfg-None", lambda: qk.forward(_NANO_WEIGHTS, None, [1, 2]), ConfigError),
     ("save_weights-weights-None", lambda: qk.save_weights(None, _NANO, os.devnull),
-     FormatError),
+     ConfigError),
     ("save_weights-cfg-None", lambda: qk.save_weights(_NANO_WEIGHTS, None, os.devnull),
      ConfigError),
     # One text where a corpus of documents is due would read as one
@@ -190,6 +196,31 @@ HOSTILE = [
      lambda: qk.filter_corpus(["abc"], _SETS, qk.decontam.MODE_TRAIN_LCS), InputError),
     ("filter_corpus-text-test-side",
      lambda: qk.filter_corpus(["abc"], _SETS, qk.decontam.MODE_TEST_NGRAM), InputError),
+    # Token ids given as text or a mapping iterate as ints or keys, and would
+    # be read as ids 1 and 2.
+    ("forward-bytes", lambda: qk.forward(_NANO_WEIGHTS, _NANO, b"\x01\x02"), InputError),
+    ("forward-bytearray", lambda: qk.forward(_NANO_WEIGHTS, _NANO, bytearray(b"\x01\x02")),
+     InputError),
+    ("forward-dict", lambda: qk.forward(_NANO_WEIGHTS, _NANO, {1: "a", 2: "b"}), InputError),
+    ("greedy_decode-bytes", lambda: qk.greedy_decode(_NANO_WEIGHTS, _NANO, b"\x01\x02", 2),
+     InputError),
+    ("greedy_decode-memoryview",
+     lambda: qk.greedy_decode(_NANO_WEIGHTS, _NANO, memoryview(b"\x01\x02"), 2), InputError),
+    ("greedy_decode-dict", lambda: qk.greedy_decode(_NANO_WEIGHTS, _NANO, {1: 0, 2: 0}, 2),
+     InputError),
+    # A path that cannot be read or written, or is not a path at all.
+    ("load_weights-missing", lambda: qk.load_weights(_MISSING), InputError),
+    ("load_weights-None", lambda: qk.load_weights(None), InputError),
+    ("load_weights-int", lambda: qk.load_weights(0), InputError),
+    ("load_weights-nul", lambda: qk.load_weights(b"m\0.safetensors"), InputError),
+    ("load_docs-nul", lambda: qk.decontam.load_docs("docs\0.txt"), InputError),
+    ("save_weights-directory", lambda: qk.save_weights(_NANO_WEIGHTS, _NANO, _HERE),
+     InputError),
+    ("load_vocab-None", lambda: qk.load_vocab(None), InputError),
+    ("load_vocab-directory", lambda: qk.load_vocab(_HERE), InputError),
+    ("save_vocab-None", lambda: qk.save_vocab(qk.base_vocab(), None), InputError),
+    ("load_docs-None", lambda: qk.decontam.load_docs(None), InputError),
+    ("load_test_sets-None", lambda: qk.decontam.load_test_sets(None), InputError),
 ]
 
 
