@@ -21,7 +21,7 @@ from .errors import ConfigError, FormatError, InputError, ParameterError
 from .layers import AttentionParams, RopeParams
 from .longctx import DcaParams, YarnParams
 from .moe import MoeConfig
-from .ops import _check_int, _check_ints, _check_type
+from .ops import _check_int, _check_type
 
 # The optional parameter groups of a ModelConfig and their types. In the
 # JSON config format a set group is an object of its fields, an unset one
@@ -73,13 +73,12 @@ class ModelConfig:
         :class:`~qwenkit.layers.RopeParams`': this builds both and raises
         their error as a ``ConfigError``. Each group checks its own fields
         and must be of its type or None; the rest are checked here."""
-        for name in ("hidden", "n_layers", "ffn_intermediate", "vocab_size", "max_ctx"):
-            _check_int(name, getattr(self, name), 1, ConfigError)
-        _check_ints(self, ("regular_tokens", "control_tokens"), ConfigError)
-        if not isinstance(self.tie_embeddings, bool):
-            raise ConfigError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
-        if not isinstance(self.trained_tokens, (str, type(None))):
-            raise ConfigError(f"trained_tokens must be a str or None, got {self.trained_tokens!r}")
+        for name in ("hidden", "n_layers", "ffn_intermediate", "vocab_size", "max_ctx",
+                     "regular_tokens"):
+            _check_int(name, getattr(self, name), 1, error=ConfigError)
+        _check_int("control_tokens", self.control_tokens, 0, error=ConfigError)
+        _check_type("tie_embeddings", self.tie_embeddings, bool, ConfigError)
+        _check_type("trained_tokens", self.trained_tokens, str, ConfigError, optional=True)
         for name, cls in _GROUPS.items():
             _check_type(name, getattr(self, name), cls, ConfigError, optional=True)
         try:
@@ -87,21 +86,16 @@ class ModelConfig:
             self.rope_params()
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
-        if self.regular_tokens < 1 or self.control_tokens < 0:
-            raise ConfigError(
-                f"token inventory invalid: {self.regular_tokens} regular, "
-                f"{self.control_tokens} control"
-            )
         if self.regular_tokens + self.control_tokens > self.vocab_size:
             raise ConfigError(
                 f"regular + control tokens "
                 f"({self.regular_tokens} + {self.control_tokens}) exceed "
                 f"vocab_size {self.vocab_size}"
             )
+        # An unset eot_id is the last control token, inside the vocabulary
+        # by the rules above.
         if self.eot_id is not None:
-            _check_ints(self, ("eot_id",), ConfigError)
-        if not 0 <= self.effective_eot_id < self.vocab_size:
-            raise ConfigError(f"eot id {self.effective_eot_id} outside vocabulary")
+            _check_int("eot_id", self.eot_id, 0, self.vocab_size - 1, ConfigError)
         if self.moe is not None:
             if self.moe.hidden != self.hidden:
                 raise ConfigError(
@@ -198,8 +192,7 @@ def parse_config(text: str) -> ModelConfig:
     :class:`FormatError`; a value the dataclasses refuse raises their
     :class:`ConfigError` or :class:`ParameterError`.
     """
-    if not isinstance(text, str):
-        raise InputError(f"config text must be a str, got {type(text).__name__}")
+    _check_type("config text", text, str, InputError)
     try:
         kwargs = _fields(json.loads(text, object_pairs_hook=_unique_keys), ModelConfig, "config")
     except (ValueError, RecursionError) as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, InputError, ParameterError
-from .ops import _check_fraction, _check_int, _file_errors, _iter_input
+from .ops import _check_int, _check_real, _check_type, _file_errors, _iter_input
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -98,8 +98,7 @@ def _clean(text: str) -> str:
 def normalize(text: str, source_id: str = "") -> TokenSeq:
     """Lowercase, strip punctuation (P*) and symbol (S*) characters, split
     on whitespace runs."""
-    if not isinstance(text, str):
-        raise InputError(f"text must be a str, got {type(text).__name__}")
+    _check_type("text", text, str, InputError)
     return TokenSeq(tuple(_clean(text).split()), source_id)
 
 
@@ -147,24 +146,26 @@ def _overlap(ca: Counter, cb: Counter) -> int:
     return sum(map(min, map(ca.__getitem__, shared), map(cb.__getitem__, shared)))
 
 
-def _lcs_hit(ta, ca: Counter, tb, cb: Counter, min_len: int, min_frac: float) -> int | None:
-    """LCS(ta, tb) when it meets both thresholds, else None; ``ca`` and
-    ``cb`` count the tokens of ``ta`` and ``tb``.
+def _lcs_hit(a: TokenSeq, ca: Counter, b: TokenSeq, cb: Counter, min_len: int,
+             min_frac: float) -> int | None:
+    """LCS(a, b) when it meets both thresholds, else None; ``ca`` and ``cb``
+    count the tokens of ``a`` and ``b``. The sequences go on to
+    :func:`lcs_len` as they are, so it checks nothing again.
 
     Three upper bounds on the LCS skip the DP, cheapest first: the shorter
     length, the positions of the shorter sequence whose token occurs in the
     longer one, and the multiset overlap. Each is compared with the same
     threshold as the LCS itself, so no pair is skipped that the DP would flag.
     """
-    short = min(len(ta), len(tb))
+    short = min(len(a), len(b))
     if not short or short < min_len:
         return None
     need = max(min_len, min_frac * short)
-    if len(ta) > len(tb):
-        ta, ca, tb, cb = tb, cb, ta, ca
-    if sum(map(cb.__contains__, ta)) < need or _overlap(ca, cb) < need:
+    if len(a) > len(b):
+        a, ca, b, cb = b, cb, a, ca
+    if sum(map(cb.__contains__, a.tokens)) < need or _overlap(ca, cb) < need:
         return None
-    n = lcs_len(ta, tb)
+    n = lcs_len(a, b)
     return n if n >= need else None
 
 
@@ -178,9 +179,9 @@ def lcs_contaminated(train, test, min_len: int = 13, min_frac: float = 0.6) -> b
     with each count taken once per corpus.
     """
     _check_int("min_len", min_len, 0)
-    _check_fraction("min_frac", min_frac)
-    ta, tb = _tokens(train), _tokens(test)
-    return _lcs_hit(ta, Counter(ta), tb, Counter(tb), min_len, min_frac) is not None
+    _check_real("min_frac", min_frac, 0, 1)
+    a, b = _seq(train), _seq(test)
+    return _lcs_hit(a, Counter(a.tokens), b, Counter(b.tokens), min_len, min_frac) is not None
 
 
 class NgramIndex:
@@ -237,9 +238,10 @@ def find_ngram_match(test, index: NgramIndex) -> int | None:
     some training document (offset 0).
     """
     n = index.n
-    toks = _tokens(test)
+    test = _seq(test)
+    toks = test.tokens
     if len(toks) < n:
-        return 0 if index.contains_run(toks) else None
+        return 0 if index.contains_run(test) else None
     windows = index._windows
     for start in range(len(toks) - n + 1):
         if toks[start : start + n] in windows:
@@ -297,13 +299,12 @@ def filter_corpus(
     else :class:`ParameterError`.
     """
     train_docs = [_seq(doc) for doc in _iter_input(train_docs, "train_docs")]
-    if not isinstance(test_sets, Mapping):
-        raise ParameterError(f"test sets must map names to samples, got {type(test_sets).__name__}")
+    _check_type("test_sets", test_sets, Mapping)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("ngram_n", ngram_n, 1)
     _check_int("lcs_min_len", lcs_min_len, 0)
-    _check_fraction("lcs_min_frac", lcs_min_frac)
+    _check_real("lcs_min_frac", lcs_min_frac, 0, 1)
     if not train_docs or not test_sets or all(not s for s in test_sets.values()):
         raise ParameterError("train corpus and test sets must be nonempty")
     test_sets = {name: [_seq(sample) for sample in _iter_input(samples, f"test set {name!r}")]
@@ -315,18 +316,17 @@ def filter_corpus(
         # so it is dropped here; the rest keep their order, and so the first
         # matching sample of each set is the same one.
         candidates = {
-            name: [(sample, sample.tokens, Counter(sample.tokens)) for sample in samples
+            name: [(sample, Counter(sample.tokens)) for sample in samples
                    if sample.tokens and len(sample) >= lcs_min_len]
             for name, samples in test_sets.items()}
         per_set_hits = {name: 0 for name in test_sets}
         kept, removed = [], []
         for doc in train_docs:
             doc_removed = False
-            toks = doc.tokens
-            counts = Counter(toks)
+            counts = Counter(doc.tokens)
             for set_name, samples in candidates.items():
-                for sample, s_toks, s_counts in samples:
-                    n = _lcs_hit(toks, counts, s_toks, s_counts, lcs_min_len, lcs_min_frac)
+                for sample, s_counts in samples:
+                    n = _lcs_hit(doc, counts, sample, s_counts, lcs_min_len, lcs_min_frac)
                     if n is not None:
                         per_set_hits[set_name] += 1
                         verdicts.append(SampleVerdict(

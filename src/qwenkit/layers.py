@@ -100,9 +100,7 @@ class RopeParams:
 
     def __post_init__(self):
         # Named as the ModelConfig field that builds it.
-        _check_real("rope_base", self.base)
-        if self.base < 1:
-            raise ParameterError(f"rope_base must be >= 1, got {self.base}")
+        _check_real("rope_base", self.base, 1)
         _check_head_dim(self.head_dim)
 
 
@@ -121,13 +119,28 @@ class SwigluWeights(NamedTuple):
     w_down: np.ndarray  # [hidden, intermediate]
 
 
+def _ffn_shapes(inner: int, hidden: int, *lead: int) -> SwigluWeights:
+    """The one statement of a SwiGLU triple's shapes: [out, in] matrices of
+    ``inner`` channels over ``hidden`` inputs, after the leading axes
+    ``lead`` (the expert axis of a stacked bank)."""
+    return SwigluWeights((*lead, inner, hidden), (*lead, inner, hidden), (*lead, hidden, inner))
+
+
+def _ffn_weights(w_gate, w_up, w_down) -> SwigluWeights:
+    """The triple as float32 arrays; one whose shapes are not
+    :func:`_ffn_shapes` of its 2-D gate is a :class:`DimensionError`."""
+    w = SwigluWeights(as_f32(w_gate), as_f32(w_up), as_f32(w_down))
+    if w.w_gate.ndim != 2 or tuple(a.shape for a in w) != _ffn_shapes(*w.w_gate.shape):
+        raise DimensionError(f"inconsistent FFN weights: gate {w.w_gate.shape}, "
+                             f"up {w.w_up.shape}, down {w.w_down.shape}")
+    return w
+
+
 def rms_norm(x, gamma, eps: float = RMS_EPS) -> np.ndarray:
     """x * gamma / sqrt(mean(x^2) + eps), mean over the last dimension."""
     x = as_f32(x)
     gamma = as_f32(gamma)
-    _check_real("eps", eps)
-    if eps < 0:
-        raise ParameterError(f"eps must be >= 0, got {eps}")
+    _check_real("eps", eps, 0)
     if gamma.ndim != 1 or gamma.shape[0] != x.shape[-1]:
         raise DimensionError(
             f"gamma shape {gamma.shape} does not match last dimension of x {x.shape}"
@@ -154,15 +167,7 @@ def swiglu_ffn(x, w_gate, w_up, w_down) -> np.ndarray:
     independent.
     """
     x = as_f32(x)
-    w_gate = as_f32(w_gate)
-    w_up = as_f32(w_up)
-    w_down = as_f32(w_down)
-    if (w_gate.ndim != 2 or w_gate.shape != w_up.shape
-            or w_down.shape != (w_gate.shape[1], w_gate.shape[0])):
-        raise DimensionError(
-            f"inconsistent FFN weights: gate {w_gate.shape}, up {w_up.shape}, "
-            f"down {w_down.shape}"
-        )
+    w_gate, w_up, w_down = _ffn_weights(w_gate, w_up, w_down)
     if x.shape[-1] != w_gate.shape[1]:
         raise DimensionError(
             f"input width {x.shape} does not match hidden size {w_gate.shape[1]}"
@@ -348,9 +353,7 @@ class KvCache:
         self._lengths = [0] * n_layers
 
     def _check_layer(self, layer: int) -> None:
-        _check_int("layer", layer)
-        if not 0 <= layer < self.n_layers:
-            raise ParameterError(f"layer {layer} outside [0, {self.n_layers})")
+        _check_int("layer", layer, 0, self.n_layers - 1)
 
     def length(self, layer: int = 0) -> int:
         self._check_layer(layer)

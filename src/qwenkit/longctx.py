@@ -53,9 +53,7 @@ class YarnParams:
     native_ctx: int
 
     def __post_init__(self):
-        _check_real("scale", self.scale)
-        if self.scale < 1:
-            raise ParameterError(f"scale must be >= 1, got {self.scale}")
+        _check_real("scale", self.scale, 1)
         _check_int("native_ctx", self.native_ctx, 1)
 
 
@@ -73,12 +71,7 @@ class DcaParams:
         _check_int("chunk_size", self.chunk_size, 1)
         if self.local_window is None:
             object.__setattr__(self, "local_window", max(1, self.chunk_size // 2))
-        _check_int("local_window", self.local_window)
-        if not (0 < self.local_window <= self.chunk_size):
-            raise ParameterError(
-                f"local_window must be in (0, chunk_size], got "
-                f"{self.local_window} with chunk_size {self.chunk_size}"
-            )
+        _check_int("local_window", self.local_window, 1, self.chunk_size)
 
 
 def yarn_adjust(rope: RopeParams, yarn: YarnParams) -> tuple[np.ndarray, float]:
@@ -122,11 +115,7 @@ def dca_relpos(i: int, j: int, dca: DcaParams) -> int:
     """
     _check_type("dca", dca, DcaParams)
     _check_int("i", i)
-    _check_int("j", j)
-    if j < 0:
-        raise ParameterError(f"positions must be non-negative, got j={j}")
-    if j > i:
-        raise ParameterError(f"key position j={j} must not exceed query position i={i}")
+    _check_int("j", j, 0, i)
     s_c = dca.chunk_size
     if i // s_c == j // s_c:
         return i - j

@@ -31,6 +31,7 @@ from .layers import (
     KvCache,
     SwigluWeights,
     _cached_attention,
+    _ffn_shapes,
     _rms_norm,
     _swiglu_ffn,
 )
@@ -45,6 +46,7 @@ from .moe import (
 )
 from .ops import (
     Rng,
+    _check_int,
     _check_type,
     _draw_halves,
     _halves,
@@ -120,6 +122,8 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """
     q_width = cfg.n_q_heads * cfg.head_dim
     kv_width = cfg.n_kv_heads * cfg.head_dim
+    # A MoE config's ffn_intermediate is its expert_dim.
+    ffn = tuple(zip(SwigluWeights._fields, _ffn_shapes(cfg.ffn_intermediate, cfg.hidden)))
     shapes: dict[str, tuple[int, ...]] = {"embedding": (cfg.vocab_size, cfg.hidden)}
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
@@ -130,15 +134,13 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "wo"] = (cfg.hidden, q_width)
         shapes[p + "ffn_gamma"] = (cfg.hidden,)
         if cfg.moe is None:
-            triples, inner = [p + "ffn."], cfg.ffn_intermediate
+            triples = [p + "ffn."]
         else:
             shapes[p + "moe.router"] = (cfg.moe.n_routed, cfg.hidden)
             triples = _expert_prefixes(p, cfg.moe.n_routed, cfg.moe.n_shared)
-            inner = cfg.moe.expert_dim
         for t in triples:
-            shapes[t + "w_gate"] = (inner, cfg.hidden)
-            shapes[t + "w_up"] = (inner, cfg.hidden)
-            shapes[t + "w_down"] = (cfg.hidden, inner)
+            for part, shape in ffn:
+                shapes[t + part] = shape
     shapes["final_norm.gamma"] = (cfg.hidden,)
     if not cfg.tie_embeddings:
         shapes["lm_head"] = (cfg.vocab_size, cfg.hidden)
@@ -320,13 +322,14 @@ def upcycle_model(
 
     _on_halves(upcycle, _draw_halves([_upcycle_draws(moe, dense_cfg.ffn_intermediate)]
                                      * len(banks)))
-    layers = [LayerWeights(src.attn_gamma, src.wq, src.bq, src.wk, src.bk, src.wv, src.bv,
-                           src.wo, src.ffn_gamma, moe_bank=bank)
+    # The stored layout of _from_tensors, made here, so a row-major source
+    # gives it too; the banks come column-major from upcycle_from_dense.
+    layers = [LayerWeights(*(np.asfortranarray(getattr(src, name)) for name in _LAYER_ARRAYS),
+                           moe_bank=bank)
               for src, bank in zip(weights.layers, banks)]
-    # Through _from_tensors, so that a row-major source gives the stored
-    # layout too.
-    return _from_tensors(_tensors(ModelWeights(weights.embedding, layers, weights.final_gamma,
-                                               weights.lm_head)), target), target
+    lm_head = None if weights.lm_head is None else np.asfortranarray(weights.lm_head)
+    return ModelWeights(weights.embedding, layers, np.asfortranarray(weights.final_gamma),
+                        lm_head), target
 
 
 def _checked_ids(weights: ModelWeights, cfg: ModelConfig, token_ids, name: str) -> list[int]:
@@ -473,16 +476,13 @@ def greedy_decode(
     id. Generation stops early after emitting the configured end-of-text
     id, also inside an accepted draft. Token ids and weights are checked
     as in :func:`forward`, ``max_new`` must be a Python or numpy integer
-    (not bool), else :class:`InputError`, and non-finite logits raise
+    (not bool) >= 0, else :class:`InputError`, and non-finite logits raise
     :class:`NumericError`. A dual-chunk config decodes through the same
     cache, whose keys are then rotated at their position mod chunk_size,
     and gives the argmax loop over :func:`forward` on that config.
     """
     ids = _checked_ids(weights, cfg, prompt, "prompt")
-    if not _is_int(max_new):
-        raise InputError(f"max_new {max_new!r} is not an integer")
-    if max_new < 0:
-        raise InputError(f"max_new must be >= 0, got {max_new}")
+    _check_int("max_new", max_new, 0, error=InputError)
     if len(ids) + max_new > cfg.max_ctx:
         raise InputError(
             f"prompt length {len(ids)} + max_new {max_new} exceeds max_ctx {cfg.max_ctx}"

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, ParameterError
-from .layers import SwigluWeights, _swiglu_ffn
+from .errors import ConfigError, DimensionError, InputError
+from .layers import SwigluWeights, _ffn_shapes, _ffn_weights, _swiglu_ffn
 from .ops import (
     Rng,
     _check_int,
-    _check_ints,
     _check_type,
     _normal_draws,
     _permutation_draws,
@@ -49,20 +48,11 @@ class MoeConfig:
     hidden: int
 
     def __post_init__(self):
-        _check_ints(self, ("n_routed", "k_active", "n_shared", "expert_dim", "hidden"),
-                    ConfigError)
-        if not 1 <= self.k_active <= self.n_routed:
-            raise ConfigError(
-                f"k_active must be in [1, n_routed], got {self.k_active} "
-                f"with n_routed {self.n_routed}"
-            )
-        if self.n_shared < 0:
-            raise ConfigError(f"n_shared must be >= 0, got {self.n_shared}")
-        if self.expert_dim < 1 or self.hidden < 1:
-            raise ConfigError(
-                f"expert_dim and hidden must be >= 1, got "
-                f"{self.expert_dim}/{self.hidden}"
-            )
+        _check_int("n_routed", self.n_routed, 1, error=ConfigError)
+        _check_int("k_active", self.k_active, 1, self.n_routed, ConfigError)
+        _check_int("n_shared", self.n_shared, 0, error=ConfigError)
+        _check_int("expert_dim", self.expert_dim, 1, error=ConfigError)
+        _check_int("hidden", self.hidden, 1, error=ConfigError)
 
     @property
     def params_per_expert(self) -> int:
@@ -102,16 +92,11 @@ class ExpertBank:
     router: np.ndarray
 
 
-def _stack_shapes(n: int, cfg: MoeConfig) -> SwigluWeights:
-    return SwigluWeights((n, cfg.expert_dim, cfg.hidden), (n, cfg.expert_dim, cfg.hidden),
-                         (n, cfg.hidden, cfg.expert_dim))
-
-
 def _empty_stack(n: int, cfg: MoeConfig) -> SwigluWeights:
     """An uninitialized float32 stack of ``n`` experts, each expert's matrix
     column-major (see :class:`ExpertBank`)."""
     return SwigluWeights(*(np.empty((n, cols, rows), np.float32).transpose(0, 2, 1)
-                           for _, rows, cols in _stack_shapes(n, cfg)))
+                           for _, rows, cols in _ffn_shapes(cfg.expert_dim, cfg.hidden, n)))
 
 
 def validate_bank(cfg: MoeConfig, bank: ExpertBank) -> None:
@@ -122,7 +107,7 @@ def validate_bank(cfg: MoeConfig, bank: ExpertBank) -> None:
     _check_type("bank", bank, ExpertBank, ConfigError)
     for kind, n in (("routed", cfg.n_routed), ("shared", cfg.n_shared)):
         stack = getattr(bank, kind)
-        for name, shape in zip(SwigluWeights._fields, _stack_shapes(n, cfg)):
+        for name, shape in zip(SwigluWeights._fields, _ffn_shapes(cfg.expert_dim, cfg.hidden, n)):
             got = np.shape(getattr(stack, name, None))
             if got != shape:
                 raise ConfigError(f"{kind} {name} has shape {got}, expected {shape}")
@@ -163,9 +148,7 @@ def topk_select(p, k: int) -> list[int]:
         p = p.astype(np.float64)
     if p.ndim != 1:
         raise DimensionError(f"expected a probability vector, got shape {p.shape}")
-    _check_int("k", k)
-    if not 1 <= k <= p.shape[0]:
-        raise ParameterError(f"k must be in [1, {p.shape[0]}], got {k}")
+    _check_int("k", k, 1, p.shape[0])
     return sorted(int(i) for i in _topk_rows(p[None, :], k)[0])
 
 
@@ -240,17 +223,7 @@ def replicate_and_slice(
     """
     _check_type("cfg", cfg, MoeConfig, ConfigError)
     _check_type("rng", rng, Rng)
-    w_gate = as_f32(w_gate)
-    w_up = as_f32(w_up)
-    w_down = as_f32(w_down)
-    if w_gate.ndim != 2 or w_gate.shape != w_up.shape or w_down.shape != (
-        w_gate.shape[1],
-        w_gate.shape[0],
-    ):
-        raise DimensionError(
-            f"inconsistent dense FFN weights: gate {w_gate.shape}, "
-            f"up {w_up.shape}, down {w_down.shape}"
-        )
+    w_gate, w_up, w_down = _ffn_weights(w_gate, w_up, w_down)
     h_ffn, hidden = w_gate.shape
     if hidden != cfg.hidden:
         raise ConfigError(

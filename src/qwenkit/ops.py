@@ -19,7 +19,12 @@ a private kernel of the same name with a leading underscore, which holds
 the math and trusts its inputs. Callers that have checked everything once,
 such as the model's block loop, call the kernels directly. A kernel that
 works in place, such as :func:`_softmax_rows`, says so, and its public
-function hands it a copy.
+function hands it a copy. Every rule on one scalar of the package, its
+type or its range, is one call of :func:`_check_type`, :func:`_check_int`
+or :func:`_check_real`: each raises the class its caller names, with a
+message that names the field and the broken bound ("must be >= 1", "must
+be <= 8"). Rules that relate two fields, such as head counts that must
+divide, are written where they apply.
 
 Long calls run in two halves on two threads (:func:`_halves`,
 :func:`_on_halves`): the model's block loop cuts its rows, and attention
@@ -68,36 +73,33 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _check_int(name: str, value, low: int | None = None, error=ParameterError) -> None:
+def _check_int(name: str, value, low: int | None = None, high: int | None = None,
+               error=ParameterError) -> None:
     """Raise ``error`` unless ``value`` is a Python or numpy integer (a
-    bool is not one) and, if ``low`` is given, at least ``low``."""
+    bool is not one) and, where given, at least ``low`` and at most
+    ``high``."""
     if not _is_int(value):
         raise error(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+    _check_bounds(name, value, low, high, error)
 
 
-def _check_real(name: str, value, error=ParameterError) -> None:
+def _check_real(name: str, value, low=None, high=None, error=ParameterError) -> None:
     """Raise ``error`` unless ``value`` is a Python or numpy integer or
-    float (a bool is not one) that is finite: NaN fails every range check
-    quietly, and an int past the float range is not finite."""
+    float (a bool is not one) that is finite and, where given, at least
+    ``low`` and at most ``high``: NaN fails every range check quietly, and
+    an int past the float range is not finite."""
     if not _is_real(value):
         raise error(f"{name} must be a real number, got {value!r}")
     if not _is_finite(value):
         raise error(f"{name} must be finite, got {value!r}")
+    _check_bounds(name, value, low, high, error)
 
 
-def _check_fraction(name: str, value) -> None:
-    """Raise :class:`ParameterError` unless ``value`` is a finite real in
-    [0, 1]."""
-    if not (_is_real(value) and _is_finite(value) and 0 <= value <= 1):
-        raise ParameterError(f"{name} must be a finite real in [0, 1], got {value!r}")
-
-
-def _check_ints(obj, names, error) -> None:
-    """:func:`_check_int` on each field of ``obj`` in ``names``."""
-    for name in names:
-        _check_int(name, getattr(obj, name), error=error)
+def _check_bounds(name: str, value, low, high, error) -> None:
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
 
 
 def _check_type(name: str, value, cls: type, error=ParameterError,
@@ -327,9 +329,7 @@ def sample_normal(rng: Rng, count: int, mean: float, std: float) -> np.ndarray:
     _check_type("rng", rng, Rng)
     _check_int("count", count, 0)
     _check_real("mean", mean)
-    _check_real("std", std)
-    if std < 0:
-        raise ParameterError(f"std must be >= 0, got {std}")
+    _check_real("std", std, 0)
     out = np.empty(count, dtype=np.float32)
     rng._fill_normals(out, mean, std)
     return out

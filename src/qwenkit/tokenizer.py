@@ -21,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParameterError
+from .errors import FormatError, InputError
 from .ops import _check_int, _check_type, _file_errors, _iter_ids, _iter_input
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
@@ -163,12 +163,7 @@ def bpe_train(corpus, target_vocab: int) -> BpeVocab:
     distinct training word, which are exactly what :func:`encode` gives.
     """
     n_control = len(DEFAULT_CONTROL_TOKENS)
-    _check_int("target_vocab", target_vocab)
-    if target_vocab < 256 + n_control:
-        raise ParameterError(
-            f"target_vocab must be at least 256 + {n_control} control "
-            f"tokens, got {target_vocab}"
-        )
+    _check_int("target_vocab", target_vocab, 256 + n_control)
     word_counts: dict[bytes, int] = {}
     for doc in _corpus_bytes(corpus):
         for word in split_words(doc):

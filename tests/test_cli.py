@@ -130,7 +130,7 @@ HOSTILE_INPUTS = [
     pytest.param(["tok", "train", "--corpus", "{missing}", "--vocab-size", "300",
                   "--out", "{out}"], 1, "cannot read corpus file", id="train-missing-corpus"),
     pytest.param(["tok", "train", "--corpus", "{text}", "--vocab-size", "10",
-                  "--out", "{out}"], 1, "target_vocab must be at least", id="train-tiny-vocab"),
+                  "--out", "{out}"], 1, "target_vocab must be >= 259", id="train-tiny-vocab"),
     pytest.param(["tok", "train", "--corpus", "{empty}", "--vocab-size", "300",
                   "--out", "{out}"], 1, "at least one nonempty document", id="train-empty-corpus"),
     pytest.param(["tok", "encode", "--vocab", "{dir}", "--text", "x"], 1, "Is a directory",
@@ -163,13 +163,13 @@ HOSTILE_INPUTS = [
                  id="scan-zero-ngram-train-side"),
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
                   "--mode", "train-side-lcs", "--lcs-min-frac", "nan"], 1,
-                 "lcs_min_frac must be a finite real in [0, 1]", id="scan-nan-min-frac"),
+                 "lcs_min_frac must be finite", id="scan-nan-min-frac"),
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
                   "--mode", "test-side-13gram", "--lcs-min-frac", "inf"], 1,
-                 "lcs_min_frac must be a finite real in [0, 1]", id="scan-inf-min-frac"),
+                 "lcs_min_frac must be finite", id="scan-inf-min-frac"),
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
                   "--mode", "train-side-lcs", "--lcs-min-frac", "1.5"], 1,
-                 "lcs_min_frac must be a finite real in [0, 1]", id="scan-min-frac-above-one"),
+                 "lcs_min_frac must be <= 1, got 1.5", id="scan-min-frac-above-one"),
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
                   "--mode", "train-side-lcs", "--lcs-min-len", "-1"], 1,
                  "lcs_min_len must be >= 0", id="scan-negative-min-len"),

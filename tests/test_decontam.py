@@ -406,7 +406,7 @@ class TestHostileArguments:
 
     @pytest.mark.parametrize("text", [None, b"abc", 5])
     def test_normalize_non_text(self, text):
-        with pytest.raises(InputError, match="text must be a str"):
+        with pytest.raises(InputError, match="text must be str, got "):
             normalize(text)
 
 

@@ -9,6 +9,7 @@ named :class:`~qwenkit.errors.QwenKitError` subclass, never a bare
 are not hashable are covered in ``test_decontam``.
 """
 
+import math
 import os
 from dataclasses import replace
 
@@ -230,6 +231,90 @@ def test_hostile_call_raises_its_typed_error(call, error):
     with pytest.raises(QwenKitError) as info:
         call()
     assert type(info.value) is error
+
+
+def _below(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _above(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _moe(**changes):
+    return qk.MoeConfig(**{**dict(n_routed=4, k_active=2, n_shared=1, expert_dim=8, hidden=8),
+                           **changes})
+
+
+_LCS = dict(train_docs=[("a", "b")], test_sets=_SETS, mode=qk.decontam.MODE_TRAIN_LCS)
+
+# Every scalar bound checked by ops._check_int or ops._check_real: a call of
+# one value, the field the message names, the value at the bound, which is
+# accepted, the value one step past it (the next integer, or the next
+# float), and the class that raises.
+EDGES = [
+    ("sample_normal-std", lambda v: qk.sample_normal(qk.Rng(1), 2, 0.0, v), "std",
+     0.0, _below(0.0), ParameterError),
+    ("ModelConfig-regular_tokens", lambda v: replace(_NANO, regular_tokens=v),
+     "regular_tokens", 1, 0, ConfigError),
+    ("ModelConfig-control_tokens", lambda v: replace(_NANO, control_tokens=v),
+     "control_tokens", 0, -1, ConfigError),
+    ("ModelConfig-eot_id-low", lambda v: replace(_NANO, eot_id=v), "eot_id", 0, -1,
+     ConfigError),
+    ("ModelConfig-eot_id-high", lambda v: replace(_NANO, eot_id=v), "eot_id", 511, 512,
+     ConfigError),
+    ("MoeConfig-n_routed", lambda v: _moe(n_routed=v, k_active=1), "n_routed", 1, 0,
+     ConfigError),
+    ("MoeConfig-k_active-low", lambda v: _moe(k_active=v), "k_active", 1, 0, ConfigError),
+    ("MoeConfig-k_active-high", lambda v: _moe(k_active=v), "k_active", 4, 5, ConfigError),
+    ("MoeConfig-n_shared", lambda v: _moe(n_shared=v), "n_shared", 0, -1, ConfigError),
+    ("MoeConfig-expert_dim", lambda v: _moe(expert_dim=v), "expert_dim", 1, 0, ConfigError),
+    ("MoeConfig-hidden", lambda v: _moe(hidden=v), "hidden", 1, 0, ConfigError),
+    ("topk_select-k-low", lambda v: qk.topk_select([0.2, 0.3, 0.5], v), "k", 1, 0,
+     ParameterError),
+    ("topk_select-k-high", lambda v: qk.topk_select([0.2, 0.3, 0.5], v), "k", 3, 4,
+     ParameterError),
+    ("RopeParams-base", lambda v: qk.RopeParams(v, 8), "rope_base", 1.0, _below(1.0),
+     ParameterError),
+    ("rms_norm-eps", lambda v: qk.rms_norm(_X, _GAMMA, eps=v), "eps", 0.0, _below(0.0),
+     ParameterError),
+    ("YarnParams-scale", lambda v: qk.YarnParams(v, 8), "scale", 1.0, _below(1.0),
+     ParameterError),
+    ("DcaParams-local_window-low", lambda v: qk.DcaParams(4, v), "local_window", 1, 0,
+     ParameterError),
+    ("DcaParams-local_window-high", lambda v: qk.DcaParams(4, v), "local_window", 4, 5,
+     ParameterError),
+    ("dca_relpos-j-low", lambda v: qk.dca_relpos(5, v, qk.DcaParams(4)), "j", 0, -1,
+     ParameterError),
+    ("dca_relpos-j-high", lambda v: qk.dca_relpos(5, v, qk.DcaParams(4)), "j", 5, 6,
+     ParameterError),
+    ("KvCache-layer-low", lambda v: qk.KvCache(2).length(v), "layer", 0, -1, ParameterError),
+    ("KvCache-layer-high", lambda v: qk.KvCache(2).length(v), "layer", 1, 2, ParameterError),
+    ("greedy_decode-max_new", lambda v: qk.greedy_decode(_NANO_WEIGHTS, _NANO, [1, 2], v),
+     "max_new", 0, -1, InputError),
+    ("bpe_train-target_vocab", lambda v: qk.bpe_train(["a b"], v), "target_vocab", 259, 258,
+     ParameterError),
+    ("lcs_contaminated-min_frac-low",
+     lambda v: qk.lcs_contaminated(("a",), ("a",), min_frac=v), "min_frac", 0.0, _below(0.0),
+     ParameterError),
+    ("lcs_contaminated-min_frac-high",
+     lambda v: qk.lcs_contaminated(("a",), ("a",), min_frac=v), "min_frac", 1.0, _above(1.0),
+     ParameterError),
+    ("filter_corpus-lcs_min_frac-low", lambda v: qk.filter_corpus(**_LCS, lcs_min_frac=v),
+     "lcs_min_frac", 0.0, _below(0.0), ParameterError),
+    ("filter_corpus-lcs_min_frac-high", lambda v: qk.filter_corpus(**_LCS, lcs_min_frac=v),
+     "lcs_min_frac", 1.0, _above(1.0), ParameterError),
+]
+
+
+@pytest.mark.parametrize("call, field, at, past, error",
+                         [pytest.param(*row[1:], id=row[0]) for row in EDGES])
+def test_bound_is_accepted_and_one_step_past_it_is_refused(call, field, at, past, error):
+    call(at)
+    with pytest.raises(QwenKitError) as info:
+        call(past)
+    assert type(info.value) is error
+    assert field in str(info.value)
 
 
 def test_save_vocab_of_another_type_writes_no_file(tmp_path):
