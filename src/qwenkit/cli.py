@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import decontam as dc
 from . import tokenizer as tok
@@ -22,6 +21,7 @@ from .config import format_config, preset, preset_names
 from .errors import ParameterError, QwenKitError
 from .model import _tensor_shapes, build_model, greedy_decode, upcycle_model
 from .moe import MoeConfig
+from .ops import _file_errors, _read_bytes
 from .serialize import load_weights, save_weights
 
 VERBOSITY_LEVELS = ("quiet", "info", "debug")
@@ -216,19 +216,8 @@ def _cmd_model_validate(args, run: _Run) -> int:
     return 0
 
 
-def _read_corpus(paths: list[str]) -> list[bytes]:
-    docs = []
-    for raw in paths:
-        p = Path(raw)
-        try:
-            docs.append(p.read_bytes())
-        except OSError as exc:
-            raise QwenKitError(f"cannot read corpus file {p}: {exc}") from exc
-    return docs
-
-
 def _cmd_tok_train(args, run: _Run) -> int:
-    corpus = _read_corpus(args.corpus)
+    corpus = [_read_bytes(path) for path in args.corpus]
     vocab = tok.bpe_train(corpus, args.vocab_size)
     tok.save_vocab(vocab, args.out)
     run.debug(f"trained on {len(corpus)} files, {sum(map(len, corpus))} bytes")
@@ -243,7 +232,7 @@ def _cmd_tok_encode(args, run: _Run) -> int:
         # Bytes that were not UTF-8 in argv come back as they were.
         data = args.text.encode("utf-8", "surrogateescape")
     else:
-        data = Path(args.infile).read_bytes()
+        data = _read_bytes(args.infile)
     ids = tok.encode(vocab, data)
     print(" ".join(str(i) for i in ids))
     return 0
@@ -260,7 +249,7 @@ def _cmd_tok_decode(args, run: _Run) -> int:
 
 def _cmd_tok_stats(args, run: _Run) -> int:
     vocab = tok.load_vocab(args.vocab)
-    corpus = _read_corpus(args.corpus)
+    corpus = [_read_bytes(path) for path in args.corpus]
     rate = tok.compression_rate(vocab, corpus)
     print(f"vocab_size={vocab.vocab_size} merges={len(vocab.merges)} "
           f"compression_rate={rate:.4f}")
@@ -290,9 +279,11 @@ def _cmd_decontam_scan(args, run: _Run) -> int:
         train, tests, args.mode, ngram_n=args.ngram_n,
         lcs_min_len=args.lcs_min_len, lcs_min_frac=args.lcs_min_frac)
     sys.stdout.write(dc.format_report(report, args.format))
-    if args.verdicts:
-        Path(args.verdicts).write_text(dc.format_verdicts(report), encoding="utf-8")
-        run.debug(f"wrote {len(report.verdicts)} verdicts to {args.verdicts}")
+    path = args.verdicts
+    if path:
+        with _file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
+            fh.write(dc.format_verdicts(report))
+        run.debug(f"wrote {len(report.verdicts)} verdicts to {path}")
     return 0
 
 
@@ -314,10 +305,7 @@ def main(argv=None) -> int:
     run = _Run(command, getattr(args, "seed", None), level)
     try:
         return args.func(args, run)
-    except QwenKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QwenKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,8 +26,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatError, InputError, ParameterError
-from .ops import _check_int, _check_real, _check_type, _file_errors, _iter_input
+from .errors import InputError, ParameterError
+from .ops import _check_int, _check_real, _check_type, _file_errors, _items, _read_utf8
 
 MODE_TRAIN_LCS = "train-side-lcs"
 MODE_TEST_NGRAM = "test-side-13gram"
@@ -38,10 +38,10 @@ MODES = (MODE_TRAIN_LCS, MODE_TEST_NGRAM)
 class TokenSeq:
     """Normalized word tokens of one document plus its identifier.
 
-    The one check of a token sequence: ``tokens`` may be any iterable of
-    hashable tokens and is stored as a tuple, so the same tokens make equal,
-    hashable sequences. Text, read as one token per character or byte, and
-    unhashable tokens, on which every lookup trips, are an
+    The one check of a token sequence: ``tokens`` may be any collection of
+    hashable tokens (``ops._items``) and is stored as a tuple, a tuple as it
+    is, so the same tokens make equal, hashable sequences. Text, a mapping,
+    a set and unhashable tokens, on which every lookup trips, are an
     :class:`InputError`.
     """
 
@@ -50,10 +50,8 @@ class TokenSeq:
 
     def __post_init__(self) -> None:
         toks = self.tokens
-        if isinstance(toks, (str, bytes, bytearray)):
-            raise InputError(f"expected tokens, got text ({type(toks).__name__}); normalize it")
         try:
-            toks = tuple(toks)
+            toks = tuple(_items(toks, "tokens", "hashable tokens"))
             hash(toks)
         except TypeError:
             raise InputError(f"expected a sequence of hashable tokens, got {toks!r}") from None
@@ -190,12 +188,8 @@ class NgramIndex:
 
     def __init__(self, docs, n: int = 13):
         _check_int("n", n, 1)
-        try:
-            docs = list(docs)
-        except TypeError:
-            raise InputError(f"docs must be an iterable of token sequences, got {docs!r}") from None
         self.n = n
-        self._docs = [_tokens(d) for d in docs]
+        self._docs = [_tokens(d) for d in _items(docs, "docs", "token sequences")]
         self._windows: set[tuple[str, ...]] = set()
         self._starts: dict[str, list[tuple[int, int]]] = {}
         for di, toks in enumerate(self._docs):
@@ -293,22 +287,24 @@ def filter_corpus(
     training n-gram index; kept/removed then hold the flattened samples.
     A document or sample given as a raw token sequence becomes a
     :class:`TokenSeq` with id ``""``, so kept/removed hold only those.
+    ``train_docs`` and each set's samples given as text, a mapping or a set
+    (``ops._items``) are an :class:`InputError`.
 
     ``ngram_n`` must be an int >= 1, the LCS thresholds as for
     :func:`lcs_contaminated`, in either mode, and ``test_sets`` a mapping,
     else :class:`ParameterError`.
     """
-    train_docs = [_seq(doc) for doc in _iter_input(train_docs, "train_docs")]
+    train_docs = [_seq(doc) for doc in _items(train_docs, "train_docs", "token sequences")]
     _check_type("test_sets", test_sets, Mapping)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     _check_int("ngram_n", ngram_n, 1)
     _check_int("lcs_min_len", lcs_min_len, 0)
     _check_real("lcs_min_frac", lcs_min_frac, 0, 1)
+    test_sets = {name: [_seq(s) for s in _items(samples, f"test set {name!r}", "token sequences")]
+                 for name, samples in test_sets.items()}
     if not train_docs or not test_sets or all(not s for s in test_sets.values()):
         raise ParameterError("train corpus and test sets must be nonempty")
-    test_sets = {name: [_seq(sample) for sample in _iter_input(samples, f"test set {name!r}")]
-                 for name, samples in test_sets.items()}
 
     verdicts: list[SampleVerdict] = []
     if mode == MODE_TRAIN_LCS:
@@ -379,13 +375,6 @@ def format_verdicts(report: ContaminationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
-
-
 def _load_lines(path: Path) -> list[TokenSeq]:
     """One :class:`TokenSeq` per nonempty line of a file, with id
     ``name:lineno``, each as :func:`normalize` gives it.
@@ -396,7 +385,7 @@ def _load_lines(path: Path) -> list[TokenSeq]:
     final sigma looks no further than one, so each line comes out as it
     would alone.
     """
-    lines = [(lineno, line) for lineno, line in enumerate(_read_text(path).splitlines(), 1)
+    lines = [(lineno, line) for lineno, line in enumerate(_read_utf8(path).splitlines(), 1)
              if line.strip()]
     name = path.name
     seqs = []
@@ -422,7 +411,7 @@ def load_docs(path) -> list[TokenSeq]:
         p = Path(os.fsdecode(path))
         if not p.is_dir():
             return _load_lines(p)
-        return [normalize(_read_text(child), source_id=child.name)
+        return [normalize(_read_utf8(child), source_id=child.name)
                 for child in sorted(p.iterdir()) if child.is_file()]
 
 

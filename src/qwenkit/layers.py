@@ -105,7 +105,7 @@ class RopeParams:
 
 
 def _check_head_dim(head_dim) -> None:
-    # The one head-width rule of AttentionParams and RopeParams.
+    # The one head-width rule of AttentionParams, RopeParams and apply_rope.
     _check_int("head_dim", head_dim, 1)
     if head_dim % 2 != 0:
         raise ParameterError(f"head_dim must be even, got {head_dim}")
@@ -242,8 +242,7 @@ def apply_rope(x, positions: Sequence[int], inv_freq) -> np.ndarray:
     if x.ndim != 3:
         raise DimensionError(f"apply_rope expects [heads, seq, head_dim], got {x.shape}")
     heads, seq, head_dim = x.shape
-    if head_dim % 2 != 0:
-        raise ParameterError(f"head_dim must be even, got {head_dim}")
+    _check_head_dim(head_dim)
     return _rotate(x, *_rope_table(positions, inv_freq, seq, head_dim))
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, InputError, NumericError, QwenKitError
+from .errors import ConfigError, InputError, NumericError
 from .layers import (
     RMS_EPS,
     KvCache,
@@ -51,7 +51,7 @@ from .ops import (
     _draw_halves,
     _halves,
     _is_int,
-    _iter_ids,
+    _items,
     _normal_draws,
     _on_halves,
 )
@@ -117,7 +117,7 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
     This is the one statement of the weight layout: :func:`build_model`
     draws these tensors in this order, the container stores exactly these
-    names, and :func:`_check_layout` holds weights to it. Expert e of a
+    names, and :func:`_check_weights` holds weights to it. Expert e of a
     stacked bank is named ``layers.{i}.moe.routed.{e}.*`` (or ``shared``).
     """
     q_width = cfg.n_q_heads * cfg.head_dim
@@ -152,30 +152,24 @@ def _expert_prefixes(layer: str, n_routed: int, n_shared: int) -> list[str]:
             + [f"{layer}moe.shared.{s}." for s in range(n_shared)])
 
 
-def _check_layout(shapes: dict[str, tuple[int, ...]], cfg: ModelConfig,
-                  error: type[QwenKitError]) -> None:
-    """Raise ``error`` unless ``shapes`` is :func:`_tensor_shapes` of ``cfg``,
-    naming the first tensor missing, extra or of another shape."""
-    expected = _tensor_shapes(cfg)
-    if shapes.keys() != expected.keys():
-        missing = sorted(expected.keys() - shapes.keys())
-        extra = sorted(shapes.keys() - expected.keys())
-        raise error(f"tensor set mismatch: missing {missing}, extra {extra}")
-    for name, shape in shapes.items():
-        if shape != expected[name]:
-            raise error(f"tensor {name} has shape {shape}, expected {expected[name]}")
-
-
 def _check_weights(weights: ModelWeights, cfg: ModelConfig) -> dict[str, np.ndarray]:
     """The entry check of :func:`forward`, :func:`greedy_decode`,
     :func:`upcycle_model` and ``serialize.save_weights``: weights of the
-    config's layout held as float32 arrays, else :class:`ConfigError`
-    naming the tensor. Returns their :func:`_tensors`."""
+    config's layout (:func:`_tensor_shapes`) held as float32 arrays, else
+    :class:`ConfigError` naming the first tensor missing, extra, of
+    another shape or of another dtype. Returns their :func:`_tensors`."""
     _check_type("weights", weights, ModelWeights, ConfigError)
     _check_type("cfg", cfg, ModelConfig, ConfigError)
     tensors = _tensors(weights)
-    _check_layout({name: np.shape(arr) for name, arr in tensors.items()}, cfg, ConfigError)
+    expected = _tensor_shapes(cfg)
+    if tensors.keys() != expected.keys():
+        missing = sorted(expected.keys() - tensors.keys())
+        extra = sorted(tensors.keys() - expected.keys())
+        raise ConfigError(f"tensor set mismatch: missing {missing}, extra {extra}")
     for name, arr in tensors.items():
+        if np.shape(arr) != expected[name]:
+            raise ConfigError(
+                f"tensor {name} has shape {np.shape(arr)}, expected {expected[name]}")
         dtype = getattr(arr, "dtype", None)
         if dtype != np.float32:
             raise ConfigError(f"tensor {name} must be a float32 array, got dtype {dtype}")
@@ -187,7 +181,7 @@ def _tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
 
     Read from the object, not from a config, so a tensor the config does
     not expect (an untied ``lm_head``) still shows up, and every layer
-    array is listed, even a None one, which :func:`_check_layout` names.
+    array is listed, even a None one, which :func:`_check_weights` names.
     """
     out = {"embedding": weights.embedding}
     for i, lw in enumerate(weights.layers):
@@ -335,12 +329,12 @@ def upcycle_model(
 def _checked_ids(weights: ModelWeights, cfg: ModelConfig, token_ids, name: str) -> list[int]:
     """The entry check of :func:`forward` and :func:`greedy_decode`: the
     weights by :func:`_check_weights`, then the ids ``token_ids`` yields, as
-    a list. Input that is not iterable, text or a mapping
-    (:func:`~qwenkit.ops._iter_ids`), or that yields no id or one outside
-    the vocabulary, is an :class:`InputError`."""
+    a list. Input that is not iterable, text, a mapping or a set
+    (:func:`~qwenkit.ops._items`), or that yields no id or one outside the
+    vocabulary, is an :class:`InputError`."""
     _check_weights(weights, cfg)
     ids = []
-    for t in _iter_ids(token_ids, name):
+    for t in _items(token_ids, name, "token ids"):
         if not _is_int(t):
             raise InputError(f"token id {t!r} is not an integer")
         if not 0 <= t < cfg.vocab_size:

@@ -24,7 +24,11 @@ type or its range, is one call of :func:`_check_type`, :func:`_check_int`
 or :func:`_check_real`: each raises the class its caller names, with a
 message that names the field and the broken bound ("must be >= 1", "must
 be <= 8"). Rules that relate two fields, such as head counts that must
-divide, are written where they apply.
+divide, are written where they apply. Collections and files have one rule
+each too: every collection of items (token ids, tokens, documents, token
+sequences) is read through :func:`_items`, which refuses text, mappings
+and sets, and every file read whole through :func:`_read_bytes` or
+:func:`_read_utf8`. Every path is checked by :func:`_file_errors`.
 
 Long calls run in two halves on two threads (:func:`_halves`,
 :func:`_on_halves`): the model's block loop cuts its rows, and attention
@@ -38,13 +42,13 @@ import itertools
 import math
 import os
 import threading
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, InputError, ParameterError
+from .errors import DimensionError, FormatError, InputError, ParameterError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,25 +130,21 @@ def as_f32(x) -> np.ndarray:
         raise InputError(f"expected a float32 array, got {type(x).__name__}: {exc}") from None
 
 
-def _iter_input(value, name: str):
-    """An iterator over ``value``; a value that is not iterable, such as
-    None or a number, is an :class:`InputError`."""
-    try:
-        return iter(value)
-    except TypeError:
-        raise InputError(f"{name} must be iterable, got {type(value).__name__}") from None
-
-
-def _iter_ids(ids, name: str):
-    """An iterator over the token ids ``ids``; a value that is not iterable
-    is an :class:`InputError`, and so are text and mappings, although they
-    iterate as ints or keys: ``b"hi"`` is not a list of ids."""
-    if not isinstance(ids, (str, bytes, bytearray, memoryview, Mapping)):
+def _items(value, name: str, what: str):
+    """The items (``what``) of the collection ``value``: a tuple or list as
+    it is, which skips the costly ABC checks, else an iterator over it.
+    Text (str, bytes, bytearray, memoryview), which iterates as characters
+    or ints, a mapping, which iterates as its keys, a set, which iterates
+    in its own order, and a value that is not iterable are an
+    :class:`InputError`."""
+    if isinstance(value, (tuple, list)):
+        return value
+    if not isinstance(value, (str, bytes, bytearray, memoryview, Mapping, Set)):
         try:
-            return iter(ids)
+            return iter(value)
         except TypeError:
             pass
-    raise InputError(f"{name} must be an iterable of token ids, got {type(ids).__name__}")
+    raise InputError(f"{name} must be an iterable of {what}, got {type(value).__name__}")
 
 
 @contextmanager
@@ -163,6 +163,21 @@ def _file_errors(path, verb: str):
         yield
     except OSError as exc:
         raise InputError(f"cannot {verb} {path}: {exc}") from exc
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``, read as :func:`_file_errors` says."""
+    with _file_errors(path, "read"), open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_utf8(path) -> str:
+    """The text of the UTF-8 file at ``path``, read by :func:`_read_bytes`;
+    a file that is not UTF-8 is a :class:`FormatError` naming the byte."""
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
 
 
 class Rng:

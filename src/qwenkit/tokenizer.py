@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import FormatError, InputError
-from .ops import _check_int, _check_type, _file_errors, _iter_ids, _iter_input
+from .ops import _check_int, _check_type, _file_errors, _items, _read_utf8
 
 DEFAULT_CONTROL_TOKENS = ("<|im_start|>", "<|im_end|>", "<|endoftext|>")
 
@@ -90,11 +90,7 @@ def _as_bytes(text) -> bytes:
 
 
 def _corpus_bytes(corpus) -> list[bytes]:
-    # One text would read as one document per character or byte.
-    if isinstance(corpus, (str, bytes, bytearray)):
-        raise InputError(f"corpus must be a collection of documents, got one "
-                         f"{type(corpus).__name__}; wrap it in a list")
-    docs = [_as_bytes(doc) for doc in _iter_input(corpus, "corpus")]
+    docs = [_as_bytes(doc) for doc in _items(corpus, "corpus", "documents")]
     if not any(docs):
         raise InputError("corpus must contain at least one nonempty document")
     return docs
@@ -141,10 +137,10 @@ def bpe_train(corpus, target_vocab: int) -> BpeVocab:
 
     Documents are ``str`` (as UTF-8), ``bytes`` or ``bytearray``, else
     :class:`InputError`; a ``str`` with a lone surrogate too, a corpus
-    given as one text rather than a collection of them, and a corpus with
-    no nonempty document. ``target_vocab`` must be a Python or numpy
-    integer (not bool) of at least 256 plus the control tokens, else
-    :class:`ParameterError`.
+    given as one text, a mapping or a set rather than a collection of
+    documents (``ops._items``), and a corpus with no nonempty document.
+    ``target_vocab`` must be a Python or numpy integer (not bool) of at
+    least 256 plus the control tokens, else :class:`ParameterError`.
 
     Each step merges the pair with the most occurrences inside words, ties
     broken by the smaller merged byte string, then the smaller left byte
@@ -287,12 +283,12 @@ def decode(vocab: BpeVocab, ids) -> bytes:
     """Concatenated token byte strings; control ids contribute nothing.
 
     ``ids`` must be an iterable of Python or numpy integers (not bool)
-    inside the vocabulary, else :class:`InputError`. Text and mappings are
-    refused although they iterate as ints or keys: ``b"hi"`` is not a list
-    of ids.
+    inside the vocabulary, else :class:`InputError`. Text, mappings and
+    sets are refused although they iterate as ints, keys or in their own
+    order (``ops._items``): ``b"hi"`` is not a list of ids.
     """
     _check_type("vocab", vocab, BpeVocab)
-    ids = _iter_ids(ids, "ids")
+    ids = _items(ids, "ids", "token ids")
     n_regular, vocab_size, token_bytes = vocab.n_regular, vocab.vocab_size, vocab.token_bytes
     parts = []
     for t in ids:
@@ -336,12 +332,7 @@ def load_vocab(path) -> BpeVocab:
     """Read a vocabulary file back. A fault of the file is a
     :class:`FormatError` naming its line; a path that cannot be read is an
     :class:`InputError`."""
-    with _file_errors(path, "read"), open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from exc
+    lines = _read_utf8(path).splitlines()
     if not lines or lines[0] != "qwenkit-bpe v1":
         raise FormatError("vocab file must start with 'qwenkit-bpe v1'")
     token_to_id = {bytes([b]): b for b in range(256)}

@@ -128,13 +128,19 @@ HOSTILE_INPUTS = [
     pytest.param(["model", "validate", "--preset", "nope"], 2, "invalid choice",
                  id="validate-unknown-preset"),
     pytest.param(["tok", "train", "--corpus", "{missing}", "--vocab-size", "300",
-                  "--out", "{out}"], 1, "cannot read corpus file", id="train-missing-corpus"),
+                  "--out", "{out}"], 1, "cannot read", id="train-missing-corpus"),
+    pytest.param(["tok", "train", "--corpus", "{dir}", "--vocab-size", "300",
+                  "--out", "{out}"], 1, "cannot read", id="train-directory-as-corpus"),
     pytest.param(["tok", "train", "--corpus", "{text}", "--vocab-size", "10",
                   "--out", "{out}"], 1, "target_vocab must be >= 259", id="train-tiny-vocab"),
     pytest.param(["tok", "train", "--corpus", "{empty}", "--vocab-size", "300",
                   "--out", "{out}"], 1, "at least one nonempty document", id="train-empty-corpus"),
     pytest.param(["tok", "encode", "--vocab", "{dir}", "--text", "x"], 1, "Is a directory",
                  id="encode-directory-as-vocab"),
+    pytest.param(["tok", "encode", "--vocab", "{vocab}", "--infile", "{missing}"], 1,
+                 "cannot read", id="encode-missing-infile"),
+    pytest.param(["tok", "encode", "--vocab", "{vocab}", "--infile", "{dir}"], 1,
+                 "cannot read", id="encode-directory-as-infile"),
     pytest.param(["tok", "decode", "--vocab", "{vocab}", "--ids", "99999"], 1,
                  "outside vocabulary", id="decode-id-out-of-range"),
     pytest.param(["tok", "stats", "--vocab", "{truncated}", "--corpus", "{text}"], 1,
@@ -143,6 +149,8 @@ HOSTILE_INPUTS = [
                  "line 3: duplicate control token name", id="stats-repeated-control"),
     pytest.param(["tok", "stats", "--vocab", "{vocab}", "--corpus", "{empty}"], 1,
                  "at least one nonempty document", id="stats-empty-corpus"),
+    pytest.param(["tok", "stats", "--vocab", "{vocab}", "--corpus", "{missing}"], 1,
+                 "cannot read", id="stats-missing-corpus"),
     pytest.param(["moe", "upcycle", "--in", "{empty}", "--out", "{out}", "--experts", "4",
                   "--expert-dim", "32"], 1, "file truncated at offset 0",
                  id="upcycle-empty-container"),
@@ -173,6 +181,9 @@ HOSTILE_INPUTS = [
     pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
                   "--mode", "train-side-lcs", "--lcs-min-len", "-1"], 1,
                  "lcs_min_len must be >= 0", id="scan-negative-min-len"),
+    pytest.param(["decontam", "scan", "--train", "{text}", "--tests", "{dir}",
+                  "--mode", "test-side-13gram", "--verdicts", "{dir}"], 1, "cannot write",
+                 id="scan-directory-as-verdicts"),
     pytest.param(["config", "show", "--preset", "nope"], 2, "invalid choice",
                  id="config-unknown-preset"),
 ]

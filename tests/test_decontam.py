@@ -116,10 +116,14 @@ class TestTokenSeq:
         seq = normalize("the quick brown fox")
         assert decontam._tokens(seq) is seq.tokens
 
+    def test_a_tuple_is_kept_as_it_is(self):
+        toks = ("the", "quick", "fox")
+        assert TokenSeq(toks).tokens is toks
+
     # A str is a row of tests/test_typed_errors.py.
     @pytest.mark.parametrize("text", [b"abc", bytearray(b"abc")], ids=["bytes", "bytearray"])
     def test_bytes_are_refused(self, text):
-        with pytest.raises(InputError, match="text"):
+        with pytest.raises(InputError, match="tokens must be an iterable of hashable tokens"):
             TokenSeq(text)
 
 

@@ -6,12 +6,18 @@ still parse; what it must not do is raise anything but a
 :class:`QwenKitError` (no ``UnicodeDecodeError``, ``ValueError``,
 ``struct.error`` or ``KeyError`` from inside the reader). A container
 mutant that loads is run through ``forward``, which must return finite
-logits or raise a ``QwenKitError`` too.
+logits or raise a ``QwenKitError`` too. Since such a mutant nearly always
+fails the payload checksum, the container also gets mutants with one
+payload byte flipped and the checksum sealed again, which load unless the
+byte makes a NaN or inf.
 
 Each test draws 150 examples, or more under a Hypothesis profile that asks
 for more: ``--hypothesis-profile=mutation`` (see ``conftest.py``) draws
 1,000.
 """
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -52,6 +58,19 @@ def _mutant(draw, blob: bytes) -> bytes:
     return blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
 
 
+@st.composite
+def _resealed(draw, blob: bytes) -> bytes:
+    """The container ``blob`` with one payload byte flipped and the payload
+    CRC32 in its header written again, as ``save_weights`` writes it."""
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    start = 8 + header_len
+    out = bytearray(blob)
+    out[draw(st.integers(start, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    at = blob.index(b'"crc32":"') + len(b'"crc32":"')
+    out[at:at + 8] = f"{zlib.crc32(out[start:]):08x}".encode("ascii")
+    return bytes(out)
+
+
 def _reads_or_raises_typed(read, *args) -> None:
     try:
         read(*args)
@@ -81,7 +100,7 @@ def test_weights_container(files):
     valid = (files / "valid.qw2t").read_bytes()
     path = files / "mutant.qw2t"
 
-    @given(_mutant(valid))
+    @given(st.one_of(_mutant(valid), _resealed(valid)))
     @settings(max_examples=EXAMPLES, deadline=None)
     def check(blob):
         path.write_bytes(blob)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from helpers import rand_f32
 from qwenkit import ModelConfig, build_model
 from qwenkit.errors import DimensionError, ParameterError
 from qwenkit.model import _tensors
-from qwenkit.ops import _NORMAL_SLICE, Rng, sample_normal, silu, softmax_rows
+from qwenkit.ops import _NORMAL_SLICE, Rng, _items, sample_normal, silu, softmax_rows
 
 
 class TestSoftmaxRows:
@@ -224,3 +225,19 @@ class TestDrawMemory:
         weights, peak = _traced_peak(lambda: build_model(cfg, 20240710))
         sizes = [t.nbytes for t in _tensors(weights).values()]
         assert peak <= sum(sizes) + max(sizes) + SLICE_BYTES
+
+
+# Collections that are not text, a mapping or a set, each made from a list.
+_COLLECTIONS = [list, tuple, iter, collections.deque, np.array,
+                lambda v: (x for x in v), lambda v: dict(enumerate(v)).values()]
+
+
+@given(st.lists(st.integers(-2**62, 2**62), max_size=8), st.sampled_from(_COLLECTIONS))
+@settings(max_examples=200, deadline=None)
+def test_items_of_a_collection_are_its_items_in_order(values, make):
+    assert [int(x) for x in _items(make(values), "ids", "token ids")] == values
+
+
+def test_items_keeps_a_tuple_or_list_as_it_is():
+    for value in ((1, 2), [1, 2]):
+        assert _items(value, "ids", "token ids") is value

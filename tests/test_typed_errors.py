@@ -3,10 +3,12 @@
 Each row feeds one public call one hostile value: a float where an int is
 due, NaN, text where an array, a token sequence or token ids are due, a
 value that is not iterable (or not a mapping) where a collection is due, or
-a path that cannot be read or written. The call must raise exactly the
-named :class:`~qwenkit.errors.QwenKitError` subclass, never a bare
-``TypeError`` or ``OSError``, a NaN array or a wrong answer. Tokens that
-are not hashable are covered in ``test_decontam``.
+a path that cannot be read or written. One more table crosses every slot
+that takes a collection of items with text, a mapping, a set and None.
+The call must raise exactly the named
+:class:`~qwenkit.errors.QwenKitError` subclass, never a bare ``TypeError``
+or ``OSError``, a NaN array or a wrong answer. Tokens that are not
+hashable are covered in ``test_decontam``.
 """
 
 import math
@@ -64,6 +66,8 @@ HOSTILE = [
     ("replication_count-h_ffn", lambda: qk.replication_count(8, 32, 1.5), ParameterError),
     ("apply_rope-positions",
      lambda: qk.apply_rope(np.ones((1, 3, 8)), [0, 1, 2.5], _INV_FREQ), ParameterError),
+    ("apply_rope-zero-width",
+     lambda: qk.apply_rope(np.ones((1, 3, 0)), [0, 1, 2], np.ones(0)), ParameterError),
     ("KvCache-length-layer", lambda: qk.KvCache(1, 4).length(0.0), ParameterError),
     ("KvCache-keys-layer", lambda: qk.KvCache(1, 4).keys("0"), ParameterError),
     ("KvCache-values-layer", lambda: qk.KvCache(1, 4).values(np.float32(0)), ParameterError),
@@ -315,6 +319,44 @@ def test_bound_is_accepted_and_one_step_past_it_is_refused(call, field, at, past
         call(past)
     assert type(info.value) is error
     assert field in str(info.value)
+
+
+_VOCAB = qk.base_vocab()
+_INDEX = qk.NgramIndex([("a", "b")], 1)
+
+# Every slot that takes a collection of items (ops._items): the name its
+# message gives, and a call of one value.
+COLLECTION_SLOTS = [
+    ("forward", "token_ids", lambda v: qk.forward(_NANO_WEIGHTS, _NANO, v)),
+    ("greedy_decode", "prompt", lambda v: qk.greedy_decode(_NANO_WEIGHTS, _NANO, v, 2)),
+    ("decode", "ids", lambda v: qk.decode(_VOCAB, v)),
+    ("bpe_train", "corpus", lambda v: qk.bpe_train(v, 300)),
+    ("compression_rate", "corpus", lambda v: qk.compression_rate(_VOCAB, v)),
+    ("TokenSeq", "tokens", qk.TokenSeq),
+    ("lcs_len", "tokens", lambda v: qk.lcs_len(v, ["a"])),
+    ("lcs_contaminated", "tokens", lambda v: qk.lcs_contaminated(v, ["a"])),
+    ("find_ngram_match", "tokens", lambda v: qk.decontam.find_ngram_match(v, _INDEX)),
+    ("contains_run", "tokens", lambda v: _INDEX.contains_run(v)),
+    ("NgramIndex", "docs", lambda v: qk.NgramIndex(v, 1)),
+    ("filter_corpus-train_docs", "train_docs",
+     lambda v: qk.filter_corpus(v, _SETS, qk.decontam.MODE_TRAIN_LCS)),
+    ("filter_corpus-samples", "test set 's'",
+     lambda v: qk.filter_corpus([("a",)], {"s": v}, qk.decontam.MODE_TEST_NGRAM)),
+]
+# Values that iterate, if at all, as keys, in a set's own order, or as
+# ints or characters: none is a collection of items.
+NOT_COLLECTIONS = [("mapping", {"a": 1}), ("set", {1, 2}), ("memoryview", memoryview(b"ab")),
+                   ("str", "ab"), ("None", None)]
+
+
+@pytest.mark.parametrize("slot, call, value", [
+    pytest.param(slot, call, value, id=f"{name}-{kind}")
+    for name, slot, call in COLLECTION_SLOTS for kind, value in NOT_COLLECTIONS])
+def test_value_that_is_not_a_collection_is_refused_naming_its_slot(slot, call, value):
+    with pytest.raises(QwenKitError) as info:
+        call(value)
+    assert type(info.value) is InputError
+    assert str(info.value).startswith(f"{slot} must be an iterable of ")
 
 
 def test_save_vocab_of_another_type_writes_no_file(tmp_path):
